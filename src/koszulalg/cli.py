@@ -87,23 +87,32 @@ def load_ring_spec(path):
         if not isinstance(variables, list) or not all(
                 isinstance(v, str) for v in variables):
             raise SpecError("quotient spec needs a list of variable names")
-        if not isinstance(ideal, list):
-            raise SpecError("quotient spec needs a list of ideal generators")
+        if not isinstance(ideal, list) or not all(
+                isinstance(g, str) for g in ideal):
+            raise SpecError("quotient spec needs a list of ideal generators "
+                            "given as strings")
         weights = pres.get("weights")
         if weights is not None and (
                 not isinstance(weights, list)
                 or len(weights) != len(variables)
-                or not all(isinstance(w, int) and w >= 1 for w in weights)):
+                or not all(_positive_int(w) for w in weights)):
             raise SpecError("weights must be positive integers, one per variable")
-        ctx = PolyContext(field, variables, weights)
+        try:
+            ctx = PolyContext(field, variables, weights)
+        except ValueError as e:
+            raise SpecError("bad quotient variables: %s" % e)
         return make_artinian_quotient(ctx, ideal)
     if kind == "semigroup":
         gens = pres.get("generators")
-        if not isinstance(gens, list) or not all(
-                isinstance(g, int) and g >= 1 for g in gens):
+        if not isinstance(gens, list) or not all(_positive_int(g) for g in gens):
             raise SpecError("semigroup spec needs positive integer generators")
         return make_semigroup_ring(field, gens)
     raise SpecError("unknown presentation type %r" % kind)
+
+
+def _positive_int(value):
+    # JSON true/false load as bool, which is a subclass of int.
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 _WEDGE_RE = re.compile(r"(?:e\d+)+$")

@@ -1,18 +1,32 @@
 """Graded rings behind one interface: Artinian quotients and semigroup rings.
 
 An ArtinianQuotient is k[x_1..x_n]/I for a weighted-homogeneous ideal
-I with Artinian quotient; its degree-d basis is the standard monomials
-of a Groebner basis.  A SemigroupRing is k[t^{g_1},...,t^{g_n}] inside
-k[t], graded by t-degree, with dim R_d <= 1 decided by a coin-problem
-sieve.  Both expose per-degree bases, multiplication-by-generator
-matrices in sparse triplet form, and degree slices of powers of the
-maximal ideal.
+I with Artinian quotient, presented by a reduced monic Groebner basis.
+Its degree-d basis is the standard monomials (those outside LT(I)),
+found by walking the staircase: every standard monomial of degree d > 0
+is x_i*m for a standard m of degree d - w_i, so the candidates come from
+the lower bases and each needs only a leading-monomial test.
+Multiplication by x_i on R_d is built column by column without general
+division: x_i*m is standard, or it lies on the border of the staircase,
+and then its normal form is a combination of normal forms of smaller
+monomials of the same degree, memoized for that one target degree (the
+multiplication-matrix construction of FGLM: Faugere, Gianni, Lazard,
+Mora, J. Symb. Comp. 1993; border bases: Kehrein, Kreuzer, Robbiano).
+Products of arbitrary elements and parsed elements still go through
+polyring.normal_form.
+
+A SemigroupRing is k[t^{g_1},...,t^{g_n}] inside k[t], graded by
+t-degree, with dim R_d <= 1 decided by a coin-problem sieve.  Both
+expose per-degree bases, multiplication-by-generator matrices in sparse
+triplet form, and degree slices of powers of the maximal ideal.
 
 Construction validates minimality of the chosen generators of the
 maximal ideal (ker f inside mF): for quotients every variable must
 survive into R, for semigroups no generator may be representable by
-the others.  All caches are size-capped, insertion-order evicted and
-lock-protected; ring handles are immutable and shareable.
+the others.  The remaining caches (degree bases, multiplication
+triplets, slices of powers of m) are size-capped, insertion-order
+evicted and lock-protected; dimensions and the generators are computed
+once.  Ring handles are immutable and shareable.
 """
 
 from __future__ import annotations
@@ -27,9 +41,11 @@ from koszulalg.polyring import (
     PolyContext,
     Polynomial,
     buchberger,
+    mono_div,
+    mono_divides,
+    mono_mul,
     normal_form,
     parse_poly,
-    standard_monomials,
 )
 
 
@@ -115,6 +131,10 @@ class _Cache:
         self.maxsize = maxsize
         self.data = {}
         self.lock = threading.Lock()
+
+    def get(self, key):
+        with self.lock:
+            return self.data.get(key)
 
     def get_or_compute(self, key, fn):
         with self.lock:
@@ -210,46 +230,109 @@ class ArtinianQuotient(GradedRing):
                 "quotient is not Artinian: no pure power of %s in the initial ideal"
                 % ", ".join(missing))
 
+        # Each reducer is (leading monomial, tail with negated coefficients)
+        # of a monic basis element: a monomial u*lm reduces to
+        # sum(c * u*t for t, c in tail).
+        F = self.field
+        self._reducers = [
+            (g.leading_monomial(), [(t, F.neg(c)) for t, c in g.terms[1:]])
+            for g in self.gb.gens]
+        # _walls[i][e]: leading monomials whose x_i-exponent is e.
+        self._walls = [{} for _ in range(self.ngens)]
+        for lm, _ in self._reducers:
+            for i, e in enumerate(lm):
+                if e:
+                    self._walls[i].setdefault(e, []).append(lm)
+
         # Minimality of x_1..x_n as generators of m: each x_i survives in R_{w_i}.
         for i in range(self.ngens):
             mono = tuple(1 if j == i else 0 for j in range(self.ngens))
-            if mono not in standard_monomials(self.gb, self.weights[i]):
+            if self._reducer(mono) is not None:
                 raise RingConstructionError(
                     "generator %s is not minimal (reducible modulo the ideal)"
                     % self.gen_names[i])
+        # x_i is standard, hence its own normal form.
+        self._generators = tuple(
+            RingElement(self, ctx.var(i)) for i in range(self.ngens))
 
-        self._dims = {}
         self._basis_cache = _Cache(64)
         self._mult_cache = _Cache(48)
         self._mpower_cache = _Cache(4096)
-        self._lock = threading.Lock()
 
-        bound = sum((b - 1) * w for b, w in zip(bounds, self.weights))
-        top = 0
-        for d in range(bound + 1):
-            if self.dim(d) > 0:
-                top = d
-        self.top_degree = top
-        for d in range(top + 1, top + max(self.weights) + 1):
-            if self.dim(d) != 0:
-                raise RingConstructionError("Artinian verification failed")
+        # No standard monomial lies above this a-priori bound; the walk
+        # below tightens it.  Once max(weights) consecutive degrees are
+        # empty, every higher degree is empty too.
+        self.top_degree = sum((b - 1) * w for b, w in zip(bounds, self.weights))
+        dims, empty = [], 0
+        while empty < max(self.weights):
+            dims.append(len(self._monomial_basis(len(dims))))
+            empty = empty + 1 if dims[-1] == 0 else 0
+        self._dims = tuple(dims[:len(dims) - empty])
+        self.top_degree = len(self._dims) - 1
+
+    def _reducer(self, mono):
+        """First (lm, tail) of the basis with lm dividing mono, or None."""
+        for reducer in self._reducers:
+            if mono_divides(reducer[0], mono):
+                return reducer
+        return None
 
     # ------------------------------------------------------------- queries
 
     def dim(self, d):
-        if d < 0:
-            return 0
-        with self._lock:
-            if d in self._dims:
-                return self._dims[d]
-        value = len(self._monomial_basis(d))
-        with self._lock:
-            self._dims[d] = value
-        return value
+        return self._dims[d] if 0 <= d <= self.top_degree else 0
 
     def _monomial_basis(self, d):
-        return self._basis_cache.get_or_compute(
-            d, lambda: tuple(standard_monomials(self.gb, d)))
+        """Standard monomials of degree d in decreasing term order."""
+        if d < 0 or d > self.top_degree:
+            return ()
+        cached = self._basis_cache.get(d)
+        if cached is not None:
+            return cached
+        # Gather the lower degrees the walk reads; those the cache has
+        # dropped are rebuilt first, lowest first, without recursion.
+        known, missing = {}, [d]
+        e, run = d - 1, 0
+        while e >= 0 and run < max(self.weights):
+            basis = self._basis_cache.get(e)
+            if basis is None:
+                missing.append(e)
+                run = 0
+            else:
+                known[e] = basis
+                run += 1
+            e -= 1
+        for e in reversed(missing):
+            known[e] = self._basis_cache.get_or_compute(
+                e, lambda e=e: self._walk_staircase(e, known))
+        return known[d]
+
+    def _walk_staircase(self, d, known):
+        """Degree-d standard monomials from the bases known[d - w_i].
+
+        A standard monomial of degree d > 0 is x_i*m with m standard,
+        for i its last variable; generating x_i*m only from m supported
+        on x_1..x_i makes each candidate once.  Since m is standard,
+        x_i*m is not only if a leading monomial with x_i-exponent
+        m_i + 1 divides it.
+        """
+        if d == 0:
+            return ((0,) * self.ngens,)
+        out = []
+        for i, w in enumerate(self.weights):
+            if d < w:
+                continue
+            walls = self._walls[i]
+            for m in known[d - w]:
+                if any(m[i + 1:]):
+                    continue
+                e = m[i] + 1
+                cand = m[:i] + (e,) + m[i + 1:]
+                hits = walls.get(e)
+                if hits is None or not any(mono_divides(lm, cand) for lm in hits):
+                    out.append(cand)
+        self.ctx.sort_decreasing(out)
+        return tuple(out)
 
     def basis_of_degree(self, d):
         if d < 0:
@@ -262,24 +345,61 @@ class ArtinianQuotient(GradedRing):
         return {m: t for t, m in enumerate(self._monomial_basis(d))}
 
     def mult_triplets(self, i, d):
-        def compute():
-            src = self._monomial_basis(d)
-            dst_index = self._basis_index(d + self.weights[i])
-            var = tuple(1 if j == i else 0 for j in range(self.ngens))
-            out = []
-            for col, m in enumerate(src):
-                prod = self.ctx.monomial(tuple(a + b for a, b in zip(m, var)))
-                nf = normal_form(prod, self.gb)
-                for mono, coeff in nf.terms:
-                    out.append((dst_index[mono], col, coeff))
-            return out
-
-        if d < 0:
+        if d < 0 or d + self.weights[i] > self.top_degree:
             return []
-        return self._mult_cache.get_or_compute((i, d), compute)
+        return self._mult_cache.get_or_compute(
+            (i, d), lambda: self._mult_columns(i, d))
+
+    def _mult_columns(self, i, d):
+        """Column c holds the coordinates of x_i * (c-th basis monomial)."""
+        one = self.field.one
+        dst_index = self._basis_index(d + self.weights[i])
+        memo = {}
+        out = []
+        for col, m in enumerate(self._monomial_basis(d)):
+            prod = m[:i] + (m[i] + 1,) + m[i + 1:]
+            row = dst_index.get(prod)
+            if row is not None:
+                out.append((row, col, one))
+            else:
+                out.extend((r, col, c)
+                           for r, c in self._border_nf(prod, dst_index, memo))
+        return out
+
+    def _border_nf(self, mono, dst_index, memo):
+        """Normal form of a non-standard monomial as [(row, coeff)], rows increasing.
+
+        mono = u*lm for the first leading monomial lm dividing it, so
+        NF(mono) = -sum c_t NF(u*t) over the tail of that monic basis
+        element.  Every u*t is smaller in the term order and of the same
+        degree, indexed by dst_index when standard; memo holds the normal
+        forms of the others, for this one target degree only.
+        """
+        F = self.field
+        stack = [mono]
+        while stack:
+            top = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            lm, tail = self._reducer(top)
+            u = mono_div(top, lm)
+            terms = [(mono_mul(u, t), c) for t, c in tail]
+            pending = [p for p, _ in terms if p not in dst_index and p not in memo]
+            if pending:
+                stack.extend(pending)
+                continue
+            acc = {}
+            for p, c in terms:
+                row = dst_index.get(p)
+                for r, a in ((row, F.one),) if row is not None else memo[p]:
+                    acc[r] = F.add(acc.get(r, F.zero), F.mul(c, a))
+            memo[top] = sorted((r, a) for r, a in acc.items() if a != F.zero)
+            stack.pop()
+        return memo[mono]
 
     def generator(self, i):
-        return RingElement(self, normal_form(self.ctx.var(i), self.gb))
+        return self._generators[i]
 
     def zero(self):
         return RingElement(self, self.ctx.zero())
@@ -419,7 +539,6 @@ class SemigroupRing(GradedRing):
         self._member_bound = bound
         self._tctx = PolyContext(field, ["t"], [1])
         self._mpower_cache = _Cache(64)
-        self._mpower_lock = threading.Lock()
 
     @staticmethod
     def _sieve(gens, bound):
@@ -580,15 +699,3 @@ def make_artinian_quotient(ctx, ideal_gens):
 
 def make_semigroup_ring(field, generators):
     return SemigroupRing(field, generators)
-
-
-def basis_of_degree(ring, d):
-    return ring.basis_of_degree(d)
-
-
-def ring_multiply(a, b):
-    return a * b
-
-
-def max_ideal_power_basis(ring, a, d):
-    return ring.max_ideal_power_vectors(a, d)

@@ -17,6 +17,7 @@ non-homogeneous ideals would break the grading.
 from __future__ import annotations
 
 import heapq
+import operator
 from fractions import Fraction
 
 from koszulalg.exactalg import Field
@@ -65,6 +66,20 @@ class PolyContext:
         if self.order == "grevlex":
             return (self.wdeg(mono), sum(mono), tuple(-e for e in reversed(mono)))
         return tuple(mono)
+
+    def sort_decreasing(self, monos):
+        """Sort a list of monomials of one weighted degree, biggest first.
+
+        The same order as sorting by key with reverse=True, but with
+        C-level sort keys: grevlex ranks higher total degree first, then
+        smaller exponents read from the last variable backwards; lex
+        ranks exponent tuples.
+        """
+        if self.order == "lex":
+            monos.sort(reverse=True)
+            return
+        monos.sort(key=operator.itemgetter(*reversed(range(self.nvars))))
+        monos.sort(key=sum, reverse=True)
 
     def monomial(self, mono, coeff=None):
         if coeff is None:

@@ -314,3 +314,22 @@ def test_spec_weights_accepted(capsys):
                        fixture_path("f2_weighted_2_3.json"), "--json")
     assert code == 0
     assert json.loads(out)["order"] == 2
+
+
+@pytest.mark.parametrize("presentation", [
+    {"type": "quotient", "variables": ["x"], "ideal": [3]},
+    {"type": "quotient", "variables": ["x", "x"], "ideal": ["x^2"]},
+    {"type": "quotient", "variables": [], "ideal": ["x^2"]},
+    {"type": "quotient", "variables": ["x", "y"], "weights": [True, 1],
+     "ideal": ["x^2", "y^2"]},
+    {"type": "semigroup", "generators": [True, 2]},
+], ids=["ideal-int", "duplicate-variables", "no-variables", "bool-weight",
+        "bool-semigroup-generator"])
+def test_malformed_spec_exits_two(capsys, tmp_path, presentation):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"field": "F2", "presentation": presentation}))
+    code, out, err = run(capsys, "betti", "--ring", str(spec))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1

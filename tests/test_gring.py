@@ -1,11 +1,25 @@
 """Graded ring backends: Artinian quotients and numerical semigroups."""
 
+import glob
+import json
+import os
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulalg import exactalg
-from koszulalg.exactalg import GF2, QQ
-from koszulalg.polyring import PolyContext, parse_poly
+from koszulalg.cli import load_ring_spec
+from koszulalg.exactalg import GF2, QQ, PrimeField
+from koszulalg.polyring import (
+    PolyContext,
+    Polynomial,
+    mono_mul,
+    monomials_of_weight,
+    normal_form,
+    parse_poly,
+    standard_monomials,
+)
 from koszulalg.gring import (
     ArtinianQuotient,
     RingConstructionError,
@@ -13,6 +27,7 @@ from koszulalg.gring import (
     make_artinian_quotient,
     make_semigroup_ring,
 )
+from koszulalg.koszul import KoszulComplex, betti_table
 
 import conftest
 
@@ -184,3 +199,106 @@ def test_cache_consistency_under_repeated_calls():
     b1 = R.basis_of_degree(2)
     b2 = R.basis_of_degree(2)
     assert [str(x) for x in b1] == [str(x) for x in b2]
+
+
+# ------------------------------------------- staircase walk vs. the oracles
+
+def _oracle_triplets(R, i, d):
+    """x_i: R_d -> R_{d+w_i} from the normal form of every x_i * m."""
+    var = tuple(1 if j == i else 0 for j in range(R.ngens))
+    dst = standard_monomials(R.gb, d + R.weights[i])
+    dst_index = {m: t for t, m in enumerate(dst)}
+    out = []
+    for col, m in enumerate(standard_monomials(R.gb, d)):
+        nf = normal_form(R.ctx.monomial(mono_mul(m, var)), R.gb)
+        for mono, coeff in nf.terms:
+            out.append((dst_index[mono], col, coeff))
+    return out
+
+
+def assert_matches_oracles(R, triplet_degrees=None):
+    for d in range(-1, R.top_degree + max(R.weights) + 1):
+        assert list(R._monomial_basis(d)) == standard_monomials(R.gb, d), d
+    if triplet_degrees is None:
+        triplet_degrees = range(-1, R.top_degree + 1)
+    for i in range(R.ngens):
+        for d in triplet_degrees:
+            assert R.mult_triplets(i, d) == _oracle_triplets(R, i, d), (i, d)
+
+
+def _quotient_fixtures():
+    names = []
+    for path in sorted(glob.glob(conftest.fixture_path("*.json"))):
+        with open(path, encoding="utf-8") as fh:
+            spec = json.load(fh)
+        name = os.path.basename(path)
+        if spec["presentation"]["type"] == "quotient" and name != "f2_big_x98.json":
+            names.append(name)
+    return names
+
+
+@pytest.mark.parametrize("name", _quotient_fixtures())
+def test_fixture_ring_matches_oracles(name):
+    assert_matches_oracles(load_ring_spec(conftest.fixture_path(name)))
+
+
+@pytest.mark.slow
+def test_big_x98_ring_matches_oracles():
+    R = load_ring_spec(conftest.fixture_path("f2_big_x98.json"))
+    assert R.top_degree == 245
+    assert_matches_oracles(
+        R, triplet_degrees=[0, 1, 49, 50, 100, 101, 148, 149, 196, 197, 244, 245])
+
+
+@st.composite
+def artinian_ideals(draw):
+    """Pure powers of every variable plus random monomials and binomials.
+
+    Every extra generator has total degree >= 2, so each variable stays
+    a minimal generator of the maximal ideal.
+    """
+    n = draw(st.integers(min_value=2, max_value=3))
+    weights = draw(st.lists(st.integers(min_value=1, max_value=3),
+                            min_size=n, max_size=n))
+    field = draw(st.sampled_from([GF2, PrimeField(3), QQ]))
+    ctx = PolyContext(field, "xyz"[:n], weights)
+    gens = []
+    for i in range(n):
+        gens.append(ctx.monomial(tuple(
+            draw(st.integers(min_value=2, max_value=5)) if j == i else 0
+            for j in range(n))))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        d = draw(st.integers(min_value=2 * min(weights), max_value=4 * max(weights)))
+        monos = [m for m in monomials_of_weight(ctx, d) if sum(m) >= 2]
+        if not monos:
+            continue
+        if len(monos) < 2 or draw(st.booleans()):
+            gens.append(ctx.monomial(draw(st.sampled_from(monos))))
+            continue
+        m1, m2 = draw(st.lists(st.sampled_from(monos), min_size=2, max_size=2,
+                               unique=True))
+        if field is QQ:
+            c = Fraction(draw(st.sampled_from([-3, -1, 1, 2])),
+                         draw(st.sampled_from([1, 2, 5])))
+        else:
+            c = draw(st.integers(min_value=1, max_value=field.p - 1))
+        gens.append(Polynomial(ctx, [(m1, field.one), (m2, c)]))
+    return ctx, gens
+
+
+@given(artinian_ideals())
+@settings(max_examples=40, deadline=None)
+def test_random_artinian_ring_matches_oracles(ideal):
+    ctx, gens = ideal
+    assert_matches_oracles(ArtinianQuotient(ctx, gens))
+
+
+def test_threaded_rank_only_betti_matches_serial():
+    def family_complex():
+        ctx = PolyContext(GF2, ["x", "y", "z"])
+        return KoszulComplex(make_artinian_quotient(
+            ctx, ["x^7", "y^8", "z^9", "x^4*z^5 + y^4*z^5"]))
+
+    serial = betti_table(family_complex(), rank_only=True, threads=1)
+    threaded = betti_table(family_complex(), rank_only=True, threads=2)
+    assert threaded.entries == serial.entries

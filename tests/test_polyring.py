@@ -199,3 +199,15 @@ def test_order_variant_changes_leading_terms_not_dimensions():
     gb2 = buchberger([parse_poly(s, lex) for s in gens])
     for d in range(8):
         assert len(standard_monomials(gb1, d)) == len(standard_monomials(gb2, d))
+
+
+@given(st.sampled_from(["grevlex", "lex"]),
+       st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=9))
+@settings(max_examples=60, deadline=None)
+def test_sort_decreasing_matches_key(order, weights, d):
+    ctx = PolyContext(QQ, "xyzw"[:len(weights)], weights, order=order)
+    monos = monomials_of_weight(ctx, d)
+    expect = sorted(monos, key=ctx.key, reverse=True)
+    ctx.sort_decreasing(monos)
+    assert monos == expect
