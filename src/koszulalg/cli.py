@@ -441,6 +441,18 @@ _COMMANDS = {
 }
 
 
+def _thread_count(text):
+    """argparse type of --threads: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            "expected an integer of at least 1, got %r" % text)
+    return n
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="koszulalg",
@@ -459,7 +471,7 @@ def _build_parser():
                        help="canonical JSON output")
         p.add_argument("--slow", action="store_true",
                        help="rank-only large-scale path")
-        p.add_argument("--threads", type=int, default=os.cpu_count(),
+        p.add_argument("--threads", type=_thread_count, default=os.cpu_count(),
                        metavar="N", help="worker threads for strand ranks")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized suite checks")

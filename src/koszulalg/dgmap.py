@@ -174,10 +174,6 @@ def lift_from_delta(K, delta):
     return phi
 
 
-def apply_lift(phi, u):
-    return phi.apply(u)
-
-
 def induced_map(phi, i):
     """Matrix of H_i(phi): column j is the class of phi applied to rep j."""
     K = phi.complex

@@ -6,6 +6,9 @@ arithmetic, so no rounding can ever occur.  Matrices are row-major
 lists of scalars.  Over F_2 there is a bit-packed fast path (64
 columns per numpy uint64 word) used for row reduction, kernels and
 rank; it produces the same canonical answers as the generic path.
+Over odd F_p, rank (dense and the core of sparse_rank) runs a row
+echelon form on a numpy int64 array: with p < 2^31 every product of
+two scalars stays below 2^62, so no step can overflow.
 
 All values are immutable after construction and all operations are
 pure, so everything here is safe to share across threads.
@@ -213,13 +216,6 @@ class Matrix:
     def copy(self):
         return Matrix(self.field, self.rows, self.ncols)
 
-    def transpose(self):
-        return Matrix(
-            self.field,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.nrows,
-        )
-
     def mul(self, other):
         if self.field != other.field:
             raise ValueError("field mismatch")
@@ -323,6 +319,37 @@ def _gf2_eliminate(a, ncols, reduced=True, max_rank=None):
     return pivots
 
 
+# ------------------------------------------------------------- odd F_p int64
+
+def _fp_eliminate(a, p):
+    """In-place row echelon of an int64 array over odd F_p; returns the rank.
+
+    Entries must lie in [0, p) with p < 2^31.  The pivot is the first
+    nonzero row at or below the cursor, scaled to 1; only the rows below
+    it with a nonzero entry in the pivot column are updated, and only
+    from that column on.
+    """
+    m, n = a.shape
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = a[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        prow = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
+        a[r, c:] = prow
+        if nz.size > 1:
+            below = r + nz[1:]
+            # a - f*prow == a + (p - f)*prow (mod p); the product stays
+            # below 2^62 and the sum below 2^63, so one reduction suffices.
+            a[below, c:] = (a[below, c:] + (p - a[below, c, None]) * prow) % p
+        r += 1
+    return r
+
+
 def _use_packed(M):
     return (
         isinstance(M.field, PrimeField)
@@ -375,11 +402,18 @@ def rref(M):
 
 
 def rank(M):
-    """Rank of M; over big F2 matrices uses the packed non-reduced path."""
+    """Rank of M.
+
+    Packed non-reduced echelon over big F_2 matrices, int64 echelon over
+    odd p, generic rref otherwise.
+    """
     _check_field(M)
     if _use_packed(M):
         a = _pack_rows(M.rows, M.ncols)
         return len(_gf2_eliminate(a, M.ncols, reduced=False))
+    F = M.field
+    if isinstance(F, PrimeField) and F.p != 2 and M.nrows and M.ncols:
+        return _fp_eliminate(np.array(M.rows, dtype=np.int64) % F.p, F.p)
     return len(rref(M)[1])
 
 
@@ -500,7 +534,8 @@ def sparse_rank(field, nrows, ncols, entries):
     nonzero entry sits at (i, j) contributes a pivot, and removing row
     i and column j is a pure deletion because the elimination step has
     nothing else to touch.  The surviving core keeps its original
-    entries and goes through dense elimination (packed over F_2).
+    entries and goes through dense elimination: packed over F_2, int64
+    echelon over odd p, generic otherwise.
     """
     rows = {}
     cols = {}
@@ -569,6 +604,16 @@ def sparse_rank(field, nrows, ncols, entries):
                 c = col_index[j]
                 a[t, c // _WORD] |= np.uint64(1) << np.uint64(c % _WORD)
         return rank_count + len(_gf2_eliminate(a, len(col_index), reduced=False))
+    if isinstance(field, PrimeField):
+        at, ac, av = [], [], []
+        for t, (i, r) in enumerate(sorted(rows.items())):
+            for j, val in r.items():
+                at.append(t)
+                ac.append(col_index[j])
+                av.append(val)
+        a = np.zeros((len(rows), len(col_index)), dtype=np.int64)
+        a[at, ac] = av
+        return rank_count + _fp_eliminate(a, field.p)
     core = Matrix.zeros(field, len(rows), len(col_index))
     for t, (i, r) in enumerate(sorted(rows.items())):
         for j, val in r.items():

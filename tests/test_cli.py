@@ -333,3 +333,15 @@ def test_malformed_spec_exits_two(capsys, tmp_path, presentation):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--threads", "0"], ["--threads", "-3", "--slow"]],
+                         ids=["zero", "negative-slow"])
+def test_threads_below_one_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(["betti", "--ring", fixture_path("f2_ci_x2_y2.json")] + argv)
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "--threads" in captured.err

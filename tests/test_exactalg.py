@@ -1,5 +1,6 @@
 """Exact linear algebra over F_p and Q."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -181,10 +182,65 @@ def _rank_mod2_reference(rows):
 
 def test_gf2_packed_path_agrees_with_reference():
     # 80x80 exceeds the packing threshold, so this runs the bitset code
-    import random
     rng = random.Random(7)
     rows = [[rng.randrange(2) for _ in range(80)] for _ in range(80)]
     m2 = Matrix(GF2, [list(r) for r in rows], 80)
     r2 = rank(m2)
     assert r2 == _rank_mod2_reference(rows)
     assert len(kernel_basis(m2)) == 80 - r2
+
+
+def _fp_entry(rng, p, density):
+    """Zero with probability 1 - density, else often p - 1 or 1."""
+    if rng.random() >= density:
+        return 0
+    return rng.choice([1, p - 1, rng.randrange(1, p)])
+
+
+def _triplets(m):
+    return [(i, j, a) for i, row in enumerate(m.rows)
+            for j, a in enumerate(row) if a]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_int64_rank_matches_generic_rref(data):
+    # p = 2^31 - 1 is the largest prime the int64 kernel accepts.
+    p = data.draw(st.sampled_from([3, 5, 32003, 2147483647]))
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32)))
+    F = PrimeField(p)
+    nrows = data.draw(st.integers(min_value=1, max_value=40))
+    ncols = data.draw(st.integers(min_value=1, max_value=40))
+    density = data.draw(st.sampled_from([0.1, 0.5, 1.0]))
+    if data.draw(st.booleans()):
+        # Random square matrices are almost always of full rank; a
+        # product of thin factors is not.
+        k = data.draw(st.integers(min_value=0, max_value=min(nrows, ncols) - 1))
+        A = Matrix(F, [[_fp_entry(rng, p, density) for _ in range(k)]
+                       for _ in range(nrows)], k)
+        B = Matrix(F, [[_fp_entry(rng, p, density) for _ in range(ncols)]
+                       for _ in range(k)], ncols)
+        m = A.mul(B)
+    else:
+        m = Matrix(F, [[_fp_entry(rng, p, density) for _ in range(ncols)]
+                       for _ in range(nrows)], ncols)
+    for i in data.draw(st.sets(st.integers(0, nrows - 1), max_size=3)):
+        m.rows[i] = [0] * ncols
+    for j in data.draw(st.sets(st.integers(0, ncols - 1), max_size=3)):
+        for row in m.rows:
+            row[j] = 0
+    expected = len(rref(m)[1])
+    assert rank(m) == expected
+    assert exactalg.sparse_rank(F, nrows, ncols, _triplets(m)) == expected
+
+
+@pytest.mark.parametrize("p", [32003, 2147483647])
+def test_int64_rank_on_120x100_of_rank_70(p):
+    rng = random.Random(3)
+    F = PrimeField(p)
+    A = Matrix(F, [[rng.randrange(F.p) for _ in range(70)] for _ in range(120)], 70)
+    B = Matrix(F, [[rng.randrange(F.p) for _ in range(100)] for _ in range(70)], 100)
+    m = A.mul(B)
+    assert len(rref(m)[1]) == 70
+    assert rank(m) == 70
+    assert exactalg.sparse_rank(F, 120, 100, _triplets(m)) == 70
