@@ -171,10 +171,7 @@ def filtration_level(K, i, coords):
             cls.degree for cls, a in zip(basis.classes, coords) if a != K.field.zero)
     z = representative(K, i, coords)
     level = i
-    components = {
-        d: K.element_to_vector(i, d, part)
-        for d, part in z.internal_components().items()
-    }
+    components = K.strand_vectors(i, z)
     while True:
         l = level + 1
         ok = True
@@ -197,9 +194,8 @@ def ring_order(K):
         return math.inf
     levels = []
     for cls in h1.classes:
-        unit = [
-            K.field.one if t == cls.index else K.field.zero for t in range(h1.dim)]
-        levels.append(filtration_level(K, 1, unit))
+        levels.append(filtration_level(
+            K, 1, exactalg.unit_vector(K.field, h1.dim, cls.index)))
     return min(levels)
 
 
@@ -234,9 +230,7 @@ class GrAlgebra:
             chain = {}
             lmax = d + 1
             for cls in members:
-                unit = [
-                    K.field.one if t == cls.index else K.field.zero
-                    for t in range(hb.dim)]
+                unit = exactalg.unit_vector(K.field, hb.dim, cls.index)
                 lev = filtration_level(K, i, unit)
                 chain.setdefault(lev, []).append(unit)
             if _is_standard_graded(K):
@@ -312,12 +306,9 @@ def _gr_slice_vectors(K, i, d, l, idxs):
     span, _ = _degree_filtration_span(K, i, d, l)
     out = []
     for v in span:
-        sol = exactalg.coords_in_span(
-            v, data.boundary_rows + data.rep_vectors, K.field)
-        if sol is None:
+        local = data.rep_coords(K.field, v)
+        if local is None:
             continue
-        nb = len(data.boundary_rows)
-        local = sol[nb:]
         if any(a != K.field.zero for a in local):
             out.append(local)
     if not out:
@@ -342,9 +333,7 @@ def gr_induced_identity(K, phi):
             continue
         m = induced_map(phi, i)
         for cls in basis.classes:
-            unit = [
-                KK.field.one if t == cls.index else KK.field.zero
-                for t in range(basis.dim)]
+            unit = exactalg.unit_vector(KK.field, basis.dim, cls.index)
             level = filtration_level(KK, i, unit)
             img = [m.matrix.rows[r][cls.index] for r in range(basis.dim)]
             diff = [KK.field.sub(a, b) for a, b in zip(img, unit)]
@@ -375,10 +364,10 @@ def poincare_pairing(K, i):
         return {"matrix": None, "is_perfect": False, "dim_top": top.dim}
     rows = []
     for a in range(hi.dim):
-        ea = [K.field.one if t == a else K.field.zero for t in range(hi.dim)]
+        ea = exactalg.unit_vector(K.field, hi.dim, a)
         row = []
         for b in range(hj.dim):
-            eb = [K.field.one if t == b else K.field.zero for t in range(hj.dim)]
+            eb = exactalg.unit_vector(K.field, hj.dim, b)
             row.append(homology_product(K, i, ea, c - i, eb)[0])
         rows.append(row)
     if hi.dim == 0 or hj.dim == 0:
@@ -468,8 +457,7 @@ def _detect_complete_intersection(K):
         for combo in itertools.combinations(range(h1.dim), i):
             coords = None
             for t in combo:
-                unit = [
-                    K.field.one if s == t else K.field.zero for s in range(h1.dim)]
+                unit = exactalg.unit_vector(K.field, h1.dim, t)
                 if coords is None:
                     coords = (1, unit)
                 else:

@@ -10,12 +10,16 @@ Over odd F_p, rank (dense and the core of sparse_rank) runs a row
 echelon form on a numpy int64 array: with p < 2^31 every product of
 two scalars stays below 2^62, so no step can overflow.
 
-All values are immutable after construction and all operations are
-pure, so everything here is safe to share across threads.
+Echelon keeps a span in sparse row echelon form, grows it one vector at
+a time, and solves for the coordinates of any vector of its span in one
+pass over its rows.  It is the one mutable object here; every other value is immutable after
+construction and every other operation is pure, so those are safe to
+share across threads.
 """
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 
 import numpy as np
@@ -264,6 +268,13 @@ class Matrix:
         return "Matrix(%s, %dx%d)" % (self.field, self.nrows, self.ncols)
 
 
+def unit_vector(field, n, a):
+    """The a-th standard basis vector of field^n."""
+    v = [field.zero] * n
+    v[a] = field.one
+    return v
+
+
 def _check_field(M):
     if not isinstance(M, Matrix):
         raise TypeError("expected Matrix, got %r" % type(M).__name__)
@@ -463,6 +474,100 @@ def coords_in_span(v, basis, field):
     for r, p in enumerate(pivots):
         coords[p] = R.rows[r][k]
     return coords
+
+
+class Echelon:
+    """Row echelon basis of a span that grows one vector at a time.
+
+    The span starts from base rows in reduced row echelon form, such as
+    the rref rows of a boundary space.  They are read in place, never
+    copied: each is 1 at its pivot and zero left of it and at every other
+    base pivot.  Added rows are stored sparse, as (pivot, columns,
+    values, tag) sorted by pivot; each is zero at every base pivot, zero
+    left of its own pivot and 1 there.
+
+    Reducing a vector clears the base pivots, then walks the added rows
+    in pivot order, subtracting the multiple of each row that clears its
+    pivot entry in the partly reduced vector.  The residual is zero
+    exactly when the vector lies in the span.  A tag is the combination
+    ((index, scalar), ...) of tracked inputs that an added row equals
+    modulo the base, so the multiples give the coordinates of a vector
+    of the span on those inputs.
+    """
+
+    __slots__ = ("field", "base", "base_pivots", "rows")
+
+    def __init__(self, field, base=()):
+        zero = field.zero
+        self.field = field
+        self.base = base
+        self.base_pivots = [
+            next(j for j, a in enumerate(row) if a != zero) for row in base]
+        self.rows = []
+
+    def reduce(self, vec):
+        """(residual, [(added row position, multiple)]) of vec against the span."""
+        F = self.field
+        zero = F.zero
+        p = F.characteristic
+        w = list(vec)
+        n = len(w)
+        for row, piv in zip(self.base, self.base_pivots):
+            c = w[piv]
+            if c == zero:
+                continue
+            w[piv] = zero
+            for j in range(piv + 1, n):
+                a = row[j]
+                if a != zero:
+                    w[j] = (w[j] - c * a) % p if p else w[j] - c * a
+        mults = []
+        for r, (piv, cols, vals, _) in enumerate(self.rows):
+            c = w[piv]
+            if c == zero:
+                continue
+            mults.append((r, c))
+            if p:
+                for j, a in zip(cols, vals):
+                    w[j] = (w[j] - c * a) % p
+            else:
+                for j, a in zip(cols, vals):
+                    w[j] = w[j] - c * a
+        return w, mults
+
+    def add(self, vec, tag=()):
+        """Extend the span by vec (equal to the combination tag); False if inside."""
+        F = self.field
+        zero = F.zero
+        w, mults = self.reduce(vec)
+        lead = next((j for j, a in enumerate(w) if a != zero), None)
+        if lead is None:
+            return False
+        inv = F.inv(w[lead])
+        combo = dict(tag)
+        for r, c in mults:
+            for t, a in self.rows[r][3]:
+                combo[t] = F.sub(combo.get(t, zero), F.mul(c, a))
+        cols = tuple(j for j in range(lead, len(w)) if w[j] != zero)
+        # pivots are distinct, so the tuples compare on the pivot alone
+        bisect.insort(self.rows, (
+            lead, cols, tuple(F.mul(inv, w[j]) for j in cols),
+            tuple((t, F.mul(inv, a)) for t, a in sorted(combo.items())
+                  if a != zero)))
+        return True
+
+    def coords(self, vec, k):
+        """Coordinates of vec on the k tracked inputs, or None outside the span."""
+        F = self.field
+        zero = F.zero
+        w, mults = self.reduce(vec)
+        if any(a != zero for a in w):
+            return None
+        out = [zero] * k
+        for r, c in mults:
+            for t, a in self.rows[r][3]:
+                out[t] = F.add(out[t], F.mul(c, a))
+        return out
 
 
 def in_span(v, basis, field):

@@ -23,10 +23,13 @@ triplet form, and degree slices of powers of the maximal ideal.
 Construction validates minimality of the chosen generators of the
 maximal ideal (ker f inside mF): for quotients every variable must
 survive into R, for semigroups no generator may be representable by
-the others.  The remaining caches (degree bases, multiplication
-triplets, slices of powers of m) are size-capped, insertion-order
-evicted and lock-protected; dimensions and the generators are computed
-once.  Ring handles are immutable and shareable.
+the others.  The remaining caches of a quotient (degree bases and
+their indices, multiplication triplets, slices of powers of m) are
+size-capped, insertion-order evicted and lock-protected; dimensions and
+the generators are computed once.  A semigroup ring decides membership
+in m^a from one table, grown on demand, of the largest number of
+generators summing to each degree.  Ring handles are immutable and
+shareable.
 """
 
 from __future__ import annotations
@@ -174,9 +177,19 @@ class GradedRing:
     def one(self):
         raise NotImplementedError
 
+    def coords_by_degree(self, elem):
+        """Sparse coordinates of each homogeneous component: {degree: [(index, coeff)]}.
+
+        Indices refer to basis_of_degree(degree); zero coefficients are omitted.
+        """
+        raise NotImplementedError
+
     def element_coords(self, elem, d):
         """Coordinates of the degree-d component of elem in basis_of_degree(d)."""
-        raise NotImplementedError
+        coords = [self.field.zero] * self.dim(d)
+        for t, c in self.coords_by_degree(elem).get(d, ()):
+            coords[t] = c
+        return coords
 
     def element_from_coords(self, d, coords):
         raise NotImplementedError
@@ -256,6 +269,7 @@ class ArtinianQuotient(GradedRing):
             RingElement(self, ctx.var(i)) for i in range(self.ngens))
 
         self._basis_cache = _Cache(64)
+        self._index_cache = _Cache(64)
         self._mult_cache = _Cache(48)
         self._mpower_cache = _Cache(4096)
 
@@ -342,7 +356,8 @@ class ArtinianQuotient(GradedRing):
         ]
 
     def _basis_index(self, d):
-        return {m: t for t, m in enumerate(self._monomial_basis(d))}
+        return self._index_cache.get_or_compute(
+            d, lambda: {m: t for t, m in enumerate(self._monomial_basis(d))})
 
     def mult_triplets(self, i, d):
         if d < 0 or d + self.weights[i] > self.top_degree:
@@ -407,13 +422,13 @@ class ArtinianQuotient(GradedRing):
     def one(self):
         return RingElement(self, self.ctx.one())
 
-    def element_coords(self, elem, d):
-        index = self._basis_index(d)
-        coords = [self.field.zero] * len(index)
+    def coords_by_degree(self, elem):
+        out = {}
+        wdeg = self.ctx.wdeg
         for mono, coeff in elem.data.terms:
-            if self.ctx.wdeg(mono) == d:
-                coords[index[mono]] = coeff
-        return coords
+            d = wdeg(mono)
+            out.setdefault(d, []).append((self._basis_index(d)[mono], coeff))
+        return out
 
     def element_from_coords(self, d, coords):
         basis = self._monomial_basis(d)
@@ -426,10 +441,8 @@ class ArtinianQuotient(GradedRing):
         if d < 0:
             return []
         if a <= 0:
-            return [
-                [self.field.one if t == s else self.field.zero for t in range(self.dim(d))]
-                for s in range(self.dim(d))
-            ]
+            return [exactalg.unit_vector(self.field, self.dim(d), s)
+                    for s in range(self.dim(d))]
         if all(w == 1 for w in self.weights):
             # Standard grading: every standard monomial of degree d >= a
             # is a product of a variables and a monomial, so (m^a)_d is
@@ -538,7 +551,7 @@ class SemigroupRing(GradedRing):
         self._member = member
         self._member_bound = bound
         self._tctx = PolyContext(field, ["t"], [1])
-        self._mpower_cache = _Cache(64)
+        self._gen_counts = [0]
 
     @staticmethod
     def _sieve(gens, bound):
@@ -580,11 +593,8 @@ class SemigroupRing(GradedRing):
     def one(self):
         return RingElement(self, {0: self.field.one})
 
-    def element_coords(self, elem, d):
-        if self.dim(d) == 0:
-            return []
-        c = elem.data.get(d, self.field.zero)
-        return [c]
+    def coords_by_degree(self, elem):
+        return {e: [(0, c)] for e, c in elem.data.items()}
 
     def element_from_coords(self, d, coords):
         if len(coords) != self.dim(d):
@@ -593,31 +603,28 @@ class SemigroupRing(GradedRing):
             return self.zero()
         return RingElement(self, {d: coords[0]})
 
-    def _power_membership(self, a, bound):
-        """Boolean array: degree d in m^a (sums of >= a generators plus a member)."""
-        key = (a, bound)
+    def _max_generator_count(self, d):
+        """L(d): the most generators, repeats allowed, summing to d; -1 if none.
 
-        def compute():
-            if a <= 0:
-                return [self.is_member(d) for d in range(bound + 1)]
-            prev = self._power_membership(a - 1, bound)
-            cur = [False] * (bound + 1)
-            for d in range(bound + 1):
-                for g in self.generators:
-                    if d >= g and prev[d - g]:
-                        cur[d] = True
-                        break
-            return cur
-
-        return self._mpower_cache.get_or_compute(key, compute)
+        t^d lies in m^a iff d is a sum of a generators plus a member,
+        i.e. iff L(d) >= a.  The table grows on demand by
+        L(d) = 1 + max L(d - g); a grown copy replaces it in one store,
+        so concurrent readers never see a half-built table.
+        """
+        table = self._gen_counts
+        if d >= len(table):
+            table = list(table)
+            for e in range(len(table), d + 1):
+                counts = [table[e - g] + 1 for g in self.generators
+                          if g <= e and table[e - g] >= 0]
+                table.append(max(counts, default=-1))
+            self._gen_counts = table
+        return table[d]
 
     def max_ideal_power_vectors(self, a, d):
         if self.dim(d) == 0:
             return []
-        if a <= 0:
-            return [[self.field.one]]
-        bound = max(d, self.conductor + a * max(self.generators))
-        if self._power_membership(a, bound)[d]:
+        if a <= 0 or self._max_generator_count(d) >= a:
             return [[self.field.one]]
         return []
 

@@ -9,16 +9,26 @@ element of R_{d - w(S)}).
 
 Homology is computed per strand from exact kernels and column spans;
 representatives complete the boundary space to the cycle space and
-are deterministic.  Betti tables read off rank H_i(K)_{i+j}; a
-rank-only path (sparse peeling plus packed F_2 elimination) serves
-tables far beyond the sizes where kernel bases fit in memory.
+are deterministic.  Each strand keeps its boundary rows B and
+representatives Z' with Z_{i,d} = span(B) + span(Z'), a direct sum.  On
+the first class_of query the strand factors B ++ Z' once into a sparse
+row echelon form whose rows remember their coefficients on Z', and every
+query after that is one reduction of the cycle's coordinate vector.
+Since the strand's span is exactly its cycle space, a zero residual is
+the cycle condition itself, so class_of needs no separate d(z) = 0.
+
+Betti tables read off rank H_i(K)_{i+j}; a rank-only path (sparse
+peeling plus packed F_2 elimination) serves tables far beyond the sizes
+where kernel bases fit in memory.
 
 Truncation: Artinian rings carry everything in internal degrees
 d <= top_degree + sum(w_j).  For semigroup rings the strand in degree
 d >= conductor + sum(g_j) is the Koszul complex on a sequence of
 units of k (every R_{d-w(S)} is one-dimensional), hence exact; the
 complex still asserts computed vanishing on that window instead of
-trusting the argument blindly.
+trusting the argument blindly.  Components of a cycle past the
+truncation carry no strand data, so class_of checks d = 0 on them
+directly.
 """
 
 from __future__ import annotations
@@ -67,17 +77,6 @@ class KoszulElement:
         if len(sizes) == 1:
             return sizes.pop()
         return None
-
-    def internal_components(self):
-        """Map internal degree -> homogeneous KoszulElement."""
-        K = self.complex
-        parts = {}
-        for S, r in self.data.items():
-            wS = K.subset_weight(S)
-            for a, piece in r.homogeneous_components().items():
-                bucket = parts.setdefault(a + wS, {})
-                bucket[S] = bucket.get(S, K.ring.zero()) + piece
-        return {d: KoszulElement(K, bucket) for d, bucket in sorted(parts.items())}
 
     def __add__(self, other):
         self._check(other)
@@ -143,14 +142,32 @@ def _merge_sign(S, T):
 
 
 class _DegreeData:
-    """Reduction data of one homology strand: boundaries and representatives."""
+    """Reduction data of one homology strand: boundaries and representatives.
 
-    __slots__ = ("boundary_rows", "rep_vectors", "class_indices")
+    boundary_rows (rref rows of B_{i,d}) and rep_vectors together are a
+    basis of the cycle space Z_{i,d}, so coordinates on them are unique.
+    The solver, built on the first query, reads boundary_rows in place
+    and adds rep_vectors as sparse echelon rows, each tagged with its
+    coefficients on rep_vectors; rep_coords reduces a vector against it
+    once.
+    """
+
+    __slots__ = ("boundary_rows", "rep_vectors", "class_indices", "_solver")
 
     def __init__(self, boundary_rows, rep_vectors, class_indices):
         self.boundary_rows = boundary_rows
         self.rep_vectors = rep_vectors
         self.class_indices = class_indices
+        self._solver = None
+
+    def rep_coords(self, field, vec):
+        """Coordinates of vec on rep_vectors modulo boundaries; None if vec is no cycle."""
+        if self._solver is None:
+            solver = exactalg.Echelon(field, self.boundary_rows)
+            for t, v in enumerate(self.rep_vectors):
+                solver.add(v, ((t, field.one),))
+            self._solver = solver
+        return self._solver.coords(vec, len(self.rep_vectors))
 
 
 class HomologyClass:
@@ -252,12 +269,14 @@ class KoszulComplex:
         self.subset_index = [
             {S: t for t, S in enumerate(level)} for level in self.subsets
         ]
+        self.subset_weights = [
+            [self.subset_weight(S) for S in level] for level in self.subsets
+        ]
         self._diff_cache = {}
         self._diff_order = []
         self._diff_lock = threading.Lock()
         self._homology = {}
         self._extensions = {}
-        self._degree_data = {}
 
     # ------------------------------------------------------------ structure
 
@@ -268,7 +287,8 @@ class KoszulComplex:
         """Per-subset block dimensions of the strand (i, d)."""
         if i < 0 or i > self.n:
             return []
-        return [self.ring.dim(d - self.subset_weight(S)) for S in self.subsets[i]]
+        dim = self.ring.dim
+        return [dim(d - w) for w in self.subset_weights[i]]
 
     def strand_dim(self, i, d):
         return sum(self.strand_blocks(i, d))
@@ -315,19 +335,33 @@ class KoszulComplex:
         _, dst = self.strand_offsets(i - 1, d)
         return Matrix.from_triplets(self.field, dst, src, self.diff_triplets(i, d))
 
+    def strand_vectors(self, i, u):
+        """Strand coordinates of the homological-degree-i part of u, per internal degree.
+
+        Returns {d: vector of strand (i, d)} for every d where that part
+        has a nonzero component.
+        """
+        index = self.subset_index[i]
+        out = {}
+        for S, r in u.data.items():
+            s_pos = index.get(S)
+            if s_pos is None:
+                continue
+            wS = self.subset_weight(S)
+            for a, entries in self.ring.coords_by_degree(r).items():
+                d = a + wS
+                if d not in out:
+                    offsets, total = self.strand_offsets(i, d)
+                    out[d] = ([self.field.zero] * total, offsets)
+                vec, offsets = out[d]
+                for t, c in entries:
+                    vec[offsets[s_pos] + t] = c
+        return {d: out[d][0] for d in sorted(out)}
+
     def element_to_vector(self, i, d, u):
         """Strand coordinates of the (i, d)-homogeneous part of u."""
-        offsets, total = self.strand_offsets(i, d)
-        vec = [self.field.zero] * total
-        for s_pos, S in enumerate(self.subsets[i]):
-            r = u.data.get(S)
-            if r is None:
-                continue
-            coords = self.ring.element_coords(r, d - self.subset_weight(S))
-            for t, c in enumerate(coords):
-                if c != self.field.zero:
-                    vec[offsets[s_pos] + t] = c
-        return vec
+        vec = self.strand_vectors(i, u).get(d)
+        return vec if vec is not None else [self.field.zero] * self.strand_dim(i, d)
 
     def vector_to_element(self, i, d, vec):
         offsets, total = self.strand_offsets(i, d)
@@ -431,37 +465,10 @@ def wedge(u, v):
 
 # ------------------------------------------------------------------ homology
 
-def _complete_to_cycles(field, boundary_rows, kernel_vectors, ambient):
+def _complete_to_cycles(field, boundary_rows, kernel_vectors):
     """Pick kernel vectors extending the boundary row space, deterministically."""
-    state = [list(r) for r in boundary_rows]
-    state_matrix, pivots = exactalg.rref(Matrix(field, state, ambient)) if state else (None, [])
-    rows = [state_matrix.rows[t] for t in range(len(pivots))] if state else []
-    pivot_cols = list(pivots)
-    reps = []
-    for v in kernel_vectors:
-        w = list(v)
-        # reduce against current rref rows
-        for row, p in zip(rows, pivot_cols):
-            if w[p] != field.zero:
-                c = w[p]
-                w = [field.sub(a, field.mul(c, b)) for a, b in zip(w, row)]
-        lead = next((t for t, a in enumerate(w) if a != field.zero), None)
-        if lead is None:
-            continue
-        inv = field.inv(w[lead])
-        w = [field.mul(inv, a) for a in w]
-        # keep rref shape: eliminate the new pivot from earlier rows
-        for t in range(len(rows)):
-            if rows[t][lead] != field.zero:
-                c = rows[t][lead]
-                rows[t] = [field.sub(a, field.mul(c, b)) for a, b in zip(rows[t], w)]
-        insert_at = 0
-        while insert_at < len(pivot_cols) and pivot_cols[insert_at] < lead:
-            insert_at += 1
-        rows.insert(insert_at, w)
-        pivot_cols.insert(insert_at, lead)
-        reps.append(list(v))
-    return reps
+    span = exactalg.Echelon(field, boundary_rows)
+    return [v for v in kernel_vectors if span.add(v)]
 
 
 def _boundary_rows(K, i, d):
@@ -491,10 +498,7 @@ def homology_basis(K, i):
         if total == 0:
             continue
         if i == 0:
-            kernel = [
-                [K.field.one if t == s else K.field.zero for t in range(total)]
-                for s in range(total)
-            ]
+            kernel = [exactalg.unit_vector(K.field, total, s) for s in range(total)]
         else:
             kernel = exactalg.kernel_basis(K.diff_matrix(i, d))
         boundary = _boundary_rows(K, i, d)
@@ -502,7 +506,7 @@ def homology_basis(K, i):
             if boundary:
                 degree_data[d] = _DegreeData(boundary, [], [])
             continue
-        reps = _complete_to_cycles(K.field, boundary, kernel, total)
+        reps = _complete_to_cycles(K.field, boundary, kernel)
         indices = []
         for v in reps:
             idx = len(classes)
@@ -524,37 +528,42 @@ def homology_basis(K, i):
 
 
 def class_of(K, i, z):
-    """Coordinates of the cycle z in the basis of H_i; verifies d(z) = 0."""
+    """Coordinates of the cycle z in the basis of H_i; verifies d(z) = 0.
+
+    d preserves internal degree, so z is a cycle iff each internal
+    component is.  Up to the truncation a component lies in a strand
+    whose recorded span is its whole cycle space (zero where no data
+    is recorded), so its zero residual is the cycle check.  Past the
+    truncation (semigroup rings only) the strand is exact and adds
+    nothing to the class, but the component is still checked with d.
+    """
     deg = z.homological_degree()
     if not z.is_zero() and deg != i:
         raise ValueError("element lies in homological degree %s, not %d" % (deg, i))
-    if not differential(z).is_zero():
-        raise NotACycleError("class_of received a non-cycle")
     basis = homology_basis(K, i)
-    coords = [K.field.zero] * basis.dim
-    for d, part in z.internal_components().items():
+    F = K.field
+    coords = [F.zero] * basis.dim
+    for d, vec in K.strand_vectors(i, z).items():
         if d > K.truncation:
-            # strands past the exactness floor are Koszul complexes on
-            # units, so cycles there bound and the class component is zero
-            if K.exactness_floor is not None and d >= K.exactness_floor:
-                continue
-            raise TruncationError(
-                "cycle component in degree %d exceeds truncation %d"
-                % (d, K.truncation))
-        vec = K.element_to_vector(i, d, part)
+            if K.exactness_floor is None or d < K.exactness_floor:
+                raise TruncationError(
+                    "cycle component in degree %d exceeds truncation %d"
+                    % (d, K.truncation))
+            if not differential(K.vector_to_element(i, d, vec)).is_zero():
+                raise NotACycleError("class_of received a non-cycle")
+            continue
         data = basis.degree_data.get(d)
         if data is None:
-            # no cycles recorded in this degree: the component must be zero
-            if any(a != K.field.zero for a in vec):
-                raise NotACycleError("unexpected cycle outside recorded strata")
+            # no data recorded: Z_{i,d} = 0
+            if any(a != F.zero for a in vec):
+                raise NotACycleError("class_of received a non-cycle")
             continue
-        span = data.boundary_rows + data.rep_vectors
-        sol = exactalg.coords_in_span(vec, span, K.field)
+        sol = data.rep_coords(F, vec)
         if sol is None:
-            raise NotACycleError("cycle does not reduce against its stratum")
-        nb = len(data.boundary_rows)
-        for t, idx in enumerate(data.class_indices):
-            coords[idx] = K.field.add(coords[idx], sol[nb + t])
+            raise NotACycleError("class_of received a non-cycle")
+        for idx, c in zip(data.class_indices, sol):
+            if c != F.zero:
+                coords[idx] = F.add(coords[idx], c)
     return coords
 
 
@@ -579,20 +588,25 @@ def homology_product(K, i, a_coords, j, b_coords):
     return class_of(K, i + j, wedge(za, zb))
 
 
-def product_vanishing(K, i, j):
-    """True iff every product of basis classes H_i x H_j is zero."""
+def product_witness(K, i, j):
+    """First (a, b, product) with h_i.a * h_j.b != 0, in basis order; None if all vanish."""
     hi = homology_basis(K, i)
     hj = homology_basis(K, j)
     if i + j > K.n:
-        return True
-    zero = [K.field.zero] * homology_basis(K, i + j).dim
+        return None
+    F = K.field
     for a in range(hi.dim):
-        ea = [K.field.one if t == a else K.field.zero for t in range(hi.dim)]
+        ea = exactalg.unit_vector(F, hi.dim, a)
         for b in range(hj.dim):
-            eb = [K.field.one if t == b else K.field.zero for t in range(hj.dim)]
-            if homology_product(K, i, ea, j, eb) != zero:
-                return False
-    return True
+            prod = homology_product(K, i, ea, j, exactalg.unit_vector(F, hj.dim, b))
+            if any(c != F.zero for c in prod):
+                return a, b, prod
+    return None
+
+
+def product_vanishing(K, i, j):
+    """True iff every product of basis classes H_i x H_j is zero."""
+    return product_witness(K, i, j) is None
 
 
 def betti_table(K, rank_only=False, threads=None):

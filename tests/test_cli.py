@@ -1,8 +1,13 @@
 """Command line interface: outputs, exit codes, file formats."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszulalg.cli import (
     SpecError,
@@ -345,3 +350,77 @@ def test_threads_below_one_exits_two(capsys, argv):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert "--threads" in captured.err
+
+
+# ------------------------------------------------------- lift-file fuzzing
+
+# ring fixture -> (number of generators, cycles, other summands): a cycle
+# is a valid perturbation of any e_i; the others are non-cycles, terms
+# with an index out of range and coefficients the ring cannot parse
+_FUZZ_RINGS = {
+    "f2_ci_x2_y2.json": (
+        2, ["x*e1", "y*e2", "x*y*e1", "(x)*e1", "x^2*e2"],
+        ["x*e2", "y*e1", "e2", "x*e3", "z*e1", "t^3*e2"]),
+    "f2_semigroup_6_10_14_15.json": (
+        4, ["t^16*e3 + t^15*e4", "t^10*e1 + t^6*e2", "t^14*e1 + (t^6)*e3",
+            "t^15*e1 - t^6*e4"],
+        ["t^16*e3", "t^6*e1", "t^7*e2", "x*e1", "t^6*e5"]),
+}
+_FUZZ_NOISE = st.text(alphabet="e12345+-*^()xyt ->#0", max_size=24)
+
+
+def _rare(draw):
+    # not 0: hypothesis favours the ends of a range
+    return draw(st.integers(0, 19)) == 7
+
+
+@st.composite
+def lift_files(draw):
+    """A ring fixture and lift-file text, malformed or not, for it."""
+    name = draw(st.sampled_from(sorted(_FUZZ_RINGS)))
+    n, cycles, others = _FUZZ_RINGS[name]
+    summands = 3 * cycles + others
+    lines = []
+    for i in range(1, n + 1):
+        if _rare(draw):
+            continue  # generator left unassigned
+        if _rare(draw):
+            lines.append(draw(_FUZZ_NOISE))
+            continue
+        lhs = draw(st.integers(0, n + 1)) if _rare(draw) else i
+        rhs = "e%d" % i
+        for _ in range(draw(st.integers(0, 2))):
+            sign = draw(st.sampled_from([" + ", " - "]))
+            rhs += sign + draw(st.sampled_from(summands))
+        lines.append("e%d -> %s" % (lhs, rhs))
+    if _rare(draw):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_FUZZ_NOISE))
+    return name, "\n".join(lines) + "\n"
+
+
+@given(lift_files())
+@settings(max_examples=40, deadline=None)
+def test_lift_action_exit_codes_on_fuzzed_lift_files(case):
+    name, text = case
+    ring = fixture_path(name)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "lift.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["lift-action", "--ring", ring, "--lift", path])
+        K = KoszulComplex(load_ring_spec(ring))
+        try:
+            load_lift_spec(path, K)
+            valid = True
+        except ValueError:
+            valid = False
+    assert "Traceback" not in err.getvalue()
+    if valid:
+        assert code in (0, 1), err.getvalue()
+        assert out.getvalue()
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")

@@ -6,7 +6,7 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from koszulalg import exactalg
 from koszulalg.cli import load_ring_spec
@@ -302,3 +302,56 @@ def test_threaded_rank_only_betti_matches_serial():
     serial = betti_table(family_complex(), rank_only=True, threads=1)
     threaded = betti_table(family_complex(), rank_only=True, threads=2)
     assert threaded.entries == serial.entries
+
+
+def _mpower_oracle(generators, a_max, bound):
+    """Degrees d <= bound of m^a in k[S], for a = 0..a_max, by sumsets.
+
+    m^0 is all of S; m^a collects the sums x + s with x in m^(a-1) and s
+    a nonzero member of S.
+    """
+    members = {0}
+    for d in range(1, bound + 1):
+        if any(d - g in members for g in generators if g <= d):
+            members.add(d)
+    positive = sorted(members - {0})
+    levels = [members]
+    for _ in range(a_max):
+        levels.append({x + s for x in levels[-1] for s in positive
+                       if x + s <= bound})
+    return levels
+
+
+def assert_mpower_matches_oracle(S, a_max=6):
+    bound = S.conductor + 3 * max(S.generators)
+    levels = _mpower_oracle(S.generators, a_max, bound)
+    for a, degrees in enumerate(levels):
+        for d in range(bound + 1):
+            expect = [[S.field.one]] if d in degrees else []
+            assert S.max_ideal_power_vectors(a, d) == expect, (a, d)
+
+
+def _semigroup_fixtures():
+    names = []
+    for path in sorted(glob.glob(conftest.fixture_path("*.json"))):
+        with open(path, encoding="utf-8") as fh:
+            spec = json.load(fh)
+        if spec["presentation"]["type"] == "semigroup":
+            names.append(os.path.basename(path))
+    return names
+
+
+@pytest.mark.parametrize("name", _semigroup_fixtures())
+def test_semigroup_mpower_matches_sumsets(name):
+    assert_mpower_matches_oracle(load_ring_spec(conftest.fixture_path(name)))
+
+
+@given(st.lists(st.integers(min_value=1, max_value=13), min_size=1,
+                max_size=4, unique=True))
+@settings(max_examples=40, deadline=None)
+def test_random_semigroup_mpower_matches_sumsets(generators):
+    try:
+        S = SemigroupRing(GF2, generators)
+    except RingConstructionError:
+        assume(False)
+    assert_mpower_matches_oracle(S)

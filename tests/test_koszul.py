@@ -1,11 +1,19 @@
 """Koszul complex: differential, products, homology, Betti numbers."""
 
+import hashlib
+import json
+import os
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from koszulalg import exactalg
+from koszulalg.cli import main
+from koszulalg.exactalg import GF2, QQ, PrimeField
+from koszulalg.gring import ArtinianQuotient, RingConstructionError, SemigroupRing
 from koszulalg.koszul import (
     KoszulComplex,
+    NotACycleError,
     betti_table,
     class_of,
     differential,
@@ -18,6 +26,7 @@ from koszulalg.koszul import (
 )
 
 import conftest
+from test_gring import artinian_ideals
 
 
 def _dims(K):
@@ -263,3 +272,157 @@ def test_semigroup_vanishing_window_clean(K_aci):
         basis = homology_basis(K_aci, i)
         for d in basis.degrees():
             assert d < K_aci.exactness_floor
+
+
+# ------------------------------------------------- cached strand solvers
+
+def _reference_class_of(K, i, z):
+    """class_of as a fresh solve per strand: d(z) = 0, then coords_in_span."""
+    if not differential(z).is_zero():
+        raise NotACycleError("class_of received a non-cycle")
+    basis = homology_basis(K, i)
+    coords = [K.field.zero] * basis.dim
+    for d, vec in K.strand_vectors(i, z).items():
+        data = basis.degree_data.get(d)
+        if d > K.truncation or data is None:
+            continue
+        sol = exactalg.coords_in_span(
+            vec, data.boundary_rows + data.rep_vectors, K.field)
+        for t, idx in enumerate(data.class_indices):
+            coords[idx] = K.field.add(
+                coords[idx], sol[len(data.boundary_rows) + t])
+    return coords
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotACycleError:
+        return NotACycleError
+
+
+def _scalar(F, rnd):
+    if F.characteristic == 0:
+        return F.from_fraction(rnd.randint(-3, 3), rnd.choice([1, 2, 3]))
+    return F.from_int(rnd.randrange(F.characteristic))
+
+
+def _combination(F, coeffs, vectors, total):
+    out = [F.zero] * total
+    for c, v in zip(coeffs, vectors):
+        for t, a in enumerate(v):
+            out[t] = F.add(out[t], F.mul(c, a))
+    return out
+
+
+@st.composite
+def small_rings(draw):
+    """Random Artinian quotients and semigroup rings over F2, F3 and Q."""
+    if draw(st.booleans()):
+        ctx, gens = draw(artinian_ideals())
+        return ArtinianQuotient(ctx, gens)
+    field = draw(st.sampled_from([GF2, PrimeField(3), QQ]))
+    generators = draw(st.lists(st.integers(min_value=2, max_value=9),
+                               min_size=2, max_size=4, unique=True))
+    try:
+        return SemigroupRing(field, generators)
+    except RingConstructionError:
+        assume(False)
+
+
+@given(small_rings(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_strand_solver_matches_coords_in_span(ring, rnd):
+    K = KoszulComplex(ring)
+    F = K.field
+    for i in range(K.n + 1):
+        basis = homology_basis(K, i)
+        cycle = K.zero_element()
+        for d, data in sorted(basis.degree_data.items()):
+            span = data.boundary_rows + data.rep_vectors
+            total = len(span[0])
+            nb = len(data.boundary_rows)
+            # a random cycle: boundaries plus representatives
+            coeffs = [_scalar(F, rnd) for _ in span]
+            vec = _combination(F, coeffs, span, total)
+            assert exactalg.coords_in_span(vec, span, F) == coeffs
+            assert data.rep_coords(F, vec) == coeffs[nb:]
+            # a random strand vector, inside the cycle space or not
+            other = [_scalar(F, rnd) for _ in range(total)]
+            sol = exactalg.coords_in_span(other, span, F)
+            assert data.rep_coords(F, other) == (
+                None if sol is None else sol[nb:])
+            cycle = cycle + K.vector_to_element(i, d, vec)
+        assert class_of(K, i, cycle) == _reference_class_of(K, i, cycle)
+        if i > 0 and rnd.random() < 0.5:
+            u = _random_chain(K, i, rnd)
+            mixed = cycle + u
+            assert _outcome(class_of, K, i, mixed) == _outcome(
+                _reference_class_of, K, i, mixed)
+
+
+def _random_chain(K, i, rnd):
+    """A random element of K_i in one random internal degree (often no cycle)."""
+    degrees = [d for d in range(K.truncation + 1) if K.strand_dim(i, d)]
+    d = rnd.choice(degrees)
+    vec = [_scalar(K.field, rnd) for _ in range(K.strand_dim(i, d))]
+    return K.vector_to_element(i, d, vec)
+
+
+def test_class_of_rejects_non_cycle_in_recorded_degree(K_q):
+    # z*e1 lies in internal degree 2, where H_1 lives; d(z*e1) = xz != 0
+    R = K_q.ring
+    u = K_q.element({(0,): R.generator(2)})
+    assert 2 in homology_basis(K_q, 1).degree_data
+    with pytest.raises(NotACycleError, match="class_of received a non-cycle"):
+        class_of(K_q, 1, u)
+
+
+def test_class_of_rejects_component_where_no_cycles_exist(K_q):
+    # strand (1, 1) is R_0 e_1 + R_0 e_2 + R_0 e_3 and injects into R_1
+    assert 1 not in homology_basis(K_q, 1).degree_data
+    with pytest.raises(NotACycleError, match="class_of received a non-cycle"):
+        class_of(K_q, 1, K_q.generator_element(0))
+
+
+def test_class_of_checks_components_past_truncation(K_aci):
+    R = K_aci.ring
+    shift = K_aci.truncation
+    # t^(s+15) e1 - t^(s+6) e4 is a cycle in degree s + 21 > truncation
+    cycle = K_aci.element({
+        (0,): R.parse_element("t^%d" % (shift + 15)),
+        (3,): -R.parse_element("t^%d" % (shift + 6)),
+    })
+    assert differential(cycle).is_zero()
+    h1 = homology_basis(K_aci, 1)
+    assert class_of(K_aci, 1, cycle) == [K_aci.field.zero] * h1.dim
+    # alone, t^(s+15) e1 has differential t^(s+21) != 0
+    broken = K_aci.element({(0,): R.parse_element("t^%d" % (shift + 15))})
+    with pytest.raises(NotACycleError, match="class_of received a non-cycle"):
+        class_of(K_aci, 1, broken)
+    # a cycle in a recorded degree plus that broken part is still rejected
+    z = h1.classes[0].element + broken
+    with pytest.raises(NotACycleError):
+        class_of(K_aci, 1, z)
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "..", "bench",
+                      "golden_fixtures.json")
+
+
+def _golden_outputs():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("key", sorted(
+    key for key in _golden_outputs() if key.split()[0] in ("gr", "order")))
+def test_gr_and_order_outputs_match_golden(key, capsys):
+    """gr and order (filtration levels) on every fixture, byte for byte."""
+    cmd, name = key.split()
+    code = main([cmd, "--ring", conftest.fixture_path(name + ".json"),
+                 "--json", "--threads", "1"])
+    out = capsys.readouterr().out
+    expect = _golden_outputs()[key]
+    assert code == expect["exit"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expect["sha256"]
