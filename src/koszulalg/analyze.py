@@ -574,6 +574,7 @@ def slow_suite(K, threads=None):
     uses the level-shift bound: H(phi) - id raises filtration level by
     ord(R) - 1, so if min_degree + ord(R) - 1 > max_degree the difference
     lands in a vanishing filtration step and H_i(phi) = id for every lift.
+    threads is passed on to betti_table, which runs serially.
     """
     if not _is_standard_graded(K):
         raise ValueError("the scaled suite requires a standard graded quotient ring")

@@ -12,9 +12,8 @@ two scalars stays below 2^62, so no step can overflow.
 
 Echelon keeps a span in sparse row echelon form, grows it one vector at
 a time, and solves for the coordinates of any vector of its span in one
-pass over its rows.  It is the one mutable object here; every other value is immutable after
-construction and every other operation is pure, so those are safe to
-share across threads.
+pass over its rows.  It is the one mutable object here; every other
+value is immutable after construction and every other operation is pure.
 """
 
 from __future__ import annotations
@@ -158,11 +157,14 @@ QQ = RationalField()
 
 
 def field_by_name(name):
-    """Resolve "Q" or "F<p>" to a Field descriptor."""
+    """Resolve "Q" or "F<p>", p in ASCII digits, to a Field descriptor."""
+    if not isinstance(name, str):
+        raise ValueError("field name must be a string, got %r" % (name,))
     if name == "Q":
         return QQ
-    if name.startswith("F") and name[1:].isdigit():
-        p = int(name[1:])
+    digits = name[1:]
+    if name.startswith("F") and digits.isascii() and digits.isdigit():
+        p = int(digits)
         return GF2 if p == 2 else PrimeField(p)
     raise ValueError("unknown field %r (expected 'Q' or 'F<prime>')" % name)
 
@@ -300,14 +302,14 @@ def _unpack_row(word_row, ncols):
     return out
 
 
-def _gf2_eliminate(a, ncols, reduced=True, max_rank=None):
+def _gf2_eliminate(a, ncols, reduced=True):
     """In-place row reduction of packed F2 rows; returns pivot column list."""
     m = a.shape[0]
     pivots = []
     r = 0
     one = np.uint64(1)
     for c in range(ncols):
-        if r == m or (max_rank is not None and r == max_rank):
+        if r == m:
             break
         w, b = divmod(c, _WORD)
         bit = one << np.uint64(b)
@@ -568,10 +570,6 @@ class Echelon:
             for t, a in self.rows[r][3]:
                 out[t] = F.add(out[t], F.mul(c, a))
         return out
-
-
-def in_span(v, basis, field):
-    return coords_in_span(v, basis, field) is not None
 
 
 def subspace_intersect(U, V, field, ambient=None):

@@ -25,17 +25,17 @@ maximal ideal (ker f inside mF): for quotients every variable must
 survive into R, for semigroups no generator may be representable by
 the others.  The remaining caches of a quotient (degree bases and
 their indices, multiplication triplets, slices of powers of m) are
-size-capped, insertion-order evicted and lock-protected; dimensions and
-the generators are computed once.  A semigroup ring decides membership
-in m^a from one table, grown on demand, of the largest number of
-generators summing to each degree.  Ring handles are immutable and
-shareable.
+size-capped Memo dicts that evict the oldest entry first; dimensions
+and the generators are computed once.  A semigroup ring decides
+membership in m^a from one table, grown in place on demand, of the
+largest number of generators summing to each degree.  The mathematical
+value of a ring never changes, but its caches fill in place without
+locks, so a ring belongs to one thread.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 from koszulalg import exactalg
 from koszulalg.exactalg import Matrix
@@ -127,29 +127,24 @@ class RingElement:
         return "RingElement(%s)" % self
 
 
-class _Cache:
-    """Insertion-order-evicting memo dict guarded by a lock."""
+class Memo:
+    """Memo dict of at most maxsize entries; the oldest insertion goes first."""
 
     def __init__(self, maxsize):
         self.maxsize = maxsize
         self.data = {}
-        self.lock = threading.Lock()
 
     def get(self, key):
-        with self.lock:
-            return self.data.get(key)
+        return self.data.get(key)
 
     def get_or_compute(self, key, fn):
-        with self.lock:
-            if key in self.data:
-                return self.data[key]
-        value = fn()
-        with self.lock:
-            if key not in self.data:
-                while len(self.data) >= self.maxsize:
-                    self.data.pop(next(iter(self.data)))
-                self.data[key] = value
+        if key in self.data:
             return self.data[key]
+        value = fn()
+        while len(self.data) >= self.maxsize:
+            self.data.pop(next(iter(self.data)))
+        self.data[key] = value
+        return value
 
 
 class GradedRing:
@@ -223,10 +218,8 @@ class ArtinianQuotient(GradedRing):
         self.weights = list(ctx.weights)
         self.gen_names = list(ctx.variables)
         self.depth = 0
-        if ideal_gens:
-            self.gb = buchberger(ideal_gens)
-        else:
-            self.gb = GroebnerBasis(ctx, [])
+        nonzero = [g for g in ideal_gens if not g.is_zero()]
+        self.gb = buchberger(nonzero) if nonzero else GroebnerBasis(ctx, [])
         self.ideal_gens = tuple(ideal_gens)
 
         # Artinian iff every variable has a pure-power leading monomial.
@@ -268,10 +261,10 @@ class ArtinianQuotient(GradedRing):
         self._generators = tuple(
             RingElement(self, ctx.var(i)) for i in range(self.ngens))
 
-        self._basis_cache = _Cache(64)
-        self._index_cache = _Cache(64)
-        self._mult_cache = _Cache(48)
-        self._mpower_cache = _Cache(4096)
+        self._basis_cache = Memo(64)
+        self._index_cache = Memo(64)
+        self._mult_cache = Memo(48)
+        self._mpower_cache = Memo(4096)
 
         # No standard monomial lies above this a-priori bound; the walk
         # below tightens it.  Once max(weights) consecutive degrees are
@@ -608,17 +601,13 @@ class SemigroupRing(GradedRing):
 
         t^d lies in m^a iff d is a sum of a generators plus a member,
         i.e. iff L(d) >= a.  The table grows on demand by
-        L(d) = 1 + max L(d - g); a grown copy replaces it in one store,
-        so concurrent readers never see a half-built table.
+        L(d) = 1 + max L(d - g).
         """
         table = self._gen_counts
-        if d >= len(table):
-            table = list(table)
-            for e in range(len(table), d + 1):
-                counts = [table[e - g] + 1 for g in self.generators
-                          if g <= e and table[e - g] >= 0]
-                table.append(max(counts, default=-1))
-            self._gen_counts = table
+        for e in range(len(table), d + 1):
+            counts = [table[e - g] + 1 for g in self.generators
+                      if g <= e and table[e - g] >= 0]
+            table.append(max(counts, default=-1))
         return table[d]
 
     def max_ideal_power_vectors(self, a, d):

@@ -34,11 +34,10 @@ directly.
 from __future__ import annotations
 
 import itertools
-import threading
 
 from koszulalg import exactalg
 from koszulalg.exactalg import Matrix
-from koszulalg.gring import ArtinianQuotient, RingElement, SemigroupRing
+from koszulalg.gring import ArtinianQuotient, Memo, RingElement, SemigroupRing
 
 
 class TruncationError(RuntimeError):
@@ -191,14 +190,8 @@ class HomologyBasis:
         self.degree_data = degree_data
         self.dim = len(classes)
 
-    def labels(self):
-        return [c.label for c in self.classes]
-
     def degrees(self):
         return sorted({c.degree for c in self.classes})
-
-    def dim_in_degree(self, d):
-        return sum(1 for c in self.classes if c.degree == d)
 
 
 class BettiTable:
@@ -272,9 +265,7 @@ class KoszulComplex:
         self.subset_weights = [
             [self.subset_weight(S) for S in level] for level in self.subsets
         ]
-        self._diff_cache = {}
-        self._diff_order = []
-        self._diff_lock = threading.Lock()
+        self._diff_memo = Memo(8)
         self._homology = {}
         self._extensions = {}
 
@@ -303,10 +294,10 @@ class KoszulComplex:
 
     def diff_triplets(self, i, d):
         """Sparse triplets of d_{i,d}: strand (i, d) -> strand (i-1, d)."""
-        key = (i, d)
-        with self._diff_lock:
-            if key in self._diff_cache:
-                return self._diff_cache[key]
+        return self._diff_memo.get_or_compute(
+            (i, d), lambda: self._assemble_diff(i, d))
+
+    def _assemble_diff(self, i, d):
         src_offsets, _ = self.strand_offsets(i, d)
         dst_offsets, _ = self.strand_offsets(i - 1, d)
         out = []
@@ -323,11 +314,6 @@ class KoszulComplex:
                     if sign < 0:
                         coeff = self.field.neg(coeff)
                     out.append((row0 + r, col0 + c, coeff))
-        with self._diff_lock:
-            self._diff_cache[key] = out
-            self._diff_order.append(key)
-            while len(self._diff_order) > 8:
-                self._diff_cache.pop(self._diff_order.pop(0), None)
         return out
 
     def diff_matrix(self, i, d):
@@ -614,36 +600,21 @@ def betti_table(K, rank_only=False, threads=None):
 
     rank_only computes strand ranks by sparse peeling plus packed
     elimination and never materializes kernels; required at the scale
-    of the largest example, identical answers elsewhere.  threads
-    bounds worker parallelism over strands; the result is merged in a
-    fixed order and does not depend on it.
+    of the largest example, identical answers elsewhere.  threads is an
+    upper bound on worker threads; strands run serially in one thread,
+    which meets every bound, so the argument is accepted and unused.
     """
     entries = {}
     if rank_only:
         top = K.truncation
         ranks = {}
-        tasks = []
         for d in range(top + 1):
             for i in range(1, K.n + 1):
                 _, src = K.strand_offsets(i, d)
                 _, dst = K.strand_offsets(i - 1, d)
-                if src == 0 or dst == 0:
-                    ranks[(i, d)] = 0
-                else:
-                    tasks.append((i, d, dst, src))
-
-        def strand_rank(task):
-            i, d, dst, src = task
-            return exactalg.sparse_rank(K.field, dst, src, K.diff_triplets(i, d))
-
-        if threads and threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for task, r in zip(tasks, pool.map(strand_rank, tasks)):
-                    ranks[(task[0], task[1])] = r
-        else:
-            for task in tasks:
-                ranks[(task[0], task[1])] = strand_rank(task)
+                if src and dst:
+                    ranks[(i, d)] = exactalg.sparse_rank(
+                        K.field, dst, src, K.diff_triplets(i, d))
         for i in range(K.n + 1):
             for d in range(top + 1):
                 _, total = K.strand_offsets(i, d)

@@ -31,6 +31,12 @@ class PolyParseError(ValueError):
         self.pos = pos
 
 
+def _is_word(text):
+    """True iff the grammar reads text as one word (see parse_poly)."""
+    return ((text[:1].isalpha() or text[:1] == "_")
+            and all(ch.isalnum() or ch == "_" for ch in text))
+
+
 class PolyContext:
     """Variable names, weights, coefficient field and term order."""
 
@@ -42,6 +48,11 @@ class PolyContext:
             raise ValueError("need at least one variable")
         if len(set(variables)) != len(variables):
             raise ValueError("variable names must be distinct")
+        for v in variables:
+            if not _is_word(v):
+                raise ValueError(
+                    "variable name %r is not a word of letters, digits and "
+                    "'_' that starts with a letter or '_'" % (v,))
         if weights is None:
             weights = [1] * len(variables)
         weights = list(weights)
@@ -296,33 +307,38 @@ def _coeff_str(c):
 def _split_word(word, ctx, pos):
     """Split a juxtaposed identifier chunk like "yz" into known variables.
 
-    Longest-match with backtracking so names of different lengths
-    coexist; returns the list of variable indices.
+    Depth-first, longest name first, so names of different lengths
+    coexist; returns the list of variable indices of the first split
+    found.  Offsets from which the rest of the word has no split are
+    remembered, so each offset is tried at most once.
     """
     names = sorted(ctx.var_index, key=len, reverse=True)
-    out = []
-
-    def walk(s, off):
-        if not s:
-            return True
-        for name in names:
-            if s.startswith(name):
-                out.append(ctx.var_index[name])
-                if walk(s[len(name):], off + len(name)):
-                    return True
-                out.pop()
-        return False
-
-    if not walk(word, 0):
-        raise PolyParseError("unknown variable in %r" % word, pos)
-    return out
+    failed = set()
+    path = []  # (offset, index into names) of each name taken so far
+    off, k = 0, 0
+    while off < len(word):
+        while k < len(names) and not (
+                word.startswith(names[k], off)
+                and off + len(names[k]) not in failed):
+            k += 1
+        if k < len(names):
+            path.append((off, k))
+            off, k = off + len(names[k]), 0
+        else:
+            failed.add(off)
+            if not path:
+                raise PolyParseError("unknown variable in %r" % word, pos)
+            off, k = path.pop()
+            k += 1
+    return [ctx.var_index[names[k]] for _, k in path]
 
 
 def parse_poly(text, ctx):
     """Parse the polynomial grammar: signed sums of terms.
 
     term = coefficient? ('*'? var ('^' nat)?)*, integer or a/b
-    coefficients, whitespace ignored.  Juxtaposed variables ("yz")
+    coefficients in ASCII digits (a denominator must be nonzero in the
+    field), whitespace ignored.  Juxtaposed variables ("yz")
     split by longest match.  Errors carry the character position.
     """
     F = ctx.field
@@ -334,13 +350,19 @@ def parse_poly(text, ctx):
             i += 1
         return i
 
+    def digit(i):
+        return i < n and "0" <= text[i] <= "9"
+
     def read_nat(i):
         start = i
-        while i < n and text[i].isdigit():
+        while digit(i):
             i += 1
         if i == start:
             raise PolyParseError("expected a number", start)
-        return int(text[start:i]), i
+        try:
+            return int(text[start:i]), i
+        except ValueError:  # more digits than int() converts
+            raise PolyParseError("number too long", start) from None
 
     def read_word(i):
         start = i
@@ -366,16 +388,17 @@ def parse_poly(text, ctx):
         first = False
 
         coeff = None
-        if text[i].isdigit():
+        if digit(i):
             num, i = read_nat(i)
             i2 = skip_ws(i)
             if i2 < n and text[i2] == "/":
                 j = skip_ws(i2 + 1)
-                if j >= n or not text[j].isdigit():
+                if not digit(j):
                     raise PolyParseError("expected denominator", j)
                 den, i = read_nat(j)
-                if den == 0:
-                    raise PolyParseError("zero denominator", j)
+                if F.from_int(den) == F.zero:
+                    raise PolyParseError(
+                        "denominator %d is zero in %s" % (den, F.name), j)
                 coeff = F.from_fraction(num, den)
             else:
                 coeff = F.from_int(num)
@@ -397,7 +420,7 @@ def parse_poly(text, ctx):
             k = skip_ws(j)
             if k < n and text[k] == "^":
                 k = skip_ws(k + 1)
-                if k >= n or not text[k].isdigit():
+                if not digit(k):
                     raise PolyParseError("malformed exponent", k)
                 e, k = read_nat(k)
                 exponents[indices[-1]] += e - 1

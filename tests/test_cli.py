@@ -4,10 +4,11 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from koszulalg.cli import (
     SpecError,
@@ -20,7 +21,7 @@ from koszulalg.cli import (
 from koszulalg.koszul import KoszulComplex, class_of, homology_basis
 from koszulalg.dgmap import elementary_lift
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 
 def run(capsys, *argv):
@@ -285,6 +286,17 @@ def test_lift_non_cycle_perturbation(capsys, tmp_path):
     assert code == 2
 
 
+def test_lift_denominator_zero_in_field(capsys, tmp_path):
+    lift = tmp_path / "half.txt"
+    lift.write_text("e1 -> 1/2*e1\ne2 -> e2\n")
+    code, out, err = run(capsys, "lift-action",
+                         "--ring", fixture_path("f2_ci_x2_y2.json"),
+                         "--lift", str(lift))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_lift_bad_degree(capsys, tmp_path):
     # t^7 is not in the semigroup, so the coefficient cannot be parsed
     lift = tmp_path / "bad.txt"
@@ -321,18 +333,34 @@ def test_spec_weights_accepted(capsys):
     assert json.loads(out)["order"] == 2
 
 
-@pytest.mark.parametrize("presentation", [
-    {"type": "quotient", "variables": ["x"], "ideal": [3]},
-    {"type": "quotient", "variables": ["x", "x"], "ideal": ["x^2"]},
-    {"type": "quotient", "variables": [], "ideal": ["x^2"]},
-    {"type": "quotient", "variables": ["x", "y"], "weights": [True, 1],
-     "ideal": ["x^2", "y^2"]},
-    {"type": "semigroup", "generators": [True, 2]},
+def _x_quotient(*ideal, variables=("x",)):
+    return {"type": "quotient", "variables": list(variables), "ideal": list(ideal)}
+
+
+@pytest.mark.parametrize("field, presentation", [
+    ("F2", _x_quotient(3)),
+    ("F2", _x_quotient("x^2", variables=("x", "x"))),
+    ("F2", _x_quotient("x^2", variables=())),
+    ("F2", {"type": "quotient", "variables": ["x", "y"], "weights": [True, 1],
+            "ideal": ["x^2", "y^2"]}),
+    ("F2", {"type": "semigroup", "generators": [True, 2]}),
+    (2, _x_quotient("x^2")),
+    (["F2"], _x_quotient("x^2")),
+    ("F\u0663", _x_quotient("x^2")),
+    ("F3", _x_quotient("1/3*x^2")),
+    ("F2", _x_quotient("x^2", variables=("",))),
+    ("F2", _x_quotient("x^2", variables=("x", "\n"))),
+    ("F2", _x_quotient("0")),
+    ("F2", _x_quotient("x^\u00b2")),
+    ("F2", _x_quotient("x^" + "9" * 5000)),
 ], ids=["ideal-int", "duplicate-variables", "no-variables", "bool-weight",
-        "bool-semigroup-generator"])
-def test_malformed_spec_exits_two(capsys, tmp_path, presentation):
+        "bool-semigroup-generator", "field-int", "field-list",
+        "field-non-ascii-digit", "denominator-zero-in-field",
+        "empty-variable-name", "newline-variable-name", "zero-ideal",
+        "non-ascii-exponent", "exponent-too-long"])
+def test_malformed_spec_exits_two(capsys, tmp_path, field, presentation):
     spec = tmp_path / "bad.json"
-    spec.write_text(json.dumps({"field": "F2", "presentation": presentation}))
+    spec.write_text(json.dumps({"field": field, "presentation": presentation}))
     code, out, err = run(capsys, "betti", "--ring", str(spec))
     assert code == 2
     assert out == ""
@@ -424,3 +452,97 @@ def test_lift_action_exit_codes_on_fuzzed_lift_files(case):
         assert code == 2
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
+
+
+# ------------------------------------------------------- ring-spec fuzzing
+
+_SPEC_FIXTURES = sorted(
+    name for name in os.listdir(FIXTURES)
+    if name.endswith(".json") and name != "f2_big_x98.json")
+_SPEC_KEYS = ("field", "presentation", "type", "variables", "ideal", "weights",
+              "generators")
+# JSON values of every type; the strings include non-ASCII digits, a newline
+# and characters the polynomial grammar has no use for
+_SPEC_TEXT = st.text(alphabet="xyzt_F2Q0 ^*+-/\n\u0663\u00b2\u00e9'", max_size=5)
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 12), st.floats(0, 3), _SPEC_TEXT,
+    st.lists(st.one_of(st.integers(-1, 12), _SPEC_TEXT, st.booleans()), max_size=5),
+    st.dictionaries(_SPEC_TEXT, st.integers(0, 3), max_size=2))
+# fragments of polynomial text; a filter below keeps every exponent to one
+# digit, so a mutated ideal stays small
+_POLY_TOKENS = ["x", "y", "z", "w", "u", "v", "t", "q", "^2", "^3", "*", " + ",
+                " - ", "2", "3", "1/2*", "1/3*", "1/0*", "(", "\u0663", "^\u00b2"]
+
+
+@st.composite
+def _polynomial_texts(draw):
+    text = "".join(draw(st.lists(st.sampled_from(_POLY_TOKENS), min_size=1,
+                                 max_size=7)))
+    assume(not re.search(r"\d\d", text))
+    return text
+
+
+def _mutate_spec(draw, spec):
+    """One random edit of a parsed spec: a key, a name or a polynomial."""
+    pres = spec["presentation"]
+    kind = draw(st.sampled_from(["retype", "delete", "variables", "ideal",
+                                 "field", "numbers"]))
+    key = draw(st.sampled_from(_SPEC_KEYS))
+    owner = spec if key in ("field", "presentation") else pres
+    if kind == "retype":
+        owner[key] = draw(_JSON_VALUES)
+    elif kind == "delete":
+        owner.pop(key, None)
+    elif kind == "variables" and isinstance(pres.get("variables"), list):
+        names = pres["variables"]
+        pres["variables"] = draw(st.sampled_from([
+            [], names + names[:1], names + [""], [""] + names[1:],
+            names[:-1] + [draw(_SPEC_TEXT)]]))
+    elif kind == "ideal" and isinstance(pres.get("ideal"), list) and pres["ideal"]:
+        ideal = pres["ideal"]
+        ideal[draw(st.integers(0, len(ideal) - 1))] = draw(_polynomial_texts())
+    elif kind == "field":
+        spec["field"] = draw(st.sampled_from(
+            ["F2", "F3", "F5", "Q", "F4", "F", "f2", "F\u0663", "F 2"]))
+    elif kind == "numbers":
+        numbers = st.lists(st.integers(1, 12), min_size=1, max_size=5)
+        pres["generators" if pres.get("type") == "semigroup" else "weights"] = (
+            draw(numbers))
+
+
+@st.composite
+def ring_specs(draw):
+    """A fixture ring spec with one or two random edits."""
+    with open(fixture_path(draw(st.sampled_from(_SPEC_FIXTURES))),
+              encoding="utf-8") as fh:
+        spec = json.load(fh)
+    for _ in range(draw(st.integers(1, 2))):
+        if isinstance(spec.get("presentation"), dict):
+            _mutate_spec(draw, spec)
+    return spec
+
+
+@given(ring_specs())
+@settings(max_examples=80, deadline=None)
+def test_order_exit_codes_on_fuzzed_ring_specs(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ring.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["order", "--ring", path])
+        try:
+            load_ring_spec(path)
+            valid = True
+        except ValueError:
+            valid = False
+    assert "Traceback" not in err.getvalue()
+    if valid:
+        assert code == 0, err.getvalue()
+        assert out.getvalue()
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1, err.getvalue()

@@ -22,6 +22,7 @@ from koszulalg.polyring import (
 )
 from koszulalg.gring import (
     ArtinianQuotient,
+    Memo,
     RingConstructionError,
     SemigroupRing,
     make_artinian_quotient,
@@ -291,6 +292,15 @@ def artinian_ideals(draw):
 def test_random_artinian_ring_matches_oracles(ideal):
     ctx, gens = ideal
     assert_matches_oracles(ArtinianQuotient(ctx, gens))
+
+
+def test_memo_evicts_oldest_insertion_first():
+    # a hit does not refresh an entry; the traced work counts of
+    # mult_triplets and diff_triplets depend on this policy
+    memo, computed = Memo(2), []
+    for key in (1, 2, 1, 3, 1):
+        assert memo.get_or_compute(key, lambda: computed.append(key) or -key) == -key
+    assert computed == [1, 2, 3, 1]
 
 
 def test_threaded_rank_only_betti_matches_serial():

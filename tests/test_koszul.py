@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import threading
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -201,6 +202,18 @@ def test_betti_rank_only_matches_full(K_ci, K_q, K_weighted, K_aci):
 
 def test_betti_threaded_matches_serial(K_q):
     assert betti_table(K_q, rank_only=True, threads=3) == betti_table(K_q)
+
+
+def test_threads_bound_starts_no_thread(K_q, monkeypatch, capsys):
+    def refuse(self):
+        raise RuntimeError("the engine started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert betti_table(K_q, rank_only=True, threads=4) == betti_table(K_q)
+    code = main(["betti", "--slow", "--threads", "4",
+                 "--ring", conftest.fixture_path("q_x2_xy_y2_z2.json")])
+    assert code == 0
+    assert capsys.readouterr().out
 
 
 def test_betti_table_values(K_q):

@@ -1,5 +1,6 @@
 """Polynomial layer: grammar, term orders, Groebner bases."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from koszulalg.polyring import (
     GroebnerBasis,
     PolyContext,
     PolyParseError,
+    _split_word,
     buchberger,
     monomials_of_weight,
     normal_form,
@@ -39,6 +41,65 @@ def test_parse_longest_match_backtracking():
     assert str(parse_poly("ab", ctx)) == "ab"
     p = parse_poly("aab", ctx)
     assert p == parse_poly("a*ab", ctx) or p == parse_poly("a*a*b", ctx)
+
+
+def _split_reference(word, names):
+    """Recursive depth-first split, longest name first, or None."""
+    if not word:
+        return []
+    for name in sorted(names, key=len, reverse=True):
+        if word.startswith(name):
+            rest = _split_reference(word[len(name):], names)
+            if rest is not None:
+                return [name] + rest
+    return None
+
+
+@given(st.lists(st.text("ab", min_size=1, max_size=3), min_size=1, max_size=4,
+                unique=True),
+       st.text("ab", min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_split_matches_recursive_reference(names, word):
+    ctx = PolyContext(QQ, names)
+    expect = _split_reference(word, names)
+    if expect is None:
+        with pytest.raises(PolyParseError):
+            _split_word(word, ctx, 0)
+    else:
+        assert _split_word(word, ctx, 0) == [names.index(n) for n in expect]
+
+
+def test_split_without_solution_fails_fast():
+    # a plain backtracking split takes about 1.6x longer per extra "a", so
+    # on the short word it fails the time bound instead of running for ages
+    ctx = PolyContext(QQ, ["a", "aa"])
+    for length in (30, 200):
+        start = time.perf_counter()
+        with pytest.raises(PolyParseError) as e:
+            parse_poly("a" * length + "b", ctx)
+        assert e.value.pos == 0
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("name", ["", "x y", "2x", "\n", "x'", "\u0663"])
+def test_variable_names_must_be_words(name):
+    with pytest.raises(ValueError):
+        PolyContext(GF2, ["x", name])
+    PolyContext(GF2, ["x", "_y2", "\u00e9"])
+
+
+def test_denominator_zero_in_field():
+    ctx = PolyContext(PrimeField(3), ["x"])
+    with pytest.raises(PolyParseError) as e:
+        parse_poly("x + 1/3*x^2", ctx)
+    assert e.value.pos == 6
+    assert parse_poly("1/2*x", ctx) == parse_poly("2*x", ctx)
+
+
+@pytest.mark.parametrize("text", ["x^\u00b2", "x^\u0663", "\u0663*x", "1/\u0663*x"])
+def test_only_ascii_digits_are_numbers(text):
+    with pytest.raises(PolyParseError):
+        parse_poly(text, CTXQ)
 
 
 def test_parse_errors_carry_position():
