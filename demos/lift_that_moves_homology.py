@@ -19,7 +19,6 @@ delta = K.element({(2,): R.parse_element("t^16"), (3,): R.parse_element("t^15")}
 print("delta =", delta, " is a cycle:", differential(delta).is_zero())
 
 phi = elementary_lift(K, 0, delta)
-KK = phi.complex
 for i in range(4):
     m = induced_map(phi, i)
     print("H_%d(phi) identity: %s" % (i, m.is_identity))
@@ -30,17 +29,17 @@ for row in induced_map(phi, 2).matrix.rows:
     print("  ", [str(c) for c in row])
 
 # realize the moved class and its displacement as a product
-zeta = KK.element({(1,): R.parse_element("t^18"), (2,): R.parse_element("t^14")})
-u = wedge(KK.generator_element(0), zeta) + KK.element(
+zeta = K.element({(1,): R.parse_element("t^18"), (2,): R.parse_element("t^14")})
+u = wedge(K.generator_element(0), zeta) + K.element(
     {(1, 2): R.parse_element("t^10")})
 assert differential(u).is_zero()
 
-before = class_of(KK, 2, u)
-after = class_of(KK, 2, phi.apply(u))
-prod = class_of(KK, 2, wedge(zeta, KK.adopt(delta)))
+before = class_of(K, 2, u)
+after = class_of(K, 2, phi.apply(u))
+prod = class_of(K, 2, wedge(zeta, delta))
 print()
 print("class of u:          ", before)
 print("class of phi(u):     ", after)
 print("class of zeta^delta: ", prod)
 print("displacement equals the product:",
-      [KK.field.sub(a, b) for a, b in zip(after, before)] == prod)
+      [K.field.sub(a, b) for a, b in zip(after, before)] == prod)

@@ -351,16 +351,18 @@ def cmd_lift_action(K, args):
     phi = load_lift_spec(args.lift, K)
     c = K.ring.codepth
     degrees = _parse_degrees(args.degrees, K) if args.degrees else range(c + 1)
+    maps = {i: induced_map(phi, i) for i in sorted({*degrees, *range(c + 1)})}
     out = {"lift": format_lift(phi), "degrees": {}, "identity": True}
     for i in degrees:
-        m = induced_map(phi, i)
+        m = maps[i]
         out["degrees"][str(i)] = {
             "matrix": _matrix_json(m.matrix),
             "identity": m.is_identity,
         }
         if not m.is_identity:
             out["identity"] = False
-    gr_ok, gr_report = analyze.gr_induced_identity(K, phi)
+    gr_ok, gr_report = analyze.gr_induced_identity(
+        K, {i: maps[i].difference_columns() for i in range(c + 1)})
     out["gr_identity"] = gr_ok
     shift = gr_report["min_shift"]
     out["min_level_shift"] = "infinity" if shift is None else shift

@@ -7,11 +7,6 @@ to a dg-algebra endomorphism K(phi), automatically an automorphism.
 Lifts need not be homogeneous; induced maps on homology are computed
 on the full degree-summed basis.
 
-Because lift entries can raise internal degree, a semigroup-backed
-complex is transparently rebuilt with a truncation window enlarged by
-the lift's maximal degree shift sigma(Phi); the per-degree homology
-data is deterministic, so class coordinates agree across rebuilds.
-
 homotopy_for_boundary_delta implements the explicit chain homotopy
 for a perturbation of one generator by a boundary d(s): on a basis
 monomial e_{j_1..j_m} containing the perturbed index at 1-based slot
@@ -40,7 +35,7 @@ class LiftError(ValueError):
 class Lift:
     """Validated lift phi with memoized subset images."""
 
-    __slots__ = ("complex", "entries", "sigma", "_subset_images")
+    __slots__ = ("complex", "entries", "_subset_images")
 
     def __init__(self, complex_, entries):
         K = complex_
@@ -56,22 +51,8 @@ class Lift:
                 raise LiftError(
                     "lift condition fails in column %d: sum_j Phi[j][%d] x_j != x_%d"
                     % (i + 1, i + 1, i + 1))
-        sigma = 0
-        for i in range(n):
-            for j in range(n):
-                r = entries[j][i]
-                if r.is_zero():
-                    continue
-                for a in r.homogeneous_components():
-                    shift = a + K.weights[j] - K.weights[i]
-                    sigma = max(sigma, shift)
-        if sigma > K.sigma and K.exactness_floor is not None:
-            # round the window up so lifts with nearby shifts share a
-            # cached extension instead of each building a new complex
-            K = K.extended(-(-sigma // 8) * 8)
         self.complex = K
         self.entries = [list(row) for row in entries]
-        self.sigma = sigma
         self._subset_images = {(): KoszulElement(K, {(): ring.one()})}
 
     def image_of_generator(self, i):
@@ -93,7 +74,7 @@ class Lift:
         return img
 
     def apply(self, u):
-        """K(phi)(u); accepts elements of the pre-extension complex."""
+        """K(phi)(u)."""
         K = self.complex
         out = K.zero_element()
         for S, r in u.data.items():
@@ -115,7 +96,7 @@ class Lift:
         return Lift(K, entries)
 
     def __repr__(self):
-        return "Lift(n=%d, sigma=%d)" % (self.complex.n, self.sigma)
+        return "Lift(n=%d)" % self.complex.n
 
 
 class InducedMap:
@@ -130,6 +111,16 @@ class InducedMap:
     @property
     def is_identity(self):
         return self.matrix == Matrix.identity(self.matrix.field, self.matrix.nrows)
+
+    def difference_columns(self):
+        """Columns of H_i(phi) - id, one per basis class."""
+        F = self.matrix.field
+        rows = self.matrix.rows
+        return [
+            [F.sub(rows[r][j], F.one if r == j else F.zero)
+             for r in range(self.matrix.nrows)]
+            for j in range(self.matrix.ncols)
+        ]
 
     def __eq__(self, other):
         return (
@@ -180,7 +171,7 @@ def induced_map(phi, i):
     basis = homology_basis(K, i)
     cols = []
     for cls in basis.classes:
-        img = phi.apply(K.adopt(cls.element))
+        img = phi.apply(cls.element)
         cols.append(class_of(K, i, img))
     if not cols:
         return InducedMap(i, Matrix.identity(K.field, 0))
@@ -254,15 +245,14 @@ def homotopy_for_boundary_delta(K, i, s, phi, delta=None):
     """
     if not (0 <= i < K.n):
         raise LiftError("generator index out of range")
-    ds = differential(K.adopt(s))
-    if delta is not None and K.adopt(delta) != ds:
+    ds = differential(s)
+    if delta is not None and delta != ds:
         raise LiftError("delta(e_i) differs from d(s)")
     hdeg = s.homological_degree()
     if not s.is_zero() and hdeg != 2:
         raise LiftError("s must have homological degree 2")
-    KK = phi.complex
-    phi_delta = phi.perturbed(i, KK.adopt(ds))
-    h = Homotopy(KK, i, KK.adopt(s), phi, phi_delta)
+    phi_delta = phi.perturbed(i, ds)
+    h = Homotopy(K, i, s, phi, phi_delta)
     ok, witness = h.verify_on_basis()
     if not ok:
         raise LiftError(

@@ -94,22 +94,6 @@ class RingElement:
     def scale(self, c):
         return RingElement(self.ring, self.ring._scale(self.data, c))
 
-    def homogeneous_components(self):
-        """Map weighted degree -> homogeneous RingElement, zero part omitted."""
-        return {
-            d: RingElement(self.ring, part)
-            for d, part in self.ring._components(self.data).items()
-        }
-
-    def degree(self):
-        """Weighted degree if homogeneous (0 for zero), else None."""
-        comps = self.ring._components(self.data)
-        if not comps:
-            return 0
-        if len(comps) == 1:
-            return next(iter(comps))
-        return None
-
     def __eq__(self, other):
         return (
             isinstance(other, RingElement)
@@ -495,9 +479,6 @@ class ArtinianQuotient(GradedRing):
     def _hash_data(self, a):
         return hash(a)
 
-    def _components(self, a):
-        return a.homogeneous_components()
-
     def _str_data(self, a):
         return str(a)
 
@@ -671,9 +652,6 @@ class SemigroupRing(GradedRing):
 
     def _hash_data(self, a):
         return hash(tuple(sorted(a.items())))
-
-    def _components(self, a):
-        return {e: {e: c} for e, c in sorted(a.items())}
 
     def _str_data(self, a):
         if not a:

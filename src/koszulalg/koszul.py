@@ -25,10 +25,11 @@ Truncation: Artinian rings carry everything in internal degrees
 d <= top_degree + sum(w_j).  For semigroup rings the strand in degree
 d >= conductor + sum(g_j) is the Koszul complex on a sequence of
 units of k (every R_{d-w(S)} is one-dimensional), hence exact; the
-complex still asserts computed vanishing on that window instead of
-trusting the argument blindly.  Components of a cycle past the
-truncation carry no strand data, so class_of checks d = 0 on them
-directly.
+complex still asserts computed vanishing in that degree instead of
+trusting the argument blindly, and truncates there.  Cycles built from
+the recorded ones (images under a lift, products with a perturbation)
+may reach past the truncation; those components carry no strand data
+and add nothing to the class, so class_of checks d = 0 on them directly.
 """
 
 from __future__ import annotations
@@ -243,15 +244,14 @@ class BettiTable:
 class KoszulComplex:
     """K(f) for the ring's minimal generators, truncated in internal degree."""
 
-    def __init__(self, ring, sigma=0):
+    def __init__(self, ring):
         self.ring = ring
         self.field = ring.field
         self.n = ring.ngens
         self.weights = list(ring.weights)
-        self.sigma = sigma
         if isinstance(ring, SemigroupRing):
             self.exactness_floor = ring.conductor + sum(ring.weights)
-            self.truncation = self.exactness_floor + sigma
+            self.truncation = self.exactness_floor
         else:
             self.exactness_floor = None
             self.truncation = ring.top_degree + sum(ring.weights)
@@ -267,7 +267,6 @@ class KoszulComplex:
         ]
         self._diff_memo = Memo(8)
         self._homology = {}
-        self._extensions = {}
 
     # ------------------------------------------------------------ structure
 
@@ -382,29 +381,6 @@ class KoszulComplex:
     def zero_element(self):
         return KoszulElement(self, {})
 
-    def extended(self, extra_sigma):
-        """Same complex with a larger semigroup truncation window.
-
-        Extensions are memoized and share one table, so repeated lifts
-        with the same degree shift reuse cached homology.
-        """
-        if extra_sigma <= self.sigma or self.exactness_floor is None:
-            return self
-        cache = self._extensions
-        if extra_sigma not in cache:
-            bigger = KoszulComplex(self.ring, extra_sigma)
-            bigger._extensions = cache
-            cache[extra_sigma] = bigger
-        return cache[extra_sigma]
-
-    def adopt(self, u):
-        """Rebind an element from a complex over the same ring."""
-        if u.complex is self:
-            return u
-        if u.complex.ring is not self.ring:
-            raise ValueError("cannot adopt an element over a different ring")
-        return KoszulElement(self, dict(u.data))
-
     def __repr__(self):
         return "KoszulComplex(%r, D=%d)" % (self.ring, self.truncation)
 
@@ -426,6 +402,16 @@ def differential(u):
             else:
                 out[T] = term
     return KoszulElement(K, out)
+
+
+def contract(u, g):
+    """Contraction by e_g^*: r e_S -> (-1)^(l-1) r e_{S \\ g}, g at 1-based slot l."""
+    out = {}
+    for S, r in u.data.items():
+        if g in S:
+            l = S.index(g)
+            out[S[:l] + S[l + 1:]] = -r if l % 2 else r
+    return KoszulElement(u.complex, out)
 
 
 def wedge(u, v):

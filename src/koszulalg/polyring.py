@@ -208,13 +208,6 @@ class Polynomial:
     def is_homogeneous(self):
         return self.weighted_degree() is not None
 
-    def homogeneous_components(self):
-        """Map weighted degree -> homogeneous part."""
-        parts = {}
-        for m, a in self.terms:
-            parts.setdefault(self.ctx.wdeg(m), []).append((m, a))
-        return {d: Polynomial(self.ctx, ts) for d, ts in sorted(parts.items())}
-
     def __add__(self, other):
         self._check(other)
         return Polynomial(self.ctx, self.terms + other.terms)

@@ -193,7 +193,7 @@ def test_criterion_06_theorem_fuzz():
         for _ in range(10):
             phi, idx, z = random_elementary_lift(K, rng)
             b = random_boundary(K, 1, rng)
-            psi = phi.perturbed(idx, phi.complex.adopt(b))
+            psi = phi.perturbed(idx, b)
             for i in range(K.n + 1):
                 assert induced_map(phi, i) == induced_map(psi, i), name
 

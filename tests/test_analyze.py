@@ -1,9 +1,11 @@
 """Filtration levels, ring order, gr algebra, identity decision, suites."""
 
 import math
+import os
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from koszulalg.exactalg import GF2, QQ
 from koszulalg.polyring import PolyContext
@@ -14,9 +16,12 @@ from koszulalg.koszul import (
     homology_basis,
     homology_product,
 )
+from koszulalg import dgmap
+from koszulalg.cli import load_ring_spec
 from koszulalg.dgmap import elementary_lift, induced_map
 from koszulalg.analyze import (
     check_identity_all,
+    elementary_differences,
     filtration_dim,
     filtration_level,
     gr_homology,
@@ -29,6 +34,7 @@ from koszulalg.analyze import (
 )
 
 import conftest
+from test_koszul import small_rings
 
 
 def _unit(K, i, cls):
@@ -160,7 +166,9 @@ def test_gr_induced_identity_on_witness_lift(K_aci):
     z = K_aci.element({(2,): R.parse_element("t^16"), (3,): R.parse_element("t^15")})
     phi = elementary_lift(K_aci, 0, z)
     assert not induced_map(phi, 2).is_identity
-    ok, report = gr_induced_identity(K_aci, phi)
+    differences = {i: induced_map(phi, i).difference_columns()
+                   for i in range(K_aci.ring.codepth + 1)}
+    ok, report = gr_induced_identity(K_aci, differences)
     # the map moves classes, but only deeper into the filtration
     assert ok is True
     assert report["min_shift"] is None or report["min_shift"] >= 1
@@ -201,7 +209,7 @@ def test_identity_witnesses_reverify(K_aci):
     by_label = {c.label: c for c in b1.classes}
     for w in v.witnesses:
         cls = by_label[w["class_label"]]
-        phi = elementary_lift(K_aci, w["generator"], K_aci.adopt(cls.element))
+        phi = elementary_lift(K_aci, w["generator"], cls.element)
         assert not induced_map(phi, w["degree"]).is_identity
 
 
@@ -235,6 +243,55 @@ def test_decision_soundness_against_random_lifts():
         phi = random_lift(K, rng)
         for i in range(K.n + 1):
             assert induced_map(phi, i).is_identity
+
+
+# ------------------------------------------------ decision by contraction
+
+
+def _lift_differences(K, g, z):
+    """Columns of H_i(phi) - id through Lift.apply, the path contraction replaces."""
+    phi = elementary_lift(K, g, z)
+    return {i: induced_map(phi, i).difference_columns() for i in range(K.n + 1)}
+
+
+def _assert_contraction_matches_lifts(K):
+    for g in range(K.n):
+        for cls in homology_basis(K, 1).classes:
+            assert elementary_differences(
+                K, g, cls.element, range(K.n + 1)) == _lift_differences(
+                    K, g, cls.element)
+
+
+@pytest.mark.parametrize("name", sorted(
+    f for f in os.listdir(conftest.FIXTURES)
+    if f.endswith(".json") and f != "f2_big_x98.json"))
+def test_contraction_matches_lift_oracle(name):
+    _assert_contraction_matches_lifts(
+        KoszulComplex(load_ring_spec(conftest.fixture_path(name))))
+
+
+@given(small_rings())
+@settings(max_examples=25, deadline=None)
+def test_contraction_matches_lift_oracle_on_random_rings(ring):
+    _assert_contraction_matches_lifts(KoszulComplex(ring))
+
+
+@pytest.mark.parametrize("name", [
+    "f2_identity_false.json", "f2_semigroup_6_10_14_15.json"])
+def test_identity_decisions_apply_no_lift(name, monkeypatch):
+    def refuse(self, u):
+        raise RuntimeError("Lift.apply was called")
+
+    monkeypatch.setattr(dgmap.Lift, "apply", refuse)
+    K = KoszulComplex(load_ring_spec(conftest.fixture_path(name)))
+    verdict = check_identity_all(K)
+    assert verdict.overall is False and verdict.witnesses
+    degrees = range(K.ring.codepth + 1)
+    for g in range(K.n):
+        for cls in homology_basis(K, 1).classes:
+            ok, _ = gr_induced_identity(
+                K, elementary_differences(K, g, cls.element, degrees))
+            assert ok is True
 
 
 # ---------------------------------------------------------------- pairings

@@ -17,6 +17,7 @@ from koszulalg.koszul import (
     NotACycleError,
     betti_table,
     class_of,
+    contract,
     differential,
     h1_from_relations,
     homology_basis,
@@ -81,6 +82,24 @@ def test_graded_anticommutativity(data, i, j):
     if (i * j) % 2 == 1:
         vu = -vu
     assert wedge(u, v) == vu
+
+
+@given(st.data(), st.integers(0, 3), st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_contraction_anticommutes_with_differential(data, i, g):
+    K = conftest.build_q_complex()
+    u = _random_element(K, i, data)
+    assert contract(differential(u), g) == -differential(contract(u, g))
+
+
+def test_contraction_signs_explicit():
+    K = conftest.build_q_complex()
+    e = [K.generator_element(j) for j in range(3)]
+    e123 = wedge(e[0], wedge(e[1], e[2]))
+    assert contract(e123, 0) == wedge(e[1], e[2])
+    assert contract(e123, 1) == -wedge(e[0], e[2])
+    assert contract(e123, 2) == wedge(e[0], e[1])
+    assert contract(wedge(e[0], e[2]), 1).is_zero()
 
 
 def test_wedge_signs_explicit():
@@ -428,13 +447,29 @@ def _golden_outputs():
         return json.load(fh)
 
 
+# the lift file the benchmark pairs with each fixture for lift-action
+GOLDEN_LIFTS = {
+    "f2_identity_false": "lift_identity_false_e1_ze3.txt",
+    "f2_semigroup_6_10_14_15": "lift_6101415_e1.txt",
+    "f2_semigroup_9_10_11_13_17": "lift_910111317_e5.txt",
+    "q_x2_xy_y2_z2": "lift_q_e1_ze3.txt",
+}
+
+
 @pytest.mark.parametrize("key", sorted(
-    key for key in _golden_outputs() if key.split()[0] in ("gr", "order")))
+    key for key in _golden_outputs() if key.split()[0] in (
+        "gr", "order", "check-identity", "lift-action", "suite")))
 def test_gr_and_order_outputs_match_golden(key, capsys):
-    """gr and order (filtration levels) on every fixture, byte for byte."""
+    """Filtration levels and identity decisions on every fixture, byte for byte.
+
+    Covers gr, order, check-identity, lift-action and suite.
+    """
     cmd, name = key.split()
-    code = main([cmd, "--ring", conftest.fixture_path(name + ".json"),
-                 "--json", "--threads", "1"])
+    argv = [cmd, "--ring", conftest.fixture_path(name + ".json"),
+            "--json", "--threads", "1"]
+    if cmd == "lift-action":
+        argv += ["--lift", conftest.fixture_path(GOLDEN_LIFTS[name])]
+    code = main(argv)
     out = capsys.readouterr().out
     expect = _golden_outputs()[key]
     assert code == expect["exit"]
