@@ -18,7 +18,10 @@ polyring.normal_form.
 A SemigroupRing is k[t^{g_1},...,t^{g_n}] inside k[t], graded by
 t-degree, with dim R_d <= 1 decided by a coin-problem sieve.  Both
 expose per-degree bases, multiplication-by-generator matrices in sparse
-triplet form, and degree slices of powers of the maximal ideal.
+triplet form, and degree slices of powers of the maximal ideal.  A
+quotient also counts the minimal generators of its ideal per degree
+(graded Nakayama); the rank-only Betti path and ord(R) read them
+instead of Koszul homology in degree 1.
 
 Construction validates minimality of the chosen generators of the
 maximal ideal (ker f inside mF): for quotients every variable must
@@ -446,6 +449,38 @@ class ArtinianQuotient(GradedRing):
             return [red.rows[r] for r in range(len(pivots))]
 
         return self._mpower_cache.get_or_compute((a, d), compute)
+
+    def minimal_generator_counts(self):
+        """{d: mu_d(I)}, the number of minimal generators of I in degree d.
+
+        Graded Nakayama: mu_d = dim (I/mI)_d, and (mI)_d is the degree-d
+        part of the ideal J generated by the given generators of degree
+        below d.  So mu_d is the rank of the degree-d generators modulo
+        a Groebner basis of J; redundant, dependent and zero generators
+        count for nothing.
+        """
+        by_degree = {}
+        for g in self.ideal_gens:
+            if not g.is_zero():
+                by_degree.setdefault(g.weighted_degree(), []).append(g)
+        counts, lower = {}, []
+        for d in sorted(by_degree):
+            gb = buchberger(lower) if lower else GroebnerBasis(self.ctx, [])
+            columns, rows = {}, []
+            for g in by_degree[d]:
+                row = {}
+                for mono, c in normal_form(g, gb).terms:
+                    row[columns.setdefault(mono, len(columns))] = c
+                rows.append(row)
+            if columns:
+                zero = self.field.zero
+                mu = exactalg.rank(Matrix(self.field, [
+                    [row.get(t, zero) for t in range(len(columns))]
+                    for row in rows]))
+                if mu:
+                    counts[d] = mu
+            lower.extend(by_degree[d])
+        return counts
 
     def parse_element(self, text):
         return RingElement(self, normal_form(self.ctx.parse(text), self.gb))

@@ -17,9 +17,11 @@ query after that is one reduction of the cycle's coordinate vector.
 Since the strand's span is exactly its cycle space, a zero residual is
 the cycle condition itself, so class_of needs no separate d(z) = 0.
 
-Betti tables read off rank H_i(K)_{i+j}; a rank-only path (sparse
-peeling plus packed F_2 elimination) serves tables far beyond the sizes
-where kernel bases fit in memory.
+Betti tables read off rank H_i(K)_{i+j}; a rank-only path serves
+tables far beyond the sizes where kernel bases fit in memory.  It takes
+the ranks of d_1 and (for quotients) d_2 in closed form from dim R_d and
+the minimal generators of the ideal, and ranks the other strands by
+sparse peeling plus packed F_2 elimination.
 
 Truncation: Artinian rings carry everything in internal degrees
 d <= top_degree + sum(w_j).  For semigroup rings the strand in degree
@@ -581,34 +583,54 @@ def product_vanishing(K, i, j):
     return product_witness(K, i, j) is None
 
 
+def strand_ranks(K):
+    """{(i, d): rank of d_i on the strand (i, d)} wherever source and target are nonzero.
+
+    Two families are known in closed form and never assembled.  d_1 maps
+    K_1 onto m, so rank d_1 in degree d >= 1 is dim R_d.  For a quotient
+    R = S/I, H_1(K)_d = Tor_1^S(R, k)_d = (I/mI)_d has dimension mu_d(I),
+    the number of minimal generators of I in degree d, so rank d_2 in
+    degree d is dim K_{1,d} - dim R_d - mu_d(I).  A semigroup ring has
+    no given ideal and ranks its d_2 strands.  Every other strand is
+    ranked by sparse peeling plus packed elimination.
+    """
+    mu = (K.ring.minimal_generator_counts()
+          if isinstance(K.ring, ArtinianQuotient) else None)
+    ranks = {}
+    for d in range(K.truncation + 1):
+        for i in range(1, K.n + 1):
+            src, dst = K.strand_dim(i, d), K.strand_dim(i - 1, d)
+            if not (src and dst):
+                continue
+            if i == 1:
+                ranks[(i, d)] = dst
+            elif i == 2 and mu is not None:
+                ranks[(i, d)] = dst - ranks.get((1, d), 0) - mu.get(d, 0)
+            else:
+                ranks[(i, d)] = exactalg.sparse_rank(
+                    K.field, dst, src, K.diff_triplets(i, d))
+    return ranks
+
+
 def betti_table(K, rank_only=False, threads=None):
     """Betti table: entry (i, j) is rank H_i(K)_{i+j}.
 
-    rank_only computes strand ranks by sparse peeling plus packed
-    elimination and never materializes kernels; required at the scale
-    of the largest example, identical answers elsewhere.  threads is an
+    rank_only reads the table off strand_ranks and never materializes
+    kernels; required at the scale of the largest example, identical
+    answers elsewhere.  On a quotient it ranks only the strands of d_i
+    for i >= 3, on a semigroup ring those for i >= 2.  threads is an
     upper bound on worker threads; strands run serially in one thread,
     which meets every bound, so the argument is accepted and unused.
     """
     entries = {}
     if rank_only:
-        top = K.truncation
-        ranks = {}
-        for d in range(top + 1):
-            for i in range(1, K.n + 1):
-                _, src = K.strand_offsets(i, d)
-                _, dst = K.strand_offsets(i - 1, d)
-                if src and dst:
-                    ranks[(i, d)] = exactalg.sparse_rank(
-                        K.field, dst, src, K.diff_triplets(i, d))
+        ranks = strand_ranks(K)
         for i in range(K.n + 1):
-            for d in range(top + 1):
-                _, total = K.strand_offsets(i, d)
+            for d in range(K.truncation + 1):
+                total = K.strand_dim(i, d)
                 if total == 0:
                     continue
-                r_in = ranks.get((i, d), 0)
-                r_out = ranks.get((i + 1, d), 0)
-                h = total - r_in - r_out
+                h = total - ranks.get((i, d), 0) - ranks.get((i + 1, d), 0)
                 if h:
                     entries[(i, d - i)] = h
     else:

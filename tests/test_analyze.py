@@ -1,5 +1,6 @@
 """Filtration levels, ring order, gr algebra, identity decision, suites."""
 
+import json
 import math
 import os
 import random
@@ -16,7 +17,7 @@ from koszulalg.koszul import (
     homology_basis,
     homology_product,
 )
-from koszulalg import dgmap
+from koszulalg import analyze, dgmap
 from koszulalg.cli import load_ring_spec
 from koszulalg.dgmap import elementary_lift, induced_map
 from koszulalg.analyze import (
@@ -34,6 +35,7 @@ from koszulalg.analyze import (
 )
 
 import conftest
+from test_gring import _quotient_fixtures
 from test_koszul import small_rings
 
 
@@ -74,6 +76,34 @@ def test_order_standard_graded_is_min_relation_degree():
     ctx = PolyContext(GF2, ["x", "y"])
     K = KoszulComplex(make_artinian_quotient(ctx, ["x^3", "x*y^3", "y^4"]))
     assert ring_order(K) == 3
+
+
+def _standard_graded_quotient_fixtures():
+    names = []
+    for name in _quotient_fixtures():
+        with open(conftest.fixture_path(name), encoding="utf-8") as fh:
+            weights = json.load(fh)["presentation"].get("weights")
+        if weights is None or set(weights) == {1}:
+            names.append(name)
+    return names
+
+
+@pytest.mark.parametrize("name", _standard_graded_quotient_fixtures())
+def test_order_from_generators_matches_filtration(name):
+    K = KoszulComplex(load_ring_spec(conftest.fixture_path(name)))
+    levels = [filtration_level(K, 1, _unit(K, 1, cls))
+              for cls in homology_basis(K, 1).classes]
+    assert ring_order(K) == min(levels, default=math.inf)
+
+
+def test_order_of_standard_quotient_builds_no_homology(monkeypatch):
+    K = KoszulComplex(conftest.q_ring())
+
+    def refuse(*args):
+        raise AssertionError("ring_order built a homology basis")
+
+    monkeypatch.setattr(analyze, "homology_basis", refuse)
+    assert ring_order(K) == 2
 
 
 # ------------------------------------------------------------- filtration
@@ -334,6 +364,21 @@ def test_run_suite_ci(K_ci):
     assert rep["order"] == 2
     assert rep["h1_relations_consistent"] is True
     assert rep == run_suite(K_ci, seed=3, samples=6)
+
+
+def test_run_suite_computes_each_difference_set_once(monkeypatch):
+    K = KoszulComplex(conftest.ci_f2())
+    calls = []
+
+    def counted(K, g, z, degrees):
+        calls.append(g)
+        return elementary_differences(K, g, z, degrees)
+
+    monkeypatch.setattr(analyze, "elementary_differences", counted)
+    report = run_suite(K)
+    assert len(calls) == K.n * homology_basis(K, 1).dim == 4
+    assert report["identity"]["overall"] is True
+    assert report["gr_identity"] is True
 
 
 def test_run_suite_q(K_q):

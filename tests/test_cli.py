@@ -166,6 +166,13 @@ def test_order(capsys):
     assert out == "order: 2\n"
 
 
+def test_order_big_x98_from_minimal_generators(capsys):
+    code, out, _ = run(capsys, "order", "--ring", fixture_path("f2_big_x98.json"),
+                       "--json")
+    assert code == 0
+    assert out == '{"order":98}\n'
+
+
 def test_order_infinite(capsys):
     code, out, _ = run(capsys, "order", "--ring", fixture_path("semigroup_regular.json"))
     assert code == 0

@@ -9,9 +9,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from koszulalg import exactalg
-from koszulalg.cli import main
+from koszulalg.cli import load_ring_spec, main
 from koszulalg.exactalg import GF2, QQ, PrimeField
-from koszulalg.gring import ArtinianQuotient, RingConstructionError, SemigroupRing
+from koszulalg.gring import (
+    ArtinianQuotient,
+    RingConstructionError,
+    SemigroupRing,
+    make_artinian_quotient,
+)
 from koszulalg.koszul import (
     KoszulComplex,
     NotACycleError,
@@ -24,8 +29,10 @@ from koszulalg.koszul import (
     homology_product,
     product_vanishing,
     representative,
+    strand_ranks,
     wedge,
 )
+from koszulalg.polyring import PolyContext
 
 import conftest
 from test_gring import artinian_ideals
@@ -217,6 +224,108 @@ def test_product_vanishing_golod():
 def test_betti_rank_only_matches_full(K_ci, K_q, K_weighted, K_aci):
     for K in (K_ci, K_q, K_weighted, K_aci):
         assert betti_table(K, rank_only=True) == betti_table(K)
+
+
+# ------------------------------------------- closed-form ranks of d_1, d_2
+
+
+def _strand_oracle(K):
+    """Every d_i ranked by sparse_rank on its assembled strand triplets."""
+    out = {}
+    for d in range(K.truncation + 1):
+        for i in range(1, K.n + 1):
+            src, dst = K.strand_dim(i, d), K.strand_dim(i - 1, d)
+            if src and dst:
+                out[(i, d)] = exactalg.sparse_rank(
+                    K.field, dst, src, K.diff_triplets(i, d))
+    return out
+
+
+def _h1_dims_by_degree(K):
+    dims = {}
+    for cls in homology_basis(K, 1).classes:
+        dims[cls.degree] = dims.get(cls.degree, 0) + 1
+    return dims
+
+
+def _every_fixture_but_x98():
+    return sorted(
+        name for name in os.listdir(conftest.FIXTURES)
+        if name.endswith(".json") and name != "f2_big_x98.json")
+
+
+@pytest.mark.parametrize("name", _every_fixture_but_x98())
+def test_closed_form_ranks_match_strands_on_fixtures(name):
+    K = KoszulComplex(load_ring_spec(conftest.fixture_path(name)))
+    assert strand_ranks(K) == _strand_oracle(K)
+    if isinstance(K.ring, ArtinianQuotient):
+        assert K.ring.minimal_generator_counts() == _h1_dims_by_degree(K)
+
+
+@given(artinian_ideals())
+@settings(max_examples=40, deadline=None)
+def test_closed_form_ranks_match_strands_on_random_rings(ideal):
+    ctx, gens = ideal
+    K = KoszulComplex(ArtinianQuotient(ctx, gens))
+    assert strand_ranks(K) == _strand_oracle(K)
+    assert K.ring.minimal_generator_counts() == _h1_dims_by_degree(K)
+    assert betti_table(K, rank_only=True) == betti_table(K)
+
+
+@pytest.mark.parametrize("weights, counts", [
+    ([1, 1, 1], {2: 2, 3: 2}),
+    ([1, 1, 2], {2: 2, 4: 2}),
+], ids=["standard", "weighted"])
+def test_minimal_generator_counts_skip_redundant_generators(weights, counts):
+    # x^2 + y^2 depends on x^2 and y^2; x^3 and x^2*z - y^2*z lie in mI;
+    # x*y*z + z^c depends on x*y*z and z^c; 0 counts for nothing
+    c = 3 if weights[2] == 1 else 2
+    ctx = PolyContext(PrimeField(3), ["x", "y", "z"], weights)
+    K = KoszulComplex(make_artinian_quotient(ctx, [
+        "x^2", "x^2 + y^2", "y^2", "0", "x^3", "x*y*z", "z^%d" % c,
+        "x^2*z - y^2*z", "x*y*z + z^%d" % c]))
+    assert K.ring.minimal_generator_counts() == counts
+    assert _h1_dims_by_degree(K) == counts
+    assert strand_ranks(K) == _strand_oracle(K)
+    assert betti_table(K, rank_only=True) == betti_table(K)
+
+
+class _Strand(list):
+    """Triplets of one strand, tagged with its (i, d)."""
+
+
+def _record_ranked_strands(monkeypatch):
+    ranked = []
+    assemble = KoszulComplex.diff_triplets
+    sparse_rank = exactalg.sparse_rank
+
+    def tagged(self, i, d):
+        out = _Strand(assemble(self, i, d))
+        out.strand = (i, d)
+        return out
+
+    def record(field, nrows, ncols, entries):
+        ranked.append(entries.strand)
+        return sparse_rank(field, nrows, ncols, entries)
+
+    monkeypatch.setattr(KoszulComplex, "diff_triplets", tagged)
+    monkeypatch.setattr(exactalg, "sparse_rank", record)
+    return ranked
+
+
+def test_rank_only_quotient_ranks_no_low_strand(monkeypatch):
+    K = KoszulComplex(conftest.q_ring())
+    ranked = _record_ranked_strands(monkeypatch)
+    betti_table(K, rank_only=True)
+    assert ranked and min(i for i, _ in ranked) == 3
+
+
+def test_rank_only_semigroup_still_ranks_d2(monkeypatch):
+    K = KoszulComplex(conftest.semigroup_6101415())
+    ranked = _record_ranked_strands(monkeypatch)
+    betti_table(K, rank_only=True)
+    assert min(i for i, _ in ranked) == 2
+    assert any(i == 2 for i, _ in ranked)
 
 
 def test_betti_threaded_matches_serial(K_q):
