@@ -136,8 +136,8 @@ def _strand_power_vectors(K, i, d, a):
     """Vectors spanning the degree-d strand slice of m^a K_i."""
     offsets, total = K.strand_offsets(i, d)
     vecs = []
-    for pos, S in enumerate(K.subsets[i]):
-        block = K.ring.max_ideal_power_vectors(a, d - K.subset_weight(S))
+    for pos, wS in enumerate(K.subset_weights[i]):
+        block = K.ring.max_ideal_power_vectors(a, d - wS)
         for v in block:
             w = [K.field.zero] * total
             for t, val in enumerate(v):

@@ -29,6 +29,7 @@ tool itself prints them, are also accepted).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -445,7 +446,9 @@ def _thread_count(text):
     return n
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of the process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="koszulalg",
         description="Koszul homology of graded local rings: Betti tables, "

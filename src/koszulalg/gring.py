@@ -12,8 +12,11 @@ and then its normal form is a combination of normal forms of smaller
 monomials of the same degree, memoized for that one target degree (the
 multiplication-matrix construction of FGLM: Faugere, Gianni, Lazard,
 Mora, J. Symb. Comp. 1993; border bases: Kehrein, Kreuzer, Robbiano).
-Products of arbitrary elements and parsed elements still go through
-polyring.normal_form.
+The same border normal forms answer every product of elements: a
+product table maps each monomial of the polynomial ring to its normal
+form (itself if standard, nothing past top_degree, else its border
+normal form in its own degree), so neither products nor parsed
+polynomials go through polyring.normal_form.
 
 A SemigroupRing is k[t^{g_1},...,t^{g_n}] inside k[t], graded by
 t-degree, with dim R_d <= 1 decided by a coin-problem sieve.  Both
@@ -27,7 +30,8 @@ Construction validates minimality of the chosen generators of the
 maximal ideal (ker f inside mF): for quotients every variable must
 survive into R, for semigroups no generator may be representable by
 the others.  The remaining caches of a quotient (degree bases and
-their indices, multiplication triplets, slices of powers of m) are
+their indices, multiplication triplets, slices of powers of m,
+the per-degree border normal forms and the product table) are
 size-capped Memo dicts that evict the oldest entry first; dimensions
 and the generators are computed once.  A semigroup ring decides
 membership in m^a from one table, grown in place on demand, of the
@@ -38,7 +42,9 @@ locks, so a ring belongs to one thread.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 from koszulalg import exactalg
 from koszulalg.exactalg import Matrix
@@ -60,10 +66,11 @@ class RingConstructionError(ValueError):
 
 
 class RingElement:
-    """Element of a GradedRing, canonical per backend.
+    """Element of a GradedRing: a sparse dict {basis key: nonzero scalar}.
 
-    Artinian payload: a normal-form Polynomial.  Semigroup payload: a
-    dict {t-exponent: scalar} supported on semigroup members.
+    The keys are standard monomials for a quotient and t-exponents of
+    semigroup members for a semigroup ring, so each element has exactly
+    one payload.
     """
 
     __slots__ = ("ring", "data")
@@ -154,7 +161,7 @@ class GradedRing:
         raise NotImplementedError
 
     def zero(self):
-        raise NotImplementedError
+        return RingElement(self, {})
 
     def one(self):
         raise NotImplementedError
@@ -165,13 +172,6 @@ class GradedRing:
         Indices refer to basis_of_degree(degree); zero coefficients are omitted.
         """
         raise NotImplementedError
-
-    def element_coords(self, elem, d):
-        """Coordinates of the degree-d component of elem in basis_of_degree(d)."""
-        coords = [self.field.zero] * self.dim(d)
-        for t, c in self.coords_by_degree(elem).get(d, ()):
-            coords[t] = c
-        return coords
 
     def element_from_coords(self, d, coords):
         raise NotImplementedError
@@ -187,6 +187,46 @@ class GradedRing:
     def codepth(self):
         """edim - depth: index of the top nonvanishing Koszul homology."""
         return self.ngens - self.depth
+
+    # ------------------------------------------- payload arithmetic, shared
+
+    def _sum(self, terms):
+        """Payload of the sum of (basis key, scalar) terms."""
+        F = self.field
+        add, zero = F.add, F.zero
+        out = {}
+        for k, c in terms:
+            s = add(out[k], c) if k in out else c
+            if s == zero:
+                out.pop(k, None)
+            else:
+                out[k] = s
+        return out
+
+    def _add(self, a, b):
+        return self._sum(itertools.chain(a.items(), b.items()))
+
+    def _sub(self, a, b):
+        return self._add(a, self._neg(b))
+
+    def _neg(self, a):
+        neg = self.field.neg
+        return {k: neg(c) for k, c in a.items()}
+
+    def _scale(self, a, c):
+        if c == self.field.zero:
+            return {}
+        mul = self.field.mul
+        return {k: mul(c, v) for k, v in a.items()}
+
+    def _is_zero(self, a):
+        return not a
+
+    def _eq(self, a, b):
+        return a == b
+
+    def _hash_data(self, a):
+        return hash(frozenset(a.items()))
 
 
 class ArtinianQuotient(GradedRing):
@@ -237,21 +277,23 @@ class ArtinianQuotient(GradedRing):
                 if e:
                     self._walls[i].setdefault(e, []).append(lm)
 
-        # Minimality of x_1..x_n as generators of m: each x_i survives in R_{w_i}.
+        # Minimality of x_1..x_n as generators of m: each x_i survives in
+        # R_{w_i}, so it is standard, hence its own normal form.
+        self._generators = []
         for i in range(self.ngens):
             mono = tuple(1 if j == i else 0 for j in range(self.ngens))
             if self._reducer(mono) is not None:
                 raise RingConstructionError(
                     "generator %s is not minimal (reducible modulo the ideal)"
                     % self.gen_names[i])
-        # x_i is standard, hence its own normal form.
-        self._generators = tuple(
-            RingElement(self, ctx.var(i)) for i in range(self.ngens))
+            self._generators.append(RingElement(self, {mono: self.field.one}))
 
         self._basis_cache = Memo(64)
         self._index_cache = Memo(64)
         self._mult_cache = Memo(48)
         self._mpower_cache = Memo(4096)
+        self._border_cache = Memo(16)
+        self._products = Memo(4096)
 
         # No standard monomial lies above this a-priori bound; the walk
         # below tightens it.  Once max(weights) consecutive degrees are
@@ -331,9 +373,8 @@ class ArtinianQuotient(GradedRing):
     def basis_of_degree(self, d):
         if d < 0:
             return []
-        return [
-            RingElement(self, self.ctx.monomial(m)) for m in self._monomial_basis(d)
-        ]
+        one = self.field.one
+        return [RingElement(self, {m: one}) for m in self._monomial_basis(d)]
 
     def _basis_index(self, d):
         return self._index_cache.get_or_compute(
@@ -349,7 +390,7 @@ class ArtinianQuotient(GradedRing):
         """Column c holds the coordinates of x_i * (c-th basis monomial)."""
         one = self.field.one
         dst_index = self._basis_index(d + self.weights[i])
-        memo = {}
+        memo = self._border_cache.get_or_compute(d + self.weights[i], dict)
         out = []
         for col, m in enumerate(self._monomial_basis(d)):
             prod = m[:i] + (m[i] + 1,) + m[i + 1:]
@@ -393,19 +434,46 @@ class ArtinianQuotient(GradedRing):
             stack.pop()
         return memo[mono]
 
+    def _monomial_nf(self, mono):
+        """Normal form of a monomial of k[x_1..x_n]: ((standard monomial, coeff), ...).
+
+        The product table entry: a standard monomial is its own normal
+        form, one past top_degree lies in I, and any other has a border
+        normal form in its own degree.
+        """
+        d = self.ctx.wdeg(mono)
+        if d > self.top_degree:
+            return ()
+        index = self._basis_index(d)
+        if mono in index:
+            return ((mono, self.field.one),)
+        basis = self._monomial_basis(d)
+        memo = self._border_cache.get_or_compute(d, dict)
+        return tuple((basis[r], c) for r, c in self._border_nf(mono, index, memo))
+
+    def _reduce(self, terms):
+        """Payload of sum(c * NF(m)) over (monomial m, scalar c) terms."""
+        mul, table = self.field.mul, self._products
+        return self._sum(
+            (m, mul(c, e)) for mono, c in terms for m, e in table.get_or_compute(
+                mono, lambda mono=mono: self._monomial_nf(mono)))
+
+    def from_polynomial(self, p):
+        """The image in R of a polynomial over the ring's context."""
+        if p.ctx != self.ctx:
+            raise ValueError("polynomial context mismatch")
+        return RingElement(self, self._reduce(p.terms))
+
     def generator(self, i):
         return self._generators[i]
 
-    def zero(self):
-        return RingElement(self, self.ctx.zero())
-
     def one(self):
-        return RingElement(self, self.ctx.one())
+        return RingElement(self, {(0,) * self.ngens: self.field.one})
 
     def coords_by_degree(self, elem):
         out = {}
         wdeg = self.ctx.wdeg
-        for mono, coeff in elem.data.terms:
+        for mono, coeff in elem.data.items():
             d = wdeg(mono)
             out.setdefault(d, []).append((self._basis_index(d)[mono], coeff))
         return out
@@ -414,8 +482,9 @@ class ArtinianQuotient(GradedRing):
         basis = self._monomial_basis(d)
         if len(coords) != len(basis):
             raise ValueError("coordinate length mismatch")
+        zero = self.field.zero
         return RingElement(
-            self, Polynomial(self.ctx, list(zip(basis, coords))))
+            self, {m: c for m, c in zip(basis, coords) if c != zero})
 
     def max_ideal_power_vectors(self, a, d):
         if d < 0:
@@ -456,8 +525,8 @@ class ArtinianQuotient(GradedRing):
         Graded Nakayama: mu_d = dim (I/mI)_d, and (mI)_d is the degree-d
         part of the ideal J generated by the given generators of degree
         below d.  So mu_d is the rank of the degree-d generators modulo
-        a Groebner basis of J; redundant, dependent and zero generators
-        count for nothing.
+        a Groebner basis of J, with no reduction where J is zero;
+        redundant, dependent and zero generators count for nothing.
         """
         by_degree = {}
         for g in self.ideal_gens:
@@ -465,11 +534,14 @@ class ArtinianQuotient(GradedRing):
                 by_degree.setdefault(g.weighted_degree(), []).append(g)
         counts, lower = {}, []
         for d in sorted(by_degree):
-            gb = buchberger(lower) if lower else GroebnerBasis(self.ctx, [])
+            reduced = by_degree[d]
+            if lower:
+                gb = buchberger(lower)
+                reduced = [normal_form(g, gb) for g in reduced]
             columns, rows = {}, []
-            for g in by_degree[d]:
+            for g in reduced:
                 row = {}
-                for mono, c in normal_form(g, gb).terms:
+                for mono, c in g.terms:
                     row[columns.setdefault(mono, len(columns))] = c
                 rows.append(row)
             if columns:
@@ -483,39 +555,16 @@ class ArtinianQuotient(GradedRing):
         return counts
 
     def parse_element(self, text):
-        return RingElement(self, normal_form(self.ctx.parse(text), self.gb))
-
-    # ----------------------------------------------------- payload arithmetic
-
-    def _nf(self, p):
-        return normal_form(p, self.gb)
-
-    def _add(self, a, b):
-        return a + b
-
-    def _sub(self, a, b):
-        return a - b
-
-    def _neg(self, a):
-        return -a
+        return self.from_polynomial(self.ctx.parse(text))
 
     def _mul(self, a, b):
-        return self._nf(a * b)
-
-    def _scale(self, a, c):
-        return a.scale(c)
-
-    def _is_zero(self, a):
-        return a.is_zero()
-
-    def _eq(self, a, b):
-        return a == b
-
-    def _hash_data(self, a):
-        return hash(a)
+        mul = self.field.mul
+        return self._reduce(
+            (tuple(map(operator.add, m1, m2)), mul(c1, c2))
+            for m1, c1 in a.items() for m2, c2 in b.items())
 
     def _str_data(self, a):
-        return str(a)
+        return str(Polynomial(self.ctx, a.items()))
 
     def __repr__(self):
         return "ArtinianQuotient(%s[%s]/(%s))" % (
@@ -596,9 +645,6 @@ class SemigroupRing(GradedRing):
     def generator(self, i):
         return RingElement(self, {self.generators[i]: self.field.one})
 
-    def zero(self):
-        return RingElement(self, {})
-
     def one(self):
         return RingElement(self, {0: self.field.one})
 
@@ -644,55 +690,13 @@ class SemigroupRing(GradedRing):
             data[e] = coeff
         return RingElement(self, data)
 
-    # ----------------------------------------------------- payload arithmetic
-
-    def _add(self, a, b):
-        out = dict(a)
-        for e, c in b.items():
-            s = self.field.add(out.get(e, self.field.zero), c)
-            if s == self.field.zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return out
-
-    def _sub(self, a, b):
-        return self._add(a, self._neg(b))
-
-    def _neg(self, a):
-        return {e: self.field.neg(c) for e, c in a.items()}
-
     def _mul(self, a, b):
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                s = self.field.add(out.get(e, self.field.zero), self.field.mul(c1, c2))
-                if s == self.field.zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return out
-
-    def _scale(self, a, c):
-        if c == self.field.zero:
-            return {}
-        return {e: self.field.mul(c, v) for e, v in a.items()}
-
-    def _is_zero(self, a):
-        return not a
-
-    def _eq(self, a, b):
-        return a == b
-
-    def _hash_data(self, a):
-        return hash(tuple(sorted(a.items())))
+        mul = self.field.mul
+        return self._sum((e1 + e2, mul(c1, c2))
+                         for e1, c1 in a.items() for e2, c2 in b.items())
 
     def _str_data(self, a):
-        if not a:
-            return "0"
-        terms = [((e,), c) for e, c in a.items()]
-        return str(Polynomial(self._tctx, terms))
+        return str(Polynomial(self._tctx, [((e,), c) for e, c in a.items()]))
 
     def __repr__(self):
         return "SemigroupRing(%s[%s])" % (

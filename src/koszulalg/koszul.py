@@ -40,7 +40,7 @@ import itertools
 
 from koszulalg import exactalg
 from koszulalg.exactalg import Matrix
-from koszulalg.gring import ArtinianQuotient, Memo, RingElement, SemigroupRing
+from koszulalg.gring import ArtinianQuotient, Memo, SemigroupRing
 
 
 class TruncationError(RuntimeError):
@@ -303,15 +303,15 @@ class KoszulComplex:
         dst_offsets, _ = self.strand_offsets(i - 1, d)
         out = []
         for s_pos, S in enumerate(self.subsets[i]):
-            src_dim = self.ring.dim(d - self.subset_weight(S))
-            if src_dim == 0:
+            a = d - self.subset_weights[i][s_pos]
+            if self.ring.dim(a) == 0:
                 continue
             col0 = src_offsets[s_pos]
             for l, j in enumerate(S):
                 T = tuple(x for x in S if x != j)
                 row0 = dst_offsets[self.subset_index[i - 1][T]]
                 sign = 1 if l % 2 == 0 else -1
-                for r, c, coeff in self.ring.mult_triplets(j, d - self.subset_weight(S)):
+                for r, c, coeff in self.ring.mult_triplets(j, a):
                     if sign < 0:
                         coeff = self.field.neg(coeff)
                     out.append((row0 + r, col0 + c, coeff))
@@ -334,7 +334,7 @@ class KoszulComplex:
             s_pos = index.get(S)
             if s_pos is None:
                 continue
-            wS = self.subset_weight(S)
+            wS = self.subset_weights[i][s_pos]
             for a, entries in self.ring.coords_by_degree(r).items():
                 d = a + wS
                 if d not in out:
@@ -345,22 +345,18 @@ class KoszulComplex:
                     vec[offsets[s_pos] + t] = c
         return {d: out[d][0] for d in sorted(out)}
 
-    def element_to_vector(self, i, d, u):
-        """Strand coordinates of the (i, d)-homogeneous part of u."""
-        vec = self.strand_vectors(i, u).get(d)
-        return vec if vec is not None else [self.field.zero] * self.strand_dim(i, d)
-
     def vector_to_element(self, i, d, vec):
         offsets, total = self.strand_offsets(i, d)
         if len(vec) != total:
             raise ValueError("strand coordinate length mismatch")
         data = {}
         for s_pos, S in enumerate(self.subsets[i]):
-            b = self.ring.dim(d - self.subset_weight(S))
+            a = d - self.subset_weights[i][s_pos]
+            b = self.ring.dim(a)
             if b == 0:
                 continue
             coords = vec[offsets[s_pos]:offsets[s_pos] + b]
-            r = self.ring.element_from_coords(d - self.subset_weight(S), coords)
+            r = self.ring.element_from_coords(a, coords)
             if not r.is_zero():
                 data[S] = r
         return KoszulElement(self, data)
@@ -368,8 +364,8 @@ class KoszulComplex:
     def strand_basis_elements(self, i, d):
         """All basis elements of the strand (i, d) as KoszulElements."""
         out = []
-        for S in self.subsets[i]:
-            for r in self.ring.basis_of_degree(d - self.subset_weight(S)):
+        for S, w in zip(self.subsets[i], self.subset_weights[i]):
+            for r in self.ring.basis_of_degree(d - w):
                 out.append(KoszulElement(self, {S: r}))
         return out
 
@@ -663,7 +659,7 @@ def h1_from_relations(K):
             parts[j] = parts[j] + ctx.monomial(lowered, coeff)
         data = {}
         for j, p in enumerate(parts):
-            data[(j,)] = RingElement(ring, ring._nf(p))
+            data[(j,)] = ring.from_polynomial(p)
         cycles.append(KoszulElement(K, data))
     basis = homology_basis(K, 1)
     all_cycles = all(differential(z).is_zero() for z in cycles)

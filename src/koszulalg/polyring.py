@@ -236,12 +236,6 @@ class Polynomial:
         return Polynomial(
             self.ctx, [(mono_mul(m, mono), F.mul(a, coeff)) for m, a in self.terms])
 
-    def __pow__(self, k):
-        result = self.ctx.one()
-        for _ in range(k):
-            result = result * self
-        return result
-
     def _check(self, other):
         if self.ctx != other.ctx:
             raise ValueError("polynomial context mismatch")

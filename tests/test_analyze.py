@@ -17,7 +17,7 @@ from koszulalg.koszul import (
     homology_basis,
     homology_product,
 )
-from koszulalg import analyze, dgmap
+from koszulalg import analyze, dgmap, gring, polyring
 from koszulalg.cli import load_ring_spec
 from koszulalg.dgmap import elementary_lift, induced_map
 from koszulalg.analyze import (
@@ -379,6 +379,30 @@ def test_run_suite_computes_each_difference_set_once(monkeypatch):
     assert len(calls) == K.n * homology_basis(K, 1).dim == 4
     assert report["identity"]["overall"] is True
     assert report["gr_identity"] is True
+
+
+def test_suite_products_make_no_normal_form_calls(monkeypatch):
+    # every product of the suite (identity columns, the group-law and
+    # duality fuzz, relations as cycles) reads the product table
+    R = load_ring_spec(conftest.fixture_path("f2_destefani.json"))
+    K = KoszulComplex(R)
+    calls = {"normal_form": 0, "mul": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(gring, "normal_form", counted("normal_form", gring.normal_form))
+    monkeypatch.setattr(polyring, "normal_form",
+                        counted("normal_form", polyring.normal_form))
+    monkeypatch.setattr(gring.ArtinianQuotient, "_mul",
+                        counted("mul", gring.ArtinianQuotient._mul))
+    report = run_suite(K)
+    assert calls["normal_form"] == 0
+    assert calls["mul"] > 1000
+    assert report["group_law"] is True and report["h1_relations_consistent"] is True
 
 
 def test_run_suite_q(K_q):

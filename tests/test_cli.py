@@ -5,11 +5,14 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from koszulalg import cli
 from koszulalg.cli import (
     SpecError,
     format_lift,
@@ -385,6 +388,34 @@ def test_threads_below_one_exits_two(capsys, argv):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert "--threads" in captured.err
+
+
+def test_parser_reused_across_calls(capsys):
+    # one parser per process: after a successful call, bad flags and
+    # unknown subcommands still exit 2, and consecutive subcommands print
+    # what they print in fresh interpreters
+    assert cli._build_parser() is cli._build_parser()
+    ring = fixture_path("f2_ci_x2_y2.json")
+    calls = [["homology", "--ring", ring, "--json"],
+             ["betti", "--ring", ring, "--slow", "--threads", "2"],
+             ["order", "--ring", ring]]
+    assert run(capsys, *calls[0])[0] == 0
+    for argv in (["betti", "--ring", ring, "--threads", "0"],
+                 ["no-such-command", "--ring", ring]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert capsys.readouterr().out == ""
+    in_process = [run(capsys, *argv) for argv in calls]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for argv, (code, out, err) in zip(calls, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "koszulalg.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == 0 and out
 
 
 # ------------------------------------------------------- lift-file fuzzing

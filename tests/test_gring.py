@@ -2,11 +2,13 @@
 
 import glob
 import json
+import math
 import os
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from koszulalg import exactalg
 from koszulalg.cli import load_ring_spec
@@ -24,6 +26,7 @@ from koszulalg.gring import (
     ArtinianQuotient,
     Memo,
     RingConstructionError,
+    RingElement,
     SemigroupRing,
     make_artinian_quotient,
     make_semigroup_ring,
@@ -95,7 +98,9 @@ def test_mult_triplets_match_element_product():
             # column c of the triplet matrix is gen * basis[c]
             for c, b in enumerate(basis):
                 prod = gen * b
-                vec = R.element_coords(prod, d + 1)
+                vec = [R.field.zero] * R.dim(d + 1)
+                for t, coeff in R.coords_by_degree(prod).get(d + 1, ()):
+                    vec[t] = coeff
                 got = [R.field.zero] * len(vec)
                 for rr, cc, coeff in trips:
                     if cc == c:
@@ -294,6 +299,76 @@ def test_random_artinian_ring_matches_oracles(ideal):
     assert_matches_oracles(ArtinianQuotient(ctx, gens))
 
 
+# ------------------------------ product table vs. polyring.normal_form
+
+def assert_product_matches_normal_form(R, p, q):
+    """The table product of p and q agrees with NF(p*q) in payload, ==, hash and str."""
+    got = R.from_polynomial(p) * R.from_polynomial(q)
+    nf = normal_form(p * q, R.gb)
+    oracle = RingElement(R, dict(nf.terms))
+    assert got.data == oracle.data
+    assert got == oracle and hash(got) == hash(oracle)
+    assert str(got) == str(nf)
+
+
+def assert_products_match_oracle(R, rng, samples=30):
+    """Every pair of standard monomials, then random non-homogeneous elements.
+
+    Also every monomial through top_degree + max(weights) on its own:
+    its normal form is itself, a border normal form, or zero past
+    top_degree, and nothing past top_degree reaches a border memo.
+    """
+    F = R.field
+    standard = [m for d in range(R.top_degree + 1)
+                for m in standard_monomials(R.gb, d)]
+    for m1 in standard:
+        for m2 in standard:
+            assert_product_matches_normal_form(
+                R, R.ctx.monomial(m1), R.ctx.monomial(m2))
+    monos = [m for d in range(R.top_degree + max(R.weights) + 1)
+             for m in monomials_of_weight(R.ctx, d)]
+    for m in monos:
+        p = R.ctx.monomial(m)
+        assert R.from_polynomial(p).data == dict(normal_form(p, R.gb).terms)
+        if R.ctx.wdeg(m) > R.top_degree:
+            assert R.from_polynomial(p).is_zero()
+    assert all(d <= R.top_degree for d in R._border_cache.data)
+
+    def random_poly():
+        return Polynomial(R.ctx, [
+            (m, F.from_int(rng.randint(-3, 3)))
+            for m in rng.sample(monos, min(len(monos), rng.randint(1, 4)))])
+
+    for _ in range(samples):
+        assert_product_matches_normal_form(R, random_poly(), random_poly())
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda name=name: load_ring_spec(conftest.fixture_path(name)),
+                 id=name)
+    for name in _quotient_fixtures()] + [
+    pytest.param(lambda: conftest.row3_ring(QQ), id="row3-Q"),
+    pytest.param(lambda: conftest.weighted_23(PrimeField(3)), id="weighted_2_3-F3")])
+def test_products_match_normal_form(make):
+    assert_products_match_oracle(make(), random.Random(0))
+
+
+def test_products_match_normal_form_with_tiny_caches():
+    # every table entry and border memo is evicted almost at once
+    R = conftest.row3_ring(QQ)
+    R._products, R._border_cache = Memo(3), Memo(1)
+    assert_products_match_oracle(R, random.Random(1))
+    assert len(R._products.data) <= 3 and len(R._border_cache.data) <= 1
+
+
+@given(artinian_ideals(), st.integers(min_value=0, max_value=2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_random_artinian_products_match_normal_form(ideal, seed):
+    ctx, gens = ideal
+    R = ArtinianQuotient(ctx, gens)
+    assert_products_match_oracle(R, random.Random(seed), samples=10)
+
+
 def test_memo_evicts_oldest_insertion_first():
     # a hit does not refresh an entry; the traced work counts of
     # mult_triplets and diff_triplets depend on this policy
@@ -356,12 +431,21 @@ def test_semigroup_mpower_matches_sumsets(name):
     assert_mpower_matches_oracle(load_ring_spec(conftest.fixture_path(name)))
 
 
+def _minimal_semigroup_generators(values):
+    """Minimal generators of the numerical semigroup spanned by values / gcd.
+
+    Every drawn list maps to a valid ring, so hypothesis filters nothing.
+    """
+    g = math.gcd(*values)
+    gens = []
+    for v in sorted({v // g for v in values}):
+        if not SemigroupRing._sieve(gens, v)[v]:
+            gens.append(v)
+    return gens
+
+
 @given(st.lists(st.integers(min_value=1, max_value=13), min_size=1,
-                max_size=4, unique=True))
+                max_size=4, unique=True).map(_minimal_semigroup_generators))
 @settings(max_examples=40, deadline=None)
 def test_random_semigroup_mpower_matches_sumsets(generators):
-    try:
-        S = SemigroupRing(GF2, generators)
-    except RingConstructionError:
-        assume(False)
-    assert_mpower_matches_oracle(S)
+    assert_mpower_matches_oracle(SemigroupRing(GF2, generators))

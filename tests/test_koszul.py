@@ -404,7 +404,7 @@ def test_element_vector_round_trip(K_weighted):
                 continue
             vec = [K_weighted.field.from_int((k * 7 + 3) % 2) for k in range(total)]
             u = K_weighted.vector_to_element(i, d, vec)
-            assert K_weighted.element_to_vector(i, d, u) == vec
+            assert K_weighted.strand_vectors(i, u) == {d: vec}
 
 
 def test_semigroup_vanishing_window_clean(K_aci):
@@ -565,13 +565,12 @@ GOLDEN_LIFTS = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(
-    key for key in _golden_outputs() if key.split()[0] in (
-        "gr", "order", "check-identity", "lift-action", "suite")))
+@pytest.mark.parametrize("key", sorted(_golden_outputs()))
 def test_gr_and_order_outputs_match_golden(key, capsys):
-    """Filtration levels and identity decisions on every fixture, byte for byte.
+    """Every command on every fixture, byte for byte against the golden digests.
 
-    Covers gr, order, check-identity, lift-action and suite.
+    Covers betti, homology, products, check-identity, lift-action, order,
+    gr and suite: all keys of bench/golden_fixtures.json.
     """
     cmd, name = key.split()
     argv = [cmd, "--ring", conftest.fixture_path(name + ".json"),
