@@ -21,6 +21,13 @@ graded quotients, products on gr, the ring order formula
 ord(R) = sup{l : F^l H_1 = H_1}, and the Poincare pairing of a
 Gorenstein ring are all computed exactly.  run_suite bundles every
 in-scope check into one machine-readable report.
+
+Filtration queries are answered in class coordinates.  Since B ⊂ Z, a
+cycle lies in (Z ∩ F^l) + B exactly when it lies in F^l + B.  So each
+strand (i, d) reduces its representatives once per level l modulo
+m^(l-i) K_{i,d} + B_{i,d}, and a class c of that strand is in F^l H_i
+iff the combination of residuals with coefficients c vanishes: levels,
+dimensions and graded slices are all read off that residual matrix.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ from koszulalg.koszul import (
     homology_basis,
     homology_product,
     product_vanishing,
-    representative,
     wedge,
 )
 from koszulalg.dgmap import (
@@ -146,19 +152,23 @@ def _strand_power_vectors(K, i, d, a):
     return vecs
 
 
-def _degree_filtration_span(K, i, d, l):
-    """Span of (Z_{i,d} ∩ F^l K_{i,d}) + B_{i,d} as row vectors."""
-    basis = homology_basis(K, i)
-    data = basis.degree_data.get(d)
-    if data is None:
-        return [], []
-    cycles = data.boundary_rows + data.rep_vectors
-    if l - i <= 0:
-        return cycles, data.boundary_rows
-    filt = _strand_power_vectors(K, i, d, l - i)
-    _, total = K.strand_offsets(i, d)
-    inter = exactalg.subspace_intersect(cycles, filt, K.field, total)
-    return inter + data.boundary_rows, data.boundary_rows
+def _residuals(K, i, d, l):
+    """Matrix r with F^l H_i in degree d = {class coordinates c : r c = 0}.
+
+    Column t is the residual of the t-th degree-d representative modulo
+    m^(l-i) K_{i,d} + B_{i,d}; rows that are zero in every column are
+    dropped.  Memoized per (i, d, l) on the strand data.
+    """
+    data = homology_basis(K, i).degree_data[d]
+    if l not in data.residuals:
+        F = K.field
+        span = exactalg.Echelon(F, data.boundary_rows())
+        for v in _strand_power_vectors(K, i, d, l - i):
+            span.add(v)
+        columns = [span.reduce(v)[0] for v in data.rep_vectors]
+        rows = [row for row in zip(*columns) if any(a != F.zero for a in row)]
+        data.residuals[l] = Matrix(F, rows, len(columns))
+    return data.residuals[l]
 
 
 def filtration_dim(K, i, l):
@@ -167,43 +177,40 @@ def filtration_dim(K, i, l):
     if _is_standard_graded(K):
         return sum(1 for cls in basis.classes if cls.degree >= l)
     total = 0
-    for d in sorted(basis.degree_data):
-        data = basis.degree_data[d]
-        if not data.rep_vectors:
-            continue
-        span, boundary = _degree_filtration_span(K, i, d, l)
-        nb = exactalg.span_dim(boundary, K.field, len(span[0]) if span else 0)
-        ns = exactalg.span_dim(span, K.field, len(span[0]) if span else 0)
-        total += ns - nb
+    for d, data in basis.degree_data.items():
+        if data.rep_vectors:
+            total += len(data.rep_vectors) - exactalg.rank(_residuals(K, i, d, l))
     return total
 
 
 def filtration_level(K, i, coords):
-    """Largest l with the class in F^l H_i; math.inf for the zero class."""
+    """Largest l with the class in F^l H_i; math.inf for the zero class.
+
+    Every internal degree with a nonzero coordinate must pass: its part
+    of the class is in F^l iff the residual matrix kills its coordinates.
+    """
     basis = homology_basis(K, i)
+    F = K.field
     if len(coords) != basis.dim:
         raise ValueError("coordinate length mismatch")
-    if all(a == K.field.zero for a in coords):
+    if all(a == F.zero for a in coords):
         return math.inf
     if _is_standard_graded(K):
         return min(
-            cls.degree for cls, a in zip(basis.classes, coords) if a != K.field.zero)
-    z = representative(K, i, coords)
+            cls.degree for cls, a in zip(basis.classes, coords) if a != F.zero)
+    parts = []
+    for d, data in sorted(basis.degree_data.items()):
+        local = [coords[idx] for idx in data.class_indices]
+        if any(a != F.zero for a in local):
+            parts.append((d, local))
     level = i
-    components = K.strand_vectors(i, z)
-    while True:
-        l = level + 1
-        ok = True
-        for d, vec in components.items():
-            span, _ = _degree_filtration_span(K, i, d, l)
-            if exactalg.coords_in_span(vec, span, K.field) is None:
-                ok = False
-                break
-        if not ok:
-            return level
-        level = l
-        if level > max(components) + 1:
+    while all(
+            all(a == F.zero for a in _residuals(K, i, d, level + 1).mul_vec(local))
+            for d, local in parts):
+        level += 1
+        if level > parts[-1][0] + 1:
             raise RuntimeError("filtration level failed to terminate")
+    return level
 
 
 def ring_order(K):
@@ -253,24 +260,20 @@ class GrAlgebra:
             members = [cls for cls in hb.classes if cls.degree == d]
             if not members:
                 continue
-            # inside one internal degree, levels are finite and bounded
-            chain = {}
-            lmax = d + 1
-            for cls in members:
-                unit = exactalg.unit_vector(K.field, hb.dim, cls.index)
-                lev = filtration_level(K, i, unit)
-                chain.setdefault(lev, []).append(unit)
             if _is_standard_graded(K):
-                for lev, vecs in chain.items():
-                    out.extend((lev, v) for v in vecs)
+                # F^l is the filtration by internal degree: every level is d
+                out.extend((d, exactalg.unit_vector(K.field, hb.dim, cls.index))
+                           for cls in members)
                 continue
-            # general case: build F^l chain on the degree-d homology slice
+            # general case: build F^l chain on the degree-d homology slice;
+            # inside one internal degree, levels are finite and bounded
+            lmax = d + 1
             idxs = [cls.index for cls in members]
             dim_d = len(idxs)
             picked = []
             picked_rows = []
             for l in range(lmax, i - 1, -1):
-                slice_vectors = _gr_slice_vectors(K, i, d, l, idxs)
+                slice_vectors = _gr_slice_vectors(K, i, d, l)
                 for v in slice_vectors:
                     if exactalg.coords_in_span(v, picked_rows, K.field) is None:
                         full = [K.field.zero] * hb.dim
@@ -326,22 +329,13 @@ class GrAlgebra:
         }
 
 
-def _gr_slice_vectors(K, i, d, l, idxs):
-    """Coordinates (on the degree-d classes) spanning F^l of that slice."""
-    basis = homology_basis(K, i)
-    data = basis.degree_data[d]
-    span, _ = _degree_filtration_span(K, i, d, l)
-    out = []
-    for v in span:
-        local = data.rep_coords(K.field, v)
-        if local is None:
-            continue
-        if any(a != K.field.zero for a in local):
-            out.append(local)
-    if not out:
+def _gr_slice_vectors(K, i, d, l):
+    """Coordinates (on the degree-d classes) spanning F^l of that slice: rref of ker r."""
+    kernel = exactalg.kernel_basis(_residuals(K, i, d, l))
+    if not kernel:
         return []
-    red, pivots = exactalg.rref(Matrix(K.field, out, len(idxs)))
-    return [red.rows[t] for t in range(len(pivots))]
+    red, pivots = exactalg.rref(Matrix(K.field, kernel))
+    return red.rows[:len(pivots)]
 
 
 def gr_homology(K):

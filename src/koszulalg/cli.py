@@ -116,8 +116,8 @@ def _positive_int(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-_WEDGE_RE = re.compile(r"(?:e\d+)+$")
-_EIDX_RE = re.compile(r"e(\d+)")
+_WEDGE_RE = re.compile(r"(?:e[0-9]+)+$")
+_EIDX_RE = re.compile(r"e([0-9]+)")
 
 
 def _split_terms(text):
@@ -165,13 +165,14 @@ def _parse_wedge_term(ring, term):
             raise SpecError(
                 "exterior factors must be distinct and increasing in %r" % term)
         coeff_text = term[: m.start()].strip()
+        if not coeff_text:
+            # a bare wedge such as 'e1e3' has coefficient 1
+            return tuple(idxs), ring.one()
     if coeff_text.endswith("*"):
         coeff_text = coeff_text[:-1].strip()
     if (coeff_text.startswith("(") and coeff_text.endswith(")")
             and "(" not in coeff_text[1:-1] and ")" not in coeff_text[1:-1]):
         coeff_text = coeff_text[1:-1]
-    if not coeff_text:
-        coeff_text = "1"
     try:
         coeff = ring.parse_element(coeff_text)
     except (PolyParseError, ValueError) as e:
@@ -212,7 +213,7 @@ def load_lift_spec(path, K):
         if "->" not in stripped:
             raise SpecError("line %d: expected 'ei -> ...'" % lineno)
         lhs, rhs = stripped.split("->", 1)
-        m = re.fullmatch(r"e(\d+)", lhs.strip())
+        m = re.fullmatch(r"e([0-9]+)", lhs.strip())
         if m is None:
             raise SpecError("line %d: left side must be a single ei" % lineno)
         i = int(m.group(1)) - 1

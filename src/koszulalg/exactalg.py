@@ -4,16 +4,18 @@ Scalars are plain Python ints in [0, p) for prime fields and
 fractions.Fraction for the rationals; a Field descriptor supplies the
 arithmetic, so no rounding can ever occur.  Matrices are row-major
 lists of scalars.  Over F_2 there is a bit-packed fast path (64
-columns per numpy uint64 word) used for row reduction, kernels and
-rank; it produces the same canonical answers as the generic path.
-Over odd F_p, rank (dense and the core of sparse_rank) runs a row
-echelon form on a numpy int64 array: with p < 2^31 every product of
-two scalars stays below 2^62, so no step can overflow.
+columns per numpy uint64 word) used for dense row reduction, kernels
+and rank of large matrices; it produces the same canonical answers as
+the generic path.  Dense rank over odd F_p and the core of sparse_rank
+over every F_p run a row echelon form on a numpy int64 array: with
+p < 2^31 every product of two scalars stays below 2^62, so no step can
+overflow.
 
-Echelon keeps a span in sparse row echelon form, grows it one vector at
-a time, and solves for the coordinates of any vector of its span in one
-pass over its rows.  It is the one mutable object here; every other
-value is immutable after construction and every other operation is pure.
+Echelon keeps a span as sparse echelon rows, grows it one vector at a
+time, and reduces any vector against it in one pass over its rows: the
+residual decides membership and the multiples give coordinates.  It is
+the one mutable object here; every other value is immutable after
+construction and every other operation is pure.
 """
 
 from __future__ import annotations
@@ -219,9 +221,6 @@ class Matrix:
     def column(self, j):
         return [r[j] for r in self.rows]
 
-    def copy(self):
-        return Matrix(self.field, self.rows, self.ncols)
-
     def mul(self, other):
         if self.field != other.field:
             raise ValueError("field mismatch")
@@ -332,15 +331,15 @@ def _gf2_eliminate(a, ncols, reduced=True):
     return pivots
 
 
-# ------------------------------------------------------------- odd F_p int64
+# ----------------------------------------------------------------- F_p int64
 
 def _fp_eliminate(a, p):
-    """In-place row echelon of an int64 array over odd F_p; returns the rank.
+    """In-place row echelon of an int64 array over F_p; returns the rank.
 
-    Entries must lie in [0, p) with p < 2^31.  The pivot is the first
-    nonzero row at or below the cursor, scaled to 1; only the rows below
-    it with a nonzero entry in the pivot column are updated, and only
-    from that column on.
+    Entries must lie in [0, p) with p < 2^31, p = 2 included.  The pivot
+    is the first nonzero row at or below the cursor, scaled to 1; only
+    the rows below it with a nonzero entry in the pivot column are
+    updated, and only from that column on.
     """
     m, n = a.shape
     r = 0
@@ -479,50 +478,34 @@ def coords_in_span(v, basis, field):
 
 
 class Echelon:
-    """Row echelon basis of a span that grows one vector at a time.
+    """Sparse row echelon basis of a span that grows one vector at a time.
 
-    The span starts from base rows in reduced row echelon form, such as
-    the rref rows of a boundary space.  They are read in place, never
-    copied: each is 1 at its pivot and zero left of it and at every other
-    base pivot.  Added rows are stored sparse, as (pivot, columns,
-    values, tag) sorted by pivot; each is zero at every base pivot, zero
-    left of its own pivot and 1 there.
+    Rows are (pivot, columns, values, tag) tuples sorted by pivot, each
+    zero left of its pivot and 1 there.  The constructor takes such rows,
+    for instance some of another Echelon's: the tuples are immutable and
+    shared, never copied.
 
-    Reducing a vector clears the base pivots, then walks the added rows
-    in pivot order, subtracting the multiple of each row that clears its
-    pivot entry in the partly reduced vector.  The residual is zero
-    exactly when the vector lies in the span.  A tag is the combination
-    ((index, scalar), ...) of tracked inputs that an added row equals
-    modulo the base, so the multiples give the coordinates of a vector
-    of the span on those inputs.
+    Reducing a vector walks the rows in pivot order, subtracting the
+    multiple of each row that clears its pivot entry in the partly reduced
+    vector.  The residual is zero at every pivot, depends on the span
+    alone, and is zero exactly when the vector lies in the span.  A tag
+    is the combination ((index, scalar), ...) of tracked inputs that a
+    row equals modulo the untagged rows, so the multiples give the
+    coordinates of a vector of the span on those inputs.
     """
 
-    __slots__ = ("field", "base", "base_pivots", "rows")
+    __slots__ = ("field", "rows")
 
-    def __init__(self, field, base=()):
-        zero = field.zero
+    def __init__(self, field, rows=()):
         self.field = field
-        self.base = base
-        self.base_pivots = [
-            next(j for j, a in enumerate(row) if a != zero) for row in base]
-        self.rows = []
+        self.rows = list(rows)
 
     def reduce(self, vec):
-        """(residual, [(added row position, multiple)]) of vec against the span."""
+        """(residual, [(row position, multiple)]) of vec against the span."""
         F = self.field
         zero = F.zero
         p = F.characteristic
         w = list(vec)
-        n = len(w)
-        for row, piv in zip(self.base, self.base_pivots):
-            c = w[piv]
-            if c == zero:
-                continue
-            w[piv] = zero
-            for j in range(piv + 1, n):
-                a = row[j]
-                if a != zero:
-                    w[j] = (w[j] - c * a) % p if p else w[j] - c * a
         mults = []
         for r, (piv, cols, vals, _) in enumerate(self.rows):
             c = w[piv]
@@ -572,60 +555,10 @@ class Echelon:
         return out
 
 
-def subspace_intersect(U, V, field, ambient=None):
-    """Basis of span(U) ∩ span(V), canonical (rref rows of the result).
-
-    Computed from the kernel of the stacked system [U^T | -V^T]: a
-    kernel vector (a, b) witnesses sum a_i U_i = sum b_j V_j.
-    """
-    if ambient is None:
-        if U:
-            ambient = len(U[0])
-        elif V:
-            ambient = len(V[0])
-        else:
-            return []
-    for w in list(U) + list(V):
-        if len(w) != ambient:
-            raise ValueError("dimension mismatch")
-    if not U or not V:
-        return []
-    ku, kv = len(U), len(V)
-    stacked = Matrix.zeros(field, ambient, ku + kv)
-    for j in range(ku):
-        for i in range(ambient):
-            stacked.rows[i][j] = U[j][i]
-    for j in range(kv):
-        for i in range(ambient):
-            stacked.rows[i][ku + j] = field.neg(V[j][i])
-    vecs = []
-    for kv_vec in kernel_basis(stacked):
-        w = [field.zero] * ambient
-        for j in range(ku):
-            a = kv_vec[j]
-            if a != field.zero:
-                for i in range(ambient):
-                    w[i] = field.add(w[i], field.mul(a, U[j][i]))
-        vecs.append(w)
-    if not vecs:
-        return []
-    R, pivots = rref(Matrix(field, vecs, ambient))
-    return [R.rows[r] for r in range(len(pivots))]
-
-
 def span_dim(vectors, field, ambient):
     if not vectors:
         return 0
     return rank(Matrix(field, vectors, ambient))
-
-
-def span_contains(U, V, field, ambient):
-    """True iff span(V) ⊆ span(U)."""
-    if not V:
-        return True
-    base = rank(Matrix(field, U, ambient)) if U else 0
-    both = rank(Matrix(field, list(U) + list(V), ambient))
-    return both == base
 
 
 # -------------------------------------------------------------- sparse rank
@@ -637,8 +570,8 @@ def sparse_rank(field, nrows, ncols, entries):
     nonzero entry sits at (i, j) contributes a pivot, and removing row
     i and column j is a pure deletion because the elimination step has
     nothing else to touch.  The surviving core keeps its original
-    entries and goes through dense elimination: packed over F_2, int64
-    echelon over odd p, generic otherwise.
+    entries and goes through dense elimination: the int64 echelon over
+    every F_p, F_2 included, generic rref over Q.
     """
     rows = {}
     cols = {}
@@ -699,14 +632,6 @@ def sparse_rank(field, nrows, ncols, entries):
     if not rows:
         return rank_count
     col_index = {j: t for t, j in enumerate(sorted(cols))}
-    if isinstance(field, PrimeField) and field.p == 2:
-        nwords = (len(col_index) + _WORD - 1) // _WORD
-        a = np.zeros((len(rows), max(nwords, 1)), dtype=np.uint64)
-        for t, (i, r) in enumerate(sorted(rows.items())):
-            for j in r:
-                c = col_index[j]
-                a[t, c // _WORD] |= np.uint64(1) << np.uint64(c % _WORD)
-        return rank_count + len(_gf2_eliminate(a, len(col_index), reduced=False))
     if isinstance(field, PrimeField):
         at, ac, av = [], [], []
         for t, (i, r) in enumerate(sorted(rows.items())):

@@ -7,21 +7,21 @@ degree, so every computation happens strand by strand: the strand
 (i, d) has one basis element per pair (subset S of size i, basis
 element of R_{d - w(S)}).
 
-Homology is computed per strand from exact kernels and column spans;
-representatives complete the boundary space to the cycle space and
-are deterministic.  Each strand keeps its boundary rows B and
-representatives Z' with Z_{i,d} = span(B) + span(Z'), a direct sum.  On
-the first class_of query the strand factors B ++ Z' once into a sparse
-row echelon form whose rows remember their coefficients on Z', and every
-query after that is one reduction of the cycle's coordinate vector.
-Since the strand's span is exactly its cycle space, a zero residual is
-the cycle condition itself, so class_of needs no separate d(z) = 0.
+Homology is computed per strand in one sparse row echelon form.  The
+columns of d_{i+1}, read from its triplets, go in first and span the
+boundaries B; then the canonical kernel basis of d_i goes in, and the
+kernel vectors that extend the span become the representatives Z', each
+row remembering its coefficients on Z'.  So Z_{i,d} = span(B) + span(Z'),
+a direct sum, and every class_of query is one reduction of the cycle's
+coordinate vector.  Since the strand's span is exactly its cycle space,
+a zero residual is the cycle condition itself, so class_of needs no
+separate d(z) = 0.
 
 Betti tables read off rank H_i(K)_{i+j}; a rank-only path serves
 tables far beyond the sizes where kernel bases fit in memory.  It takes
 the ranks of d_1 and (for quotients) d_2 in closed form from dim R_d and
 the minimal generators of the ideal, and ranks the other strands by
-sparse peeling plus packed F_2 elimination.
+sparse peeling plus dense elimination of the core.
 
 Truncation: Artinian rings carry everything in internal degrees
 d <= top_degree + sum(w_j).  For semigroup rings the strand in degree
@@ -31,7 +31,8 @@ complex still asserts computed vanishing in that degree instead of
 trusting the argument blindly, and truncates there.  Cycles built from
 the recorded ones (images under a lift, products with a perturbation)
 may reach past the truncation; those components carry no strand data
-and add nothing to the class, so class_of checks d = 0 on them directly.
+and add nothing to the class, so class_of checks them against the
+triplets of d_i, which are the same in every degree from the floor on.
 """
 
 from __future__ import annotations
@@ -144,32 +145,30 @@ def _merge_sign(S, T):
 
 
 class _DegreeData:
-    """Reduction data of one homology strand: boundaries and representatives.
+    """Reduction data of one homology strand (i, d).
 
-    boundary_rows (rref rows of B_{i,d}) and rep_vectors together are a
-    basis of the cycle space Z_{i,d}, so coordinates on them are unique.
-    The solver, built on the first query, reads boundary_rows in place
-    and adds rep_vectors as sparse echelon rows, each tagged with its
-    coefficients on rep_vectors; rep_coords reduces a vector against it
-    once.
+    span is one sparse Echelon of the cycle space Z_{i,d}.  Its untagged
+    rows, from the columns of d_{i+1}, span the boundaries B_{i,d}; each
+    tagged row carries its coefficients on rep_vectors, which complete
+    B_{i,d} to Z_{i,d}.  residuals is a memo, keyed by filtration level,
+    that analyze fills with the filtration of this strand's classes.
     """
 
-    __slots__ = ("boundary_rows", "rep_vectors", "class_indices", "_solver")
+    __slots__ = ("span", "rep_vectors", "class_indices", "residuals")
 
-    def __init__(self, boundary_rows, rep_vectors, class_indices):
-        self.boundary_rows = boundary_rows
+    def __init__(self, span, rep_vectors, class_indices):
+        self.span = span
         self.rep_vectors = rep_vectors
         self.class_indices = class_indices
-        self._solver = None
+        self.residuals = {}
 
-    def rep_coords(self, field, vec):
+    def boundary_rows(self):
+        """The untagged echelon rows: a basis of B_{i,d}."""
+        return [row for row in self.span.rows if not row[3]]
+
+    def rep_coords(self, vec):
         """Coordinates of vec on rep_vectors modulo boundaries; None if vec is no cycle."""
-        if self._solver is None:
-            solver = exactalg.Echelon(field, self.boundary_rows)
-            for t, v in enumerate(self.rep_vectors):
-                solver.add(v, ((t, field.one),))
-            self._solver = solver
-        return self._solver.coords(vec, len(self.rep_vectors))
+        return self.span.coords(vec, len(self.rep_vectors))
 
 
 class HomologyClass:
@@ -435,32 +434,13 @@ def wedge(u, v):
 
 # ------------------------------------------------------------------ homology
 
-def _complete_to_cycles(field, boundary_rows, kernel_vectors):
-    """Pick kernel vectors extending the boundary row space, deterministically."""
-    span = exactalg.Echelon(field, boundary_rows)
-    return [v for v in kernel_vectors if span.add(v)]
-
-
-def _boundary_rows(K, i, d):
-    """Canonical basis (rref rows) of the boundary space B_{i,d}."""
-    if i + 1 > K.n:
-        return []
-    _, src = K.strand_offsets(i + 1, d)
-    _, dst = K.strand_offsets(i, d)
-    if src == 0 or dst == 0:
-        return []
-    m = K.diff_matrix(i + 1, d)
-    cols = [m.column(j) for j in range(m.ncols)]
-    red, pivots = exactalg.rref(Matrix(K.field, cols, dst))
-    return [red.rows[t] for t in range(len(pivots))]
-
-
 def homology_basis(K, i):
     """Representatives and reduction data for H_i(K), all internal degrees."""
     if not (0 <= i <= K.n):
         raise ValueError("homological degree out of range")
     if i in K._homology:
         return K._homology[i]
+    F = K.field
     classes = []
     degree_data = {}
     for d in range(K.truncation + 1):
@@ -468,23 +448,32 @@ def homology_basis(K, i):
         if total == 0:
             continue
         if i == 0:
-            kernel = [exactalg.unit_vector(K.field, total, s) for s in range(total)]
+            kernel = [exactalg.unit_vector(F, total, s) for s in range(total)]
         else:
             kernel = exactalg.kernel_basis(K.diff_matrix(i, d))
-        boundary = _boundary_rows(K, i, d)
         if not kernel:
-            if boundary:
-                degree_data[d] = _DegreeData(boundary, [], [])
             continue
-        reps = _complete_to_cycles(K.field, boundary, kernel)
+        span = exactalg.Echelon(F)
+        if i < K.n:
+            columns = {}
+            for r, c, a in K.diff_triplets(i + 1, d):
+                if c not in columns:
+                    columns[c] = [F.zero] * total
+                columns[c][r] = F.add(columns[c][r], a)
+            for c in sorted(columns):
+                span.add(columns[c])
+        reps = []
         indices = []
-        for v in reps:
+        for v in kernel:
+            if not span.add(v, ((len(reps), F.one),)):
+                continue
             idx = len(classes)
             label = "h%d.%d" % (i, idx + 1)
             classes.append(
                 HomologyClass(idx, d, v, K.vector_to_element(i, d, v), label))
+            reps.append(v)
             indices.append(idx)
-        degree_data[d] = _DegreeData(boundary, reps, indices)
+        degree_data[d] = _DegreeData(span, reps, indices)
         if (
             K.exactness_floor is not None
             and d >= K.exactness_floor
@@ -505,7 +494,9 @@ def class_of(K, i, z):
     whose recorded span is its whole cycle space (zero where no data
     is recorded), so its zero residual is the cycle check.  Past the
     truncation (semigroup rings only) the strand is exact and adds
-    nothing to the class, but the component is still checked with d.
+    nothing to the class, but the component is still checked against
+    the triplets of d_i at the exactness floor, which every degree past
+    it shares.
     """
     deg = z.homological_degree()
     if not z.is_zero() and deg != i:
@@ -519,7 +510,13 @@ def class_of(K, i, z):
                 raise TruncationError(
                     "cycle component in degree %d exceeds truncation %d"
                     % (d, K.truncation))
-            if not differential(K.vector_to_element(i, d, vec)).is_zero():
+            # from the floor on every block is k t^a and x_j t^a = t^(a+g_j),
+            # so d_i has the same triplets in each of these degrees
+            image = {}
+            for r, c, a in K.diff_triplets(i, K.exactness_floor):
+                if vec[c] != F.zero:
+                    image[r] = F.add(image.get(r, F.zero), F.mul(a, vec[c]))
+            if any(a != F.zero for a in image.values()):
                 raise NotACycleError("class_of received a non-cycle")
             continue
         data = basis.degree_data.get(d)
@@ -528,7 +525,7 @@ def class_of(K, i, z):
             if any(a != F.zero for a in vec):
                 raise NotACycleError("class_of received a non-cycle")
             continue
-        sol = data.rep_coords(F, vec)
+        sol = data.rep_coords(vec)
         if sol is None:
             raise NotACycleError("class_of received a non-cycle")
         for idx, c in zip(data.class_indices, sol):
@@ -588,7 +585,7 @@ def strand_ranks(K):
     the number of minimal generators of I in degree d, so rank d_2 in
     degree d is dim K_{1,d} - dim R_d - mu_d(I).  A semigroup ring has
     no given ideal and ranks its d_2 strands.  Every other strand is
-    ranked by sparse peeling plus packed elimination.
+    ranked by sparse peeling plus dense elimination of the core.
     """
     mu = (K.ring.minimal_generator_counts()
           if isinstance(K.ring, ArtinianQuotient) else None)

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from koszulalg.exactalg import GF2, QQ, PrimeField
+from koszulalg.exactalg import GF2, QQ, Matrix, PrimeField, kernel_basis, rref
 from koszulalg.polyring import PolyContext
 from koszulalg.gring import make_artinian_quotient, make_semigroup_ring
 from koszulalg.koszul import KoszulComplex
@@ -12,6 +12,28 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 def fixture_path(name):
     return os.path.join(FIXTURES, name)
+
+
+def subspace_intersect(U, V, field, ambient):
+    """Basis of span(U) ∩ span(V), canonical (rref rows of the result).
+
+    Computed from the kernel of the stacked system [U^T | -V^T]: a
+    kernel vector (a, b) witnesses sum a_i U_i = sum b_j V_j.
+    """
+    if not U or not V:
+        return []
+    columns = list(U) + [[field.neg(a) for a in v] for v in V]
+    vecs = []
+    for k in kernel_basis(Matrix.from_columns(field, columns, ambient)):
+        w = [field.zero] * ambient
+        for a, u in zip(k, U):
+            if a != field.zero:
+                w = [field.add(x, field.mul(a, y)) for x, y in zip(w, u)]
+        vecs.append(w)
+    if not vecs:
+        return []
+    R, pivots = rref(Matrix(field, vecs, ambient))
+    return R.rows[:len(pivots)]
 
 
 def ci_f2():

@@ -6,7 +6,7 @@ import os
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from koszulalg.exactalg import GF2, QQ
 from koszulalg.polyring import PolyContext
@@ -16,8 +16,9 @@ from koszulalg.koszul import (
     class_of,
     homology_basis,
     homology_product,
+    representative,
 )
-from koszulalg import analyze, dgmap, gring, polyring
+from koszulalg import analyze, dgmap, exactalg, gring, polyring
 from koszulalg.cli import load_ring_spec
 from koszulalg.dgmap import elementary_lift, induced_map
 from koszulalg.analyze import (
@@ -36,7 +37,7 @@ from koszulalg.analyze import (
 
 import conftest
 from test_gring import _quotient_fixtures
-from test_koszul import small_rings
+from test_koszul import _boundary_rows, _scalar, small_rings
 
 
 def _unit(K, i, cls):
@@ -135,6 +136,102 @@ def test_filtration_descends(K_q):
         assert dims == sorted(dims, reverse=True)
         # representatives have coefficients in m, so F^{i+1} H_i = H_i
         assert filtration_dim(K_q, i, i + 1) == homology_basis(K_q, i).dim
+
+
+def _reference_filtration_span(K, i, d, l):
+    """Rows spanning (Z ∩ F^l) + B in the strand (i, d), and the rows of B.
+
+    Z is the kernel basis of d_i, B the rref of the columns of d_{i+1},
+    and F^l = m^(l-i) K_{i,d}; nothing comes from the strand data.
+    """
+    total = K.strand_dim(i, d)
+    if i == 0:
+        cycles = [exactalg.unit_vector(K.field, total, s) for s in range(total)]
+    else:
+        cycles = exactalg.kernel_basis(K.diff_matrix(i, d))
+    power = analyze._strand_power_vectors(K, i, d, l - i)
+    boundary = _boundary_rows(K, i, d)
+    inter = conftest.subspace_intersect(cycles, power, K.field, total)
+    return inter + boundary, boundary
+
+
+def _reference_filtration_dim(K, i, l):
+    # a degree without classes has Z = B, so it adds nothing
+    total = 0
+    for d in homology_basis(K, i).degrees():
+        span, boundary = _reference_filtration_span(K, i, d, l)
+        n = K.strand_dim(i, d)
+        total += (exactalg.span_dim(span, K.field, n)
+                  - exactalg.span_dim(boundary, K.field, n))
+    return total
+
+
+def _reference_filtration_level(K, i, coords):
+    """The largest l with every strand component of the class in (Z ∩ F^l) + B."""
+    if all(a == K.field.zero for a in coords):
+        return math.inf
+    components = K.strand_vectors(i, representative(K, i, coords))
+    level = i
+    while all(
+            exactalg.coords_in_span(
+                vec, _reference_filtration_span(K, i, d, level + 1)[0],
+                K.field) is not None
+            for d, vec in components.items()):
+        level += 1
+    return level
+
+
+def _assert_filtration_matches_reference(K, rnd):
+    F = K.field
+    for i in range(K.n + 1):
+        basis = homology_basis(K, i)
+        if not basis.dim:
+            continue
+        for l in range(i - 1, max(basis.degrees()) + 2):
+            assert filtration_dim(K, i, l) == _reference_filtration_dim(K, i, l)
+        samples = [_unit(K, i, cls) for cls in basis.classes]
+        samples += [[_scalar(F, rnd) for _ in range(basis.dim)] for _ in range(3)]
+        for coords in samples:
+            assert filtration_level(K, i, coords) == (
+                _reference_filtration_level(K, i, coords))
+
+
+def _weighted_and_semigroup_fixtures():
+    names = []
+    for name in sorted(os.listdir(conftest.FIXTURES)):
+        if not name.endswith(".json") or name == "f2_big_x98.json":
+            continue
+        with open(conftest.fixture_path(name), encoding="utf-8") as fh:
+            presentation = json.load(fh)["presentation"]
+        weights = presentation.get("weights")
+        if presentation["type"] != "quotient" or (
+                weights is not None and set(weights) != {1}):
+            names.append(name)
+    return names
+
+
+@pytest.mark.parametrize("name", _weighted_and_semigroup_fixtures())
+def test_filtration_matches_intersection_reference(name):
+    K = KoszulComplex(load_ring_spec(conftest.fixture_path(name)))
+    _assert_filtration_matches_reference(K, random.Random(name))
+
+
+@pytest.mark.parametrize("field", [GF2, QQ])
+def test_filtration_level_counts_boundaries(field):
+    # Weights (2, 1): the representative of h1.2 lies in F^3 K_1 but not
+    # in F^4 K_1; adding a boundary moves it into F^4, so its class does.
+    ctx = PolyContext(field, ["y", "z"], [2, 1])
+    K = KoszulComplex(make_artinian_quotient(ctx, ["y^2", "z^4", "z^3 + y*z"]))
+    h1 = homology_basis(K, 1)
+    assert filtration_level(K, 1, _unit(K, 1, h1.classes[1])) == 4
+    assert filtration_dim(K, 1, 4) == 1
+    _assert_filtration_matches_reference(K, random.Random(0))
+
+
+@given(small_rings(), st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_filtration_matches_intersection_reference_on_random_rings(ring, rnd):
+    _assert_filtration_matches_reference(KoszulComplex(ring), rnd)
 
 
 def test_fast_and_general_paths_agree():

@@ -307,6 +307,32 @@ def test_lift_denominator_zero_in_field(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("first_line", [
+    "e1 -> ()*e1",
+    "e1 -> *e1",
+    "e1 -> e\uff11",  # full-width digit one
+    "e\uff11 -> e1",
+])
+def test_lift_malformed_term(capsys, tmp_path, first_line):
+    lift = tmp_path / "bad.txt"
+    lift.write_text(first_line + "\ne2 -> e2\ne3 -> e3\n", encoding="utf-8")
+    code, out, err = run(capsys, "lift-action",
+                         "--ring", fixture_path("q_x2_xy_y2_z2.json"),
+                         "--lift", str(lift))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_lift_terms_with_implicit_or_bracketed_coefficients():
+    K = KoszulComplex(load_ring_spec(fixture_path("q_x2_xy_y2_z2.json")))
+    R = K.ring
+    assert parse_chain(K, "(1)*e1") == K.generator_element(0)
+    assert parse_chain(K, "e1") == K.generator_element(0)
+    assert parse_chain(K, "e1 - z*e3") == K.element(
+        {(0,): R.one(), (2,): -R.generator(2)})
+
+
 def test_lift_bad_degree(capsys, tmp_path):
     # t^7 is not in the semigroup, so the coefficient cannot be parsed
     lift = tmp_path / "bad.txt"

@@ -417,6 +417,51 @@ def test_semigroup_vanishing_window_clean(K_aci):
 
 # ------------------------------------------------- cached strand solvers
 
+def _boundary_rows(K, i, d):
+    """Canonical basis (rref rows) of B_{i,d} from the dense columns of d_{i+1}."""
+    if i + 1 > K.n:
+        return []
+    _, src = K.strand_offsets(i + 1, d)
+    _, dst = K.strand_offsets(i, d)
+    if src == 0 or dst == 0:
+        return []
+    m = K.diff_matrix(i + 1, d)
+    cols = [m.column(j) for j in range(m.ncols)]
+    red, pivots = exactalg.rref(exactalg.Matrix(K.field, cols, dst))
+    return [red.rows[t] for t in range(len(pivots))]
+
+
+def _strand_boundary_vectors(K, i, d, data):
+    """The untagged rows of a strand's echelon as dense vectors."""
+    F = K.field
+    out = []
+    for _, cols, vals, _ in data.boundary_rows():
+        v = [F.zero] * K.strand_dim(i, d)
+        for j, a in zip(cols, vals):
+            v[j] = a
+        out.append(v)
+    return out
+
+
+def _assert_boundaries_match_rref(K):
+    F = K.field
+    for i in range(K.n + 1):
+        basis = homology_basis(K, i)
+        for d in range(K.truncation + 1):
+            expected = _boundary_rows(K, i, d)
+            data = basis.degree_data.get(d)
+            if data is None:
+                # no strand data: Z_{i,d} = 0, so B_{i,d} = 0
+                assert expected == []
+                continue
+            rows = _strand_boundary_vectors(K, i, d, data)
+            assert len(rows) == len(expected)
+            if rows:
+                red, pivots = exactalg.rref(
+                    exactalg.Matrix(F, rows, K.strand_dim(i, d)))
+                assert red.rows[:len(pivots)] == expected
+
+
 def _reference_class_of(K, i, z):
     """class_of as a fresh solve per strand: d(z) = 0, then coords_in_span."""
     if not differential(z).is_zero():
@@ -427,11 +472,11 @@ def _reference_class_of(K, i, z):
         data = basis.degree_data.get(d)
         if d > K.truncation or data is None:
             continue
+        boundary = _strand_boundary_vectors(K, i, d, data)
         sol = exactalg.coords_in_span(
-            vec, data.boundary_rows + data.rep_vectors, K.field)
+            vec, boundary + data.rep_vectors, K.field)
         for t, idx in enumerate(data.class_indices):
-            coords[idx] = K.field.add(
-                coords[idx], sol[len(data.boundary_rows) + t])
+            coords[idx] = K.field.add(coords[idx], sol[len(boundary) + t])
     return coords
 
 
@@ -480,18 +525,19 @@ def test_strand_solver_matches_coords_in_span(ring, rnd):
         basis = homology_basis(K, i)
         cycle = K.zero_element()
         for d, data in sorted(basis.degree_data.items()):
-            span = data.boundary_rows + data.rep_vectors
+            boundary = _strand_boundary_vectors(K, i, d, data)
+            span = boundary + data.rep_vectors
             total = len(span[0])
-            nb = len(data.boundary_rows)
+            nb = len(boundary)
             # a random cycle: boundaries plus representatives
             coeffs = [_scalar(F, rnd) for _ in span]
             vec = _combination(F, coeffs, span, total)
             assert exactalg.coords_in_span(vec, span, F) == coeffs
-            assert data.rep_coords(F, vec) == coeffs[nb:]
+            assert data.rep_coords(vec) == coeffs[nb:]
             # a random strand vector, inside the cycle space or not
             other = [_scalar(F, rnd) for _ in range(total)]
             sol = exactalg.coords_in_span(other, span, F)
-            assert data.rep_coords(F, other) == (
+            assert data.rep_coords(other) == (
                 None if sol is None else sol[nb:])
             cycle = cycle + K.vector_to_element(i, d, vec)
         assert class_of(K, i, cycle) == _reference_class_of(K, i, cycle)
@@ -500,6 +546,18 @@ def test_strand_solver_matches_coords_in_span(ring, rnd):
             mixed = cycle + u
             assert _outcome(class_of, K, i, mixed) == _outcome(
                 _reference_class_of, K, i, mixed)
+
+
+@pytest.mark.parametrize("name", _every_fixture_but_x98())
+def test_strand_boundaries_match_rref_of_columns(name):
+    _assert_boundaries_match_rref(
+        KoszulComplex(load_ring_spec(conftest.fixture_path(name))))
+
+
+@given(small_rings())
+@settings(max_examples=40, deadline=None)
+def test_strand_boundaries_match_rref_of_columns_on_random_rings(ring):
+    _assert_boundaries_match_rref(KoszulComplex(ring))
 
 
 def _random_chain(K, i, rnd):
@@ -545,6 +603,19 @@ def test_class_of_checks_components_past_truncation(K_aci):
     z = h1.classes[0].element + broken
     with pytest.raises(NotACycleError):
         class_of(K_aci, 1, z)
+
+
+@pytest.mark.parametrize("name", [
+    "f2_semigroup_3_4_5.json", "f2_semigroup_6_10_14_15.json",
+    "f2_semigroup_9_10_11_13_17.json", "semigroup_regular.json"])
+def test_differential_repeats_past_exactness_floor(name):
+    # class_of checks components past the truncation with the floor's d_i
+    K = KoszulComplex(load_ring_spec(conftest.fixture_path(name)))
+    floor = K.exactness_floor
+    for i in range(K.n + 1):
+        expected = sorted(K.diff_triplets(i, floor))
+        for d in (floor + 1, floor + 7, 2 * floor + 3):
+            assert sorted(K.diff_triplets(i, d)) == expected
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "bench",
