@@ -29,11 +29,12 @@ instead of Koszul homology in degree 1.
 Construction validates minimality of the chosen generators of the
 maximal ideal (ker f inside mF): for quotients every variable must
 survive into R, for semigroups no generator may be representable by
-the others.  The remaining caches of a quotient (degree bases and
-their indices, multiplication triplets, slices of powers of m,
-the per-degree border normal forms and the product table) are
-size-capped Memo dicts that evict the oldest entry first; dimensions
-and the generators are computed once.  A semigroup ring decides
+the others.  A quotient keeps the degree bases its construction walks,
+one tuple per degree, so a basis is an index lookup; its dimensions and
+generators are computed once.  The remaining caches of a quotient (basis
+indices, multiplication triplets, slices of powers of m, the per-degree
+border normal forms and the product table) are size-capped Memo dicts
+that evict the oldest entry first.  A semigroup ring decides
 membership in m^a from one table, grown in place on demand, of the
 largest number of generators summing to each degree.  The mathematical
 value of a ring never changes, but its caches fill in place without
@@ -288,23 +289,21 @@ class ArtinianQuotient(GradedRing):
                     % self.gen_names[i])
             self._generators.append(RingElement(self, {mono: self.field.one}))
 
-        self._basis_cache = Memo(64)
         self._index_cache = Memo(64)
         self._mult_cache = Memo(48)
         self._mpower_cache = Memo(4096)
         self._border_cache = Memo(16)
         self._products = Memo(4096)
 
-        # No standard monomial lies above this a-priori bound; the walk
-        # below tightens it.  Once max(weights) consecutive degrees are
-        # empty, every higher degree is empty too.
-        self.top_degree = sum((b - 1) * w for b, w in zip(bounds, self.weights))
-        dims, empty = [], 0
+        # Walk the staircase degree by degree.  Once max(weights)
+        # consecutive degrees are empty, every higher degree is empty too.
+        bases, empty = [], 0
         while empty < max(self.weights):
-            dims.append(len(self._monomial_basis(len(dims))))
-            empty = empty + 1 if dims[-1] == 0 else 0
-        self._dims = tuple(dims[:len(dims) - empty])
-        self.top_degree = len(self._dims) - 1
+            bases.append(self._walk_staircase(len(bases), bases))
+            empty = empty + 1 if not bases[-1] else 0
+        self._bases = tuple(bases[:len(bases) - empty])
+        self._dims = tuple(map(len, self._bases))
+        self.top_degree = len(self._bases) - 1
 
     def _reducer(self, mono):
         """First (lm, tail) of the basis with lm dividing mono, or None."""
@@ -320,31 +319,10 @@ class ArtinianQuotient(GradedRing):
 
     def _monomial_basis(self, d):
         """Standard monomials of degree d in decreasing term order."""
-        if d < 0 or d > self.top_degree:
-            return ()
-        cached = self._basis_cache.get(d)
-        if cached is not None:
-            return cached
-        # Gather the lower degrees the walk reads; those the cache has
-        # dropped are rebuilt first, lowest first, without recursion.
-        known, missing = {}, [d]
-        e, run = d - 1, 0
-        while e >= 0 and run < max(self.weights):
-            basis = self._basis_cache.get(e)
-            if basis is None:
-                missing.append(e)
-                run = 0
-            else:
-                known[e] = basis
-                run += 1
-            e -= 1
-        for e in reversed(missing):
-            known[e] = self._basis_cache.get_or_compute(
-                e, lambda e=e: self._walk_staircase(e, known))
-        return known[d]
+        return self._bases[d] if 0 <= d <= self.top_degree else ()
 
     def _walk_staircase(self, d, known):
-        """Degree-d standard monomials from the bases known[d - w_i].
+        """Degree-d standard monomials from the lower bases known[d - w_i].
 
         A standard monomial of degree d > 0 is x_i*m with m standard,
         for i its last variable; generating x_i*m only from m supported
@@ -492,12 +470,6 @@ class ArtinianQuotient(GradedRing):
         if a <= 0:
             return [exactalg.unit_vector(self.field, self.dim(d), s)
                     for s in range(self.dim(d))]
-        if all(w == 1 for w in self.weights):
-            # Standard grading: every standard monomial of degree d >= a
-            # is a product of a variables and a monomial, so (m^a)_d is
-            # all of R_d (and zero below degree a).
-            return self.max_ideal_power_vectors(0, d) if d >= a else []
-
         def compute():
             vectors = []
             for i in range(self.ngens):

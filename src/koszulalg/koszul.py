@@ -7,15 +7,18 @@ degree, so every computation happens strand by strand: the strand
 (i, d) has one basis element per pair (subset S of size i, basis
 element of R_{d - w(S)}).
 
-Homology is computed per strand in one sparse row echelon form.  The
-columns of d_{i+1}, read from its triplets, go in first and span the
+Homology is computed in one pass over internal degrees that builds every
+H_i at once.  In degree d it walks i from n down to 0 and assembles the
+triplets of each d_i once: they give the kernel of H_i, and one step
+later the boundary columns of H_{i-1}.  Each strand is one sparse row
+echelon form.  The columns of d_{i+1} go in first and span the
 boundaries B; then the canonical kernel basis of d_i goes in, and the
 kernel vectors that extend the span become the representatives Z', each
 row remembering its coefficients on Z'.  So Z_{i,d} = span(B) + span(Z'),
 a direct sum, and every class_of query is one reduction of the cycle's
 coordinate vector.  Since the strand's span is exactly its cycle space,
 a zero residual is the cycle condition itself, so class_of needs no
-separate d(z) = 0.
+separate d(z) = 0.  Strand layouts (block offsets) are kept per (i, d).
 
 Betti tables read off rank H_i(K)_{i+j}; a rank-only path serves
 tables far beyond the sizes where kernel bases fit in memory.  It takes
@@ -30,9 +33,9 @@ units of k (every R_{d-w(S)} is one-dimensional), hence exact; the
 complex still asserts computed vanishing in that degree instead of
 trusting the argument blindly, and truncates there.  Cycles built from
 the recorded ones (images under a lift, products with a perturbation)
-may reach past the truncation; those components carry no strand data
-and add nothing to the class, so class_of checks them against the
-triplets of d_i, which are the same in every degree from the floor on.
+may reach past the truncation; those components add nothing to the
+class, and class_of reduces them against the recorded span of the
+exactness floor's strand, which every degree from the floor on shares.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import itertools
 
 from koszulalg import exactalg
 from koszulalg.exactalg import Matrix
-from koszulalg.gring import ArtinianQuotient, Memo, SemigroupRing
+from koszulalg.gring import ArtinianQuotient, SemigroupRing
 
 
 class TruncationError(RuntimeError):
@@ -172,12 +175,11 @@ class _DegreeData:
 
 
 class HomologyClass:
-    __slots__ = ("index", "degree", "vector", "element", "label")
+    __slots__ = ("index", "degree", "element", "label")
 
-    def __init__(self, index, degree, vector, element, label):
+    def __init__(self, index, degree, element, label):
         self.index = index
         self.degree = degree
-        self.vector = vector
         self.element = element
         self.label = label
 
@@ -266,38 +268,32 @@ class KoszulComplex:
         self.subset_weights = [
             [self.subset_weight(S) for S in level] for level in self.subsets
         ]
-        self._diff_memo = Memo(8)
-        self._homology = {}
+        self._layouts = {}
+        self._homology = None
 
     # ------------------------------------------------------------ structure
 
     def subset_weight(self, S):
         return sum(self.weights[j] for j in S)
 
-    def strand_blocks(self, i, d):
-        """Per-subset block dimensions of the strand (i, d)."""
-        if i < 0 or i > self.n:
-            return []
-        dim = self.ring.dim
-        return [dim(d - w) for w in self.subset_weights[i]]
+    def strand_offsets(self, i, d):
+        """(offset of each subset's block, total dimension) of the strand (i, d)."""
+        layout = self._layouts.get((i, d))
+        if layout is None:
+            offsets, total = [], 0
+            if 0 <= i <= self.n:
+                dim = self.ring.dim
+                for w in self.subset_weights[i]:
+                    offsets.append(total)
+                    total += dim(d - w)
+            layout = self._layouts[(i, d)] = (offsets, total)
+        return layout
 
     def strand_dim(self, i, d):
-        return sum(self.strand_blocks(i, d))
-
-    def strand_offsets(self, i, d):
-        offsets = []
-        total = 0
-        for b in self.strand_blocks(i, d):
-            offsets.append(total)
-            total += b
-        return offsets, total
+        return self.strand_offsets(i, d)[1]
 
     def diff_triplets(self, i, d):
         """Sparse triplets of d_{i,d}: strand (i, d) -> strand (i-1, d)."""
-        return self._diff_memo.get_or_compute(
-            (i, d), lambda: self._assemble_diff(i, d))
-
-    def _assemble_diff(self, i, d):
         src_offsets, _ = self.strand_offsets(i, d)
         dst_offsets, _ = self.strand_offsets(i - 1, d)
         out = []
@@ -435,55 +431,70 @@ def wedge(u, v):
 # ------------------------------------------------------------------ homology
 
 def homology_basis(K, i):
-    """Representatives and reduction data for H_i(K), all internal degrees."""
+    """Representatives and reduction data for H_i(K), all internal degrees.
+
+    The first call builds every H_j in one pass (see _homology_pass);
+    later calls look the basis up.
+    """
     if not (0 <= i <= K.n):
         raise ValueError("homological degree out of range")
-    if i in K._homology:
-        return K._homology[i]
+    if K._homology is None:
+        K._homology = _homology_pass(K)
+    return K._homology[i]
+
+
+def _homology_pass(K):
+    """Every H_i, one internal degree at a time, each d_i assembled once.
+
+    In degree d, i runs from n down to 0: the triplets of d_i give the
+    kernel of the strand (i, d) and are kept one step, as the boundary
+    columns of the strand (i-1, d).
+    """
     F = K.field
-    classes = []
-    degree_data = {}
+    classes = [[] for _ in range(K.n + 1)]
+    degree_data = [{} for _ in range(K.n + 1)]
     for d in range(K.truncation + 1):
-        _, total = K.strand_offsets(i, d)
-        if total == 0:
-            continue
-        if i == 0:
-            kernel = [exactalg.unit_vector(F, total, s) for s in range(total)]
-        else:
-            kernel = exactalg.kernel_basis(K.diff_matrix(i, d))
-        if not kernel:
-            continue
-        span = exactalg.Echelon(F)
-        if i < K.n:
-            columns = {}
-            for r, c, a in K.diff_triplets(i + 1, d):
-                if c not in columns:
-                    columns[c] = [F.zero] * total
-                columns[c][r] = F.add(columns[c][r], a)
-            for c in sorted(columns):
-                span.add(columns[c])
-        reps = []
-        indices = []
-        for v in kernel:
-            if not span.add(v, ((len(reps), F.one),)):
+        boundary = []
+        for i in range(K.n, -1, -1):
+            total = K.strand_dim(i, d)
+            if total == 0:
+                boundary = []
                 continue
-            idx = len(classes)
-            label = "h%d.%d" % (i, idx + 1)
-            classes.append(
-                HomologyClass(idx, d, v, K.vector_to_element(i, d, v), label))
-            reps.append(v)
-            indices.append(idx)
-        degree_data[d] = _DegreeData(span, reps, indices)
-        if (
-            K.exactness_floor is not None
-            and d >= K.exactness_floor
-            and reps
-        ):
-            raise TruncationError(
-                "nonzero H_%d in degree %d inside the vanishing window" % (i, d))
-    basis = HomologyBasis(K, i, classes, degree_data)
-    K._homology[i] = basis
-    return basis
+            if i == 0:
+                triplets = []
+                kernel = [exactalg.unit_vector(F, total, s) for s in range(total)]
+            else:
+                triplets = K.diff_triplets(i, d)
+                kernel = exactalg.kernel_basis(Matrix.from_triplets(
+                    F, K.strand_dim(i - 1, d), total, triplets))
+            if kernel:
+                span = exactalg.Echelon(F)
+                columns = {}
+                for r, c, a in boundary:
+                    if c not in columns:
+                        columns[c] = [F.zero] * total
+                    columns[c][r] = F.add(columns[c][r], a)
+                for c in sorted(columns):
+                    span.add(columns[c])
+                reps = []
+                indices = []
+                for v in kernel:
+                    if not span.add(v, ((len(reps), F.one),)):
+                        continue
+                    idx = len(classes[i])
+                    label = "h%d.%d" % (i, idx + 1)
+                    classes[i].append(HomologyClass(
+                        idx, d, K.vector_to_element(i, d, v), label))
+                    reps.append(v)
+                    indices.append(idx)
+                degree_data[i][d] = _DegreeData(span, reps, indices)
+                if K.exactness_floor is not None and d >= K.exactness_floor and reps:
+                    raise TruncationError(
+                        "nonzero H_%d in degree %d inside the vanishing window"
+                        % (i, d))
+            boundary = triplets
+    return [HomologyBasis(K, i, classes[i], degree_data[i])
+            for i in range(K.n + 1)]
 
 
 def class_of(K, i, z):
@@ -493,10 +504,10 @@ def class_of(K, i, z):
     component is.  Up to the truncation a component lies in a strand
     whose recorded span is its whole cycle space (zero where no data
     is recorded), so its zero residual is the cycle check.  Past the
-    truncation (semigroup rings only) the strand is exact and adds
-    nothing to the class, but the component is still checked against
-    the triplets of d_i at the exactness floor, which every degree past
-    it shares.
+    truncation (semigroup rings only) every block is k t^a and
+    x_j t^a = t^(a+g_j), so the strand has the layout and the d_i of the
+    exactness floor; the component is reduced against the floor's span,
+    which is all of Z there and holds no representatives.
     """
     deg = z.homological_degree()
     if not z.is_zero() and deg != i:
@@ -506,19 +517,11 @@ def class_of(K, i, z):
     coords = [F.zero] * basis.dim
     for d, vec in K.strand_vectors(i, z).items():
         if d > K.truncation:
-            if K.exactness_floor is None or d < K.exactness_floor:
+            if K.exactness_floor is None:
                 raise TruncationError(
                     "cycle component in degree %d exceeds truncation %d"
                     % (d, K.truncation))
-            # from the floor on every block is k t^a and x_j t^a = t^(a+g_j),
-            # so d_i has the same triplets in each of these degrees
-            image = {}
-            for r, c, a in K.diff_triplets(i, K.exactness_floor):
-                if vec[c] != F.zero:
-                    image[r] = F.add(image.get(r, F.zero), F.mul(a, vec[c]))
-            if any(a != F.zero for a in image.values()):
-                raise NotACycleError("class_of received a non-cycle")
-            continue
+            d = K.exactness_floor
         data = basis.degree_data.get(d)
         if data is None:
             # no data recorded: Z_{i,d} = 0
@@ -549,7 +552,7 @@ def representative(K, i, coords):
 def homology_product(K, i, a_coords, j, b_coords):
     """Coordinates in H_{i+j} of the product of two classes."""
     if i + j > K.n:
-        return [K.field.zero] * homology_basis(K, i + j).dim
+        return []  # H_{i+j} = 0
     za = representative(K, i, a_coords)
     zb = representative(K, j, b_coords)
     return class_of(K, i + j, wedge(za, zb))

@@ -123,7 +123,8 @@ def test_max_ideal_power_monotone():
 @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=10))
 @settings(max_examples=60, deadline=None)
 def test_mpower_fast_path_matches_general(a, d):
-    # standard graded: (m^a)_d is R_d when d >= a and 0 below
+    # the general path on a standard graded ring: (m^a)_d is R_d when
+    # d >= a and 0 below
     R = conftest.row3_ring()
     vecs = R.max_ideal_power_vectors(a, d)
     expect = R.dim(d) if d >= a else 0
@@ -371,7 +372,7 @@ def test_random_artinian_products_match_normal_form(ideal, seed):
 
 def test_memo_evicts_oldest_insertion_first():
     # a hit does not refresh an entry; the traced work counts of
-    # mult_triplets and diff_triplets depend on this policy
+    # mult_triplets depend on this policy
     memo, computed = Memo(2), []
     for key in (1, 2, 1, 3, 1):
         assert memo.get_or_compute(key, lambda: computed.append(key) or -key) == -key
@@ -387,6 +388,21 @@ def test_threaded_rank_only_betti_matches_serial():
     serial = betti_table(family_complex(), rank_only=True, threads=1)
     threaded = betti_table(family_complex(), rank_only=True, threads=2)
     assert threaded.entries == serial.entries
+
+
+def test_rank_only_betti_walks_no_staircase_after_ring_build(monkeypatch):
+    # the ring build keeps the basis of every degree it walks
+    walks = []
+    walk = ArtinianQuotient._walk_staircase
+    monkeypatch.setattr(ArtinianQuotient, "_walk_staircase",
+                        lambda self, d, known: walks.append(d) or walk(self, d, known))
+    ctx = PolyContext(GF2, ["x", "y", "z"])
+    R = make_artinian_quotient(
+        ctx, ["x^30", "y^31", "z^32", "x^15*z^17 + y^15*z^17"])
+    assert R.top_degree == 75
+    built = len(walks)
+    betti_table(KoszulComplex(R), rank_only=True)
+    assert len(walks) == built
 
 
 def _mpower_oracle(generators, a_max, bound):

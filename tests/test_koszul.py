@@ -1,5 +1,6 @@
 """Koszul complex: differential, products, homology, Betti numbers."""
 
+import collections
 import hashlib
 import json
 import os
@@ -214,6 +215,8 @@ def test_product_structure_ci(K_ci):
     assert p != [f.zero] * len(p)
     sq = homology_product(K_ci, 1, u1, 1, u1)
     assert all(c == f.zero for c in sq)
+    # H_3 = 0 when n = 2: the product has no coordinates
+    assert homology_product(K_ci, 1, u1, 2, [f.one]) == []
 
 
 def test_product_vanishing_golod():
@@ -558,6 +561,24 @@ def test_strand_boundaries_match_rref_of_columns(name):
 @settings(max_examples=40, deadline=None)
 def test_strand_boundaries_match_rref_of_columns_on_random_rings(ring):
     _assert_boundaries_match_rref(KoszulComplex(ring))
+
+
+@pytest.mark.parametrize("name", _every_fixture_but_x98())
+def test_homology_assembles_each_strand_once(name, monkeypatch):
+    # one pass over internal degrees: the triplets of d_i give the kernel
+    # of H_i and the boundaries of H_{i-1}
+    K = KoszulComplex(load_ring_spec(conftest.fixture_path(name)))
+    calls = collections.Counter()
+    assemble = KoszulComplex.diff_triplets
+
+    def counted(self, i, d):
+        calls[(i, d)] += 1
+        return assemble(self, i, d)
+
+    monkeypatch.setattr(KoszulComplex, "diff_triplets", counted)
+    for i in range(K.n + 1):
+        homology_basis(K, i)
+    assert calls and max(calls.values()) == 1
 
 
 def _random_chain(K, i, rnd):
