@@ -40,6 +40,7 @@ from koszulalg import exactalg
 from koszulalg.exactalg import Matrix
 from koszulalg.gring import ArtinianQuotient
 from koszulalg.koszul import (
+    _homology_through,
     betti_table,
     class_of,
     contract,
@@ -219,10 +220,12 @@ def ring_order(K):
     For a standard graded quotient F^l H_1 is the part of H_1 in
     internal degree >= l, and H_1 in degree d is (I/mI)_d, so the order
     is the lowest degree of a minimal generator of I.  Weighted and
-    semigroup rings read it off the filtration of the H_1 basis.
+    semigroup rings read it off the filtration of the H_1 basis, which
+    takes only the strands of d_1 and d_2.
     """
     if _is_standard_graded(K):
         return min(K.ring.minimal_generator_counts(), default=math.inf)
+    _homology_through(K, 1)
     h1 = homology_basis(K, 1)
     if h1.dim == 0:
         return math.inf

@@ -3,13 +3,12 @@
 Scalars are plain Python ints in [0, p) for prime fields and
 fractions.Fraction for the rationals; a Field descriptor supplies the
 arithmetic, so no rounding can ever occur.  Matrices are row-major
-lists of scalars.  Over F_2 there is a bit-packed fast path (64
-columns per numpy uint64 word) used for dense row reduction, kernels
-and rank of large matrices; it produces the same canonical answers as
-the generic path.  Dense rank over odd F_p and the core of sparse_rank
-over every F_p run a row echelon form on a numpy int64 array: with
-p < 2^31 every product of two scalars stays below 2^62, so no step can
-overflow.
+lists of scalars.  Dense rref, kernels and rank of large matrices over
+every F_p, F_2 included, and the core of sparse_rank run one row echelon
+form on a numpy int64 array (_fp_eliminate): with p < 2^31 every
+product of two scalars stays below 2^62, so no step can overflow.
+Small matrices and Q go through the generic per-scalar loop, which
+gives the same canonical answers.
 
 Echelon keeps a span as sparse echelon rows, grows it one vector at a
 time, and reduces any vector against it in one pass over its rows: the
@@ -24,8 +23,6 @@ import bisect
 from fractions import Fraction
 
 import numpy as np
-
-_WORD = 64
 
 
 def _is_prime(p):
@@ -281,67 +278,18 @@ def _check_field(M):
         raise TypeError("expected Matrix, got %r" % type(M).__name__)
 
 
-# ---------------------------------------------------------------- F2 packed
-
-def _pack_rows(rows, ncols):
-    """Pack 0/1 rows into a (nrows, nwords) uint64 array, little-endian bits."""
-    nwords = (ncols + _WORD - 1) // _WORD
-    a = np.zeros((len(rows), max(nwords, 1)), dtype=np.uint64)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                a[i, j // _WORD] |= np.uint64(1) << np.uint64(j % _WORD)
-    return a
-
-
-def _unpack_row(word_row, ncols):
-    out = []
-    for j in range(ncols):
-        out.append(int((int(word_row[j // _WORD]) >> (j % _WORD)) & 1))
-    return out
-
-
-def _gf2_eliminate(a, ncols, reduced=True):
-    """In-place row reduction of packed F2 rows; returns pivot column list."""
-    m = a.shape[0]
-    pivots = []
-    r = 0
-    one = np.uint64(1)
-    for c in range(ncols):
-        if r == m:
-            break
-        w, b = divmod(c, _WORD)
-        bit = one << np.uint64(b)
-        col = a[r:, w] & bit
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        if reduced:
-            hits = np.nonzero(a[:, w] & bit)[0]
-            hits = hits[hits != r]
-        else:
-            hits = r + 1 + np.nonzero(a[r + 1:, w] & bit)[0]
-        if hits.size:
-            a[hits] ^= a[r]
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
 # ----------------------------------------------------------------- F_p int64
 
-def _fp_eliminate(a, p):
-    """In-place row echelon of an int64 array over F_p; returns the rank.
+def _fp_eliminate(a, p, reduced=False):
+    """In-place row echelon of an int64 array over F_p; returns the pivot columns.
 
     Entries must lie in [0, p) with p < 2^31, p = 2 included.  The pivot
-    is the first nonzero row at or below the cursor, scaled to 1; only
-    the rows below it with a nonzero entry in the pivot column are
-    updated, and only from that column on.
+    is the first nonzero row at or below the cursor, scaled to 1; the
+    rows below it (with reduced, above it too: the reduced form) with a
+    nonzero entry in the pivot column are updated from that column on.
     """
     m, n = a.shape
+    pivots = []
     r = 0
     for c in range(n):
         if r == m:
@@ -353,38 +301,33 @@ def _fp_eliminate(a, p):
             a[[r, r + nz[0]]] = a[[r + nz[0], r]]
         prow = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
         a[r, c:] = prow
-        if nz.size > 1:
-            below = r + nz[1:]
+        hits = r + nz[1:]
+        if reduced:
+            hits = np.concatenate((a[:r, c].nonzero()[0], hits))
+        if hits.size:
             # a - f*prow == a + (p - f)*prow (mod p); the product stays
             # below 2^62 and the sum below 2^63, so one reduction suffices.
-            a[below, c:] = (a[below, c:] + (p - a[below, c, None]) * prow) % p
+            a[hits, c:] = (a[hits, c:] + (p - a[hits, c, None]) * prow) % p
+        pivots.append(c)
         r += 1
-    return r
+    return pivots
 
 
-def _use_packed(M):
-    return (
-        isinstance(M.field, PrimeField)
-        and M.field.p == 2
-        and M.nrows * M.ncols >= 4096
-    )
+# The benchmark tracer (bench/tracing.py) binds this name; nothing calls it.
+_gf2_eliminate = _fp_eliminate
 
 
-# ------------------------------------------------------------------- public
+def _int64_path(M):
+    """From 4096 entries on; below, numpy's per-call cost outweighs the loop's."""
+    return isinstance(M.field, PrimeField) and M.nrows * M.ncols >= 4096
 
-def rref(M):
-    """Reduced row echelon form.
 
-    Returns (R, pivots) with R row-equivalent to M, pivots strictly
-    increasing, rank = len(pivots).  Deterministic: first nonzero row
-    below the cursor is the pivot.
-    """
-    _check_field(M)
-    if _use_packed(M):
-        a = _pack_rows(M.rows, M.ncols)
-        pivots = _gf2_eliminate(a, M.ncols, reduced=True)
-        rows = [_unpack_row(a[i], M.ncols) for i in range(M.nrows)]
-        return Matrix(M.field, rows, M.ncols), pivots
+def _int64_rows(M):
+    return np.array(M.rows, dtype=np.int64) % M.field.p
+
+
+def _generic_rref(M):
+    """rref by the per-scalar loop over any field."""
     F = M.field
     rows = [list(r) for r in M.rows]
     m, n = M.nrows, M.ncols
@@ -393,11 +336,7 @@ def rref(M):
     for c in range(n):
         if r == m:
             break
-        p = None
-        for i in range(r, m):
-            if rows[i][c] != F.zero:
-                p = i
-                break
+        p = next((i for i in range(r, m) if rows[i][c] != F.zero), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
@@ -413,20 +352,29 @@ def rref(M):
     return Matrix(F, rows, n), pivots
 
 
-def rank(M):
-    """Rank of M.
+# ------------------------------------------------------------------- public
 
-    Packed non-reduced echelon over big F_2 matrices, int64 echelon over
-    odd p, generic rref otherwise.
+def rref(M):
+    """Reduced row echelon form.
+
+    Returns (R, pivots) with R row-equivalent to M, pivots strictly
+    increasing, rank = len(pivots).  The form is unique, so the int64
+    path (large matrices over F_p) and the generic loop agree.
     """
     _check_field(M)
-    if _use_packed(M):
-        a = _pack_rows(M.rows, M.ncols)
-        return len(_gf2_eliminate(a, M.ncols, reduced=False))
-    F = M.field
-    if isinstance(F, PrimeField) and F.p != 2 and M.nrows and M.ncols:
-        return _fp_eliminate(np.array(M.rows, dtype=np.int64) % F.p, F.p)
-    return len(rref(M)[1])
+    if _int64_path(M):
+        a = _int64_rows(M)
+        pivots = _fp_eliminate(a, M.field.p, reduced=True)
+        return Matrix(M.field, a.tolist(), M.ncols), pivots
+    return _generic_rref(M)
+
+
+def rank(M):
+    """Rank of M: a (non-reduced) int64 echelon over large F_p matrices, rref otherwise."""
+    _check_field(M)
+    if _int64_path(M):
+        return len(_fp_eliminate(_int64_rows(M), M.field.p))
+    return len(_generic_rref(M)[1])
 
 
 def kernel_basis(M):
@@ -434,14 +382,21 @@ def kernel_basis(M):
 
     Derived from rref: one vector per free column f (in increasing
     order), with v[f] = 1 and v[pivot_r] = -R[r][f].  Deterministic.
+    On the int64 path they are read off the reduced array at once.
     """
     _check_field(M)
-    R, pivots = rref(M)
     F = M.field
-    pivot_set = set(pivots)
-    free = [j for j in range(M.ncols) if j not in pivot_set]
+    if _int64_path(M):
+        a = _int64_rows(M)
+        pivots = _fp_eliminate(a, F.p, reduced=True)
+        free = np.setdiff1d(np.arange(M.ncols), pivots)
+        out = np.zeros((free.size, M.ncols), dtype=np.int64)
+        out[np.arange(free.size), free] = 1
+        out[:, pivots] = (F.p - a[:len(pivots), free].T) % F.p
+        return out.tolist()
+    R, pivots = _generic_rref(M)
     basis = []
-    for f in free:
+    for f in sorted(set(range(M.ncols)).difference(pivots)):
         v = [F.zero] * M.ncols
         v[f] = F.one
         for r, p in enumerate(pivots):
@@ -570,8 +525,9 @@ def sparse_rank(field, nrows, ncols, entries):
     nonzero entry sits at (i, j) contributes a pivot, and removing row
     i and column j is a pure deletion because the elimination step has
     nothing else to touch.  The surviving core keeps its original
-    entries and goes through dense elimination: the int64 echelon over
-    every F_p, F_2 included, generic rref over Q.
+    entries and goes through dense elimination: _fp_eliminate over every
+    F_p, F_2 included, at any size (its rank is all it reads), the
+    generic loop over Q.
     """
     rows = {}
     cols = {}
@@ -641,7 +597,7 @@ def sparse_rank(field, nrows, ncols, entries):
                 av.append(val)
         a = np.zeros((len(rows), len(col_index)), dtype=np.int64)
         a[at, ac] = av
-        return rank_count + _fp_eliminate(a, field.p)
+        return rank_count + len(_fp_eliminate(a, field.p))
     core = Matrix.zeros(field, len(rows), len(col_index))
     for t, (i, r) in enumerate(sorted(rows.items())):
         for j, val in r.items():

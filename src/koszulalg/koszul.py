@@ -8,17 +8,22 @@ degree, so every computation happens strand by strand: the strand
 element of R_{d - w(S)}).
 
 Homology is computed in one pass over internal degrees that builds every
-H_i at once.  In degree d it walks i from n down to 0 and assembles the
-triplets of each d_i once: they give the kernel of H_i, and one step
-later the boundary columns of H_{i-1}.  Each strand is one sparse row
-echelon form.  The columns of d_{i+1} go in first and span the
-boundaries B; then the canonical kernel basis of d_i goes in, and the
-kernel vectors that extend the span become the representatives Z', each
-row remembering its coefficients on Z'.  So Z_{i,d} = span(B) + span(Z'),
-a direct sum, and every class_of query is one reduction of the cycle's
-coordinate vector.  Since the strand's span is exactly its cycle space,
-a zero residual is the cycle condition itself, so class_of needs no
-separate d(z) = 0.  Strand layouts (block offsets) are kept per (i, d).
+H_i at once (a caller that reads only H_1 can build H_0 and H_1 from the
+strands of d_1 and d_2 alone).  In degree d it walks i from n down to 0
+and assembles the triplets of each d_i once: they give the kernel of
+H_i, and one step later the boundary columns of H_{i-1}.  Each strand is
+one sparse row echelon form.  The columns of d_{i+1} go in first and
+span the boundaries B; then the canonical kernel basis of d_i goes in,
+and the kernel vectors that extend the span become the representatives
+Z', each row remembering its coefficients on Z'.  So Z_{i,d} = span(B) +
+span(Z'), a direct sum.  The columns stop once the span reaches rank B,
+known from the kernel of d_{i+1} one step earlier, and the kernel
+vectors once it reaches dim Z: whatever is left lies in the span and
+would be skipped, so stopping changes no representative.  Every
+class_of query is one reduction of the cycle's coordinate vector.
+Since the strand's span is exactly its cycle space, a zero residual is
+the cycle condition itself, so class_of needs no separate d(z) = 0.
+Strand layouts (block offsets) are kept per (i, d).
 
 Betti tables read off rank H_i(K)_{i+j}; a rank-only path serves
 tables far beyond the sizes where kernel bases fit in memory.  It takes
@@ -434,39 +439,50 @@ def homology_basis(K, i):
     """Representatives and reduction data for H_i(K), all internal degrees.
 
     The first call builds every H_j in one pass (see _homology_pass);
-    later calls look the basis up.
+    later calls look the basis up, or rerun the full pass for an H_i
+    past those _homology_through built.
     """
     if not (0 <= i <= K.n):
         raise ValueError("homological degree out of range")
-    if K._homology is None:
-        K._homology = _homology_pass(K)
+    if K._homology is None or i >= len(K._homology):
+        K._homology = _homology_pass(K, K.n)
     return K._homology[i]
 
 
-def _homology_pass(K):
-    """Every H_i, one internal degree at a time, each d_i assembled once.
+def _homology_through(K, top):
+    """Build only H_0..H_top (H_1 needs d_1 and d_2) unless homology is built."""
+    if K._homology is None:
+        K._homology = _homology_pass(K, top)
 
-    In degree d, i runs from n down to 0: the triplets of d_i give the
-    kernel of the strand (i, d) and are kept one step, as the boundary
-    columns of the strand (i-1, d).
+
+def _homology_pass(K, top):
+    """H_0..H_top, one internal degree at a time, each d_i assembled once.
+
+    In degree d, i runs from min(top + 1, n) down to 0: the triplets of
+    d_i give the kernel of the strand (i, d), if i <= top, and are kept
+    one step, as the boundary columns of the strand (i-1, d).  The
+    columns stop at rank B_{i,d} = dim K_{i+1,d} - dim Z_{i+1,d} rows
+    (past top all go in), the kernel vectors at dim Z_{i,d} rows: the
+    span is then all of Z_{i,d}, so every vector left would be skipped
+    and the representatives are those of the full search.
     """
     F = K.field
-    classes = [[] for _ in range(K.n + 1)]
-    degree_data = [{} for _ in range(K.n + 1)]
+    classes = [[] for _ in range(top + 1)]
+    degree_data = [{} for _ in range(top + 1)]
     for d in range(K.truncation + 1):
-        boundary = []
-        for i in range(K.n, -1, -1):
+        boundary, rank_b = [], 0
+        for i in range(min(top + 1, K.n), -1, -1):
             total = K.strand_dim(i, d)
             if total == 0:
-                boundary = []
+                boundary, rank_b = [], 0
                 continue
-            if i == 0:
-                triplets = []
-                kernel = [exactalg.unit_vector(F, total, s) for s in range(total)]
-            else:
-                triplets = K.diff_triplets(i, d)
-                kernel = exactalg.kernel_basis(Matrix.from_triplets(
-                    F, K.strand_dim(i - 1, d), total, triplets))
+            triplets = K.diff_triplets(i, d) if i else []
+            if i > top:
+                boundary, rank_b = triplets, None
+                continue
+            # d_0 = 0: a matrix with no rows, whose kernel is every unit vector
+            kernel = exactalg.kernel_basis(Matrix.from_triplets(
+                F, K.strand_dim(i - 1, d), total, triplets))
             if kernel:
                 span = exactalg.Echelon(F)
                 columns = {}
@@ -475,10 +491,14 @@ def _homology_pass(K):
                         columns[c] = [F.zero] * total
                     columns[c][r] = F.add(columns[c][r], a)
                 for c in sorted(columns):
+                    if len(span.rows) == rank_b:
+                        break
                     span.add(columns[c])
                 reps = []
                 indices = []
                 for v in kernel:
+                    if len(span.rows) == len(kernel):
+                        break
                     if not span.add(v, ((len(reps), F.one),)):
                         continue
                     idx = len(classes[i])
@@ -492,9 +512,9 @@ def _homology_pass(K):
                     raise TruncationError(
                         "nonzero H_%d in degree %d inside the vanishing window"
                         % (i, d))
-            boundary = triplets
+            boundary, rank_b = triplets, total - len(kernel)
     return [HomologyBasis(K, i, classes[i], degree_data[i])
-            for i in range(K.n + 1)]
+            for i in range(top + 1)]
 
 
 def class_of(K, i, z):

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -62,6 +63,40 @@ def test_betti_slow_path_matches(capsys):
                         "--threads", "2")
     assert code == 0
     assert slow == fast
+
+
+def _family_ring(tmp_path, field, a):
+    """x^a, y^(a+1), z^(a+2), (x^h + y^h) z^(h+1) with h = a/2, as a spec file."""
+    h = a // 2
+    path = tmp_path / ("%s_%d.json" % (field, a))
+    path.write_text(json.dumps({"field": field, "presentation": {
+        "type": "quotient", "variables": ["x", "y", "z"],
+        "ideal": ["x^%d" % a, "y^%d" % (a + 1), "z^%d" % (a + 2),
+                  "x^%d*z^%d + y^%d*z^%d" % (h, h + 1, h, h + 1)]}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("a", [6, 8, 10])
+@pytest.mark.parametrize("field", ["F2", "F32003"])
+def test_full_betti_matches_rank_only_on_family(capsys, tmp_path, field, a):
+    # the full path takes kernels through the int64 elimination, the
+    # rank-only path ranks strands by sparse peeling
+    ring = _family_ring(tmp_path, field, a)
+    code, fast, _ = run(capsys, "betti", "--ring", ring, "--json")
+    assert code == 0
+    assert run(capsys, "betti", "--ring", ring, "--json", "--slow")[1] == fast
+
+
+@pytest.mark.slow
+def test_family_suite_a16_within_20s_matches_rank_only(capsys, tmp_path):
+    ring = _family_ring(tmp_path, "F2", 16)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "suite", "--ring", ring, "--json")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    _, slow, _ = run(capsys, "betti", "--ring", ring, "--json", "--slow")
+    assert json.loads(out)["betti"] == json.loads(slow)
+    assert elapsed < 20, elapsed
 
 
 def test_homology_text(capsys):

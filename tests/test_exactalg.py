@@ -181,14 +181,17 @@ def _rank_mod2_reference(rows):
     return rk
 
 
-def test_gf2_packed_path_agrees_with_reference():
-    # 80x80 exceeds the packing threshold, so this runs the bitset code
+def test_gf2_int64_path_agrees_with_reference():
+    # 80x80 is past the 4096-entry rule, so this runs _fp_eliminate over F_2
     rng = random.Random(7)
     rows = [[rng.randrange(2) for _ in range(80)] for _ in range(80)]
     m2 = Matrix(GF2, [list(r) for r in rows], 80)
+    assert exactalg._int64_path(m2)
     r2 = rank(m2)
     assert r2 == _rank_mod2_reference(rows)
-    assert len(kernel_basis(m2)) == 80 - r2
+    kernel = kernel_basis(m2)
+    assert len(kernel) == 80 - r2
+    assert all(not any(m2.mul_vec(v)) for v in kernel)
 
 
 def _fp_entry(rng, p, density):
@@ -203,16 +206,35 @@ def _triplets(m):
             for j, a in enumerate(row) if a]
 
 
+def _generic_kernel(m):
+    """kernel_basis read off the generic loop's rref, as the pre-int64 code did."""
+    R, pivots = exactalg._generic_rref(m)
+    basis = []
+    for f in (j for j in range(m.ncols) if j not in pivots):
+        v = [0] * m.ncols
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = m.field.neg(R.rows[r][f])
+        basis.append(v)
+    return basis
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_int64_rank_matches_generic_rref(data):
-    # p = 2^31 - 1 is the largest prime the int64 kernel accepts; over
-    # p = 2 only the core of sparse_rank runs it.
+    # p = 2^31 - 1 is the largest prime the int64 kernel accepts.  Half
+    # the shapes reach the 4096-entry rule, past which rref, rank and
+    # kernel_basis run _fp_eliminate; sparse_rank runs it at every size.
     p = data.draw(st.sampled_from([2, 3, 5, 32003, 2147483647]))
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32)))
     F = PrimeField(p)
-    nrows = data.draw(st.integers(min_value=1, max_value=40))
-    ncols = data.draw(st.integers(min_value=1, max_value=40))
+    large = data.draw(st.booleans())
+    if large:
+        nrows = data.draw(st.integers(min_value=52, max_value=80))
+        ncols = data.draw(st.integers(min_value=-(-4096 // nrows), max_value=80))
+    else:
+        nrows = data.draw(st.integers(min_value=1, max_value=40))
+        ncols = data.draw(st.integers(min_value=1, max_value=40))
     density = data.draw(st.sampled_from([0.1, 0.5, 1.0]))
     if data.draw(st.booleans()):
         # Random square matrices are almost always of full rank; a
@@ -231,9 +253,12 @@ def test_int64_rank_matches_generic_rref(data):
     for j in data.draw(st.sets(st.integers(0, ncols - 1), max_size=3)):
         for row in m.rows:
             row[j] = 0
-    expected = len(rref(m)[1])
-    assert rank(m) == expected
-    assert exactalg.sparse_rank(F, nrows, ncols, _triplets(m)) == expected
+    assert exactalg._int64_path(m) == large
+    R, pivots = exactalg._generic_rref(m)
+    assert rref(m) == (R, pivots)
+    assert rank(m) == len(pivots)
+    assert kernel_basis(m) == _generic_kernel(m)
+    assert exactalg.sparse_rank(F, nrows, ncols, _triplets(m)) == len(pivots)
 
 
 @pytest.mark.parametrize("p", [32003, 2147483647])
