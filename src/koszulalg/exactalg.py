@@ -10,6 +10,12 @@ product of two scalars stays below 2^62, so no step can overflow.
 Small matrices and Q go through the generic per-scalar loop, which
 gives the same canonical answers.
 
+A sparse matrix (a strand of the Koszul differential) is one (nnz, 3)
+array of (row, col, coeff) triplets: int64 over F_p, dtype=object over
+Q, so its .tolist() holds Python ints and Fractions only.  sparse_rank
+peels it in whole-array rounds; kernel_basis_of_triplets fills the int64
+elimination array straight from it.
+
 Echelon keeps a span as sparse echelon rows, grows it one vector at a
 time, and reduces any vector against it in one pass over its rows: the
 residual decides membership and the multiples give coordinates.  It is
@@ -317,13 +323,24 @@ def _fp_eliminate(a, p, reduced=False):
 _gf2_eliminate = _fp_eliminate
 
 
-def _int64_path(M):
+def _int64_path(field, nrows, ncols):
     """From 4096 entries on; below, numpy's per-call cost outweighs the loop's."""
-    return isinstance(M.field, PrimeField) and M.nrows * M.ncols >= 4096
+    return isinstance(field, PrimeField) and nrows * ncols >= 4096
 
 
 def _int64_rows(M):
     return np.array(M.rows, dtype=np.int64) % M.field.p
+
+
+def _int64_kernel(a, p):
+    """kernel_basis of an int64 array over F_p, read off its reduced form at once."""
+    ncols = a.shape[1]
+    pivots = _fp_eliminate(a, p, reduced=True)
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    out = np.zeros((free.size, ncols), dtype=np.int64)
+    out[np.arange(free.size), free] = 1
+    out[:, pivots] = (p - a[:len(pivots), free].T) % p
+    return out.tolist()
 
 
 def _generic_rref(M):
@@ -362,7 +379,7 @@ def rref(M):
     path (large matrices over F_p) and the generic loop agree.
     """
     _check_field(M)
-    if _int64_path(M):
+    if _int64_path(M.field, M.nrows, M.ncols):
         a = _int64_rows(M)
         pivots = _fp_eliminate(a, M.field.p, reduced=True)
         return Matrix(M.field, a.tolist(), M.ncols), pivots
@@ -372,7 +389,7 @@ def rref(M):
 def rank(M):
     """Rank of M: a (non-reduced) int64 echelon over large F_p matrices, rref otherwise."""
     _check_field(M)
-    if _int64_path(M):
+    if _int64_path(M.field, M.nrows, M.ncols):
         return len(_fp_eliminate(_int64_rows(M), M.field.p))
     return len(_generic_rref(M)[1])
 
@@ -386,14 +403,8 @@ def kernel_basis(M):
     """
     _check_field(M)
     F = M.field
-    if _int64_path(M):
-        a = _int64_rows(M)
-        pivots = _fp_eliminate(a, F.p, reduced=True)
-        free = np.setdiff1d(np.arange(M.ncols), pivots)
-        out = np.zeros((free.size, M.ncols), dtype=np.int64)
-        out[np.arange(free.size), free] = 1
-        out[:, pivots] = (F.p - a[:len(pivots), free].T) % F.p
-        return out.tolist()
+    if _int64_path(F, M.nrows, M.ncols):
+        return _int64_kernel(_int64_rows(M), F.p)
     R, pivots = _generic_rref(M)
     basis = []
     for f in sorted(set(range(M.ncols)).difference(pivots)):
@@ -403,6 +414,21 @@ def kernel_basis(M):
             v[p] = F.neg(R.rows[r][f])
         basis.append(v)
     return basis
+
+
+def kernel_basis_of_triplets(field, nrows, ncols, entries):
+    """kernel_basis of the nrows x ncols matrix with these triplets.
+
+    entries is a triplet array (see as_triplets); repeated positions are
+    summed.  Past the int64 rule of rref and rank the elimination array
+    is filled straight from it, below it and over Q from its .tolist(),
+    so the answer is kernel_basis(Matrix.from_triplets(...)) either way.
+    """
+    if _int64_path(field, nrows, ncols):
+        a = np.zeros((nrows, ncols), dtype=np.int64)
+        np.add.at(a, (entries[:, 0], entries[:, 1]), entries[:, 2])
+        return _int64_kernel(a % field.p, field.p)
+    return kernel_basis(Matrix.from_triplets(field, nrows, ncols, entries.tolist()))
 
 
 def coords_in_span(v, basis, field):
@@ -518,88 +544,83 @@ def span_dim(vectors, field, ambient):
 
 # -------------------------------------------------------------- sparse rank
 
-def sparse_rank(field, nrows, ncols, entries):
-    """Rank of a sparse matrix given as (row, col, scalar) triplets.
+def triplet_dtype(field):
+    """int64 over F_p, object (Python ints and Fractions) over Q."""
+    return np.int64 if isinstance(field, PrimeField) else object
 
-    Peels singleton rows and columns first: a row (column) whose only
-    nonzero entry sits at (i, j) contributes a pivot, and removing row
-    i and column j is a pure deletion because the elimination step has
-    nothing else to touch.  The surviving core keeps its original
-    entries and goes through dense elimination: _fp_eliminate over every
-    F_p, F_2 included, at any size (its rank is all it reads), the
-    generic loop over Q.
+
+def as_triplets(field, entries=()):
+    """entries as an (nnz, 3) array of (row, col, coeff) of triplet_dtype(field).
+
+    An array of that dtype is returned as it is; a sequence of triplets
+    is converted (Python ints stay Python ints in an object array).
     """
-    rows = {}
-    cols = {}
-    for i, j, a in entries:
-        if a == field.zero:
-            continue
-        r = rows.setdefault(i, {})
-        if j in r:
-            a = field.add(r[j], a)
-            if a == field.zero:
-                del r[j]
-                cols[j].discard(i)
-                continue
-        r[j] = a
-        cols.setdefault(j, set()).add(i)
-    rows = {i: r for i, r in rows.items() if r}
-    cols = {j: c for j, c in cols.items() if c}
+    return np.asarray(entries, dtype=triplet_dtype(field)).reshape(-1, 3)
 
-    rank_count = 0
-    queue = [("r", i) for i in rows if len(rows[i]) == 1]
-    queue += [("c", j) for j in cols if len(cols[j]) == 1]
 
-    def delete(i, j):
-        for jj in rows[i]:
-            if jj != j:
-                s = cols[jj]
-                s.discard(i)
-                if len(s) == 1:
-                    queue.append(("c", jj))
-                elif not s:
-                    del cols[jj]
-        for ii in cols[j]:
-            if ii != i:
-                r = rows[ii]
-                del r[j]
-                if len(r) == 1:
-                    queue.append(("r", ii))
-                elif not r:
-                    del rows[ii]
-        del rows[i]
-        del cols[j]
-
-    while queue:
-        kind, idx = queue.pop()
-        if kind == "r":
-            if idx not in rows or len(rows[idx]) != 1:
-                continue
-            j = next(iter(rows[idx]))
-            rank_count += 1
-            delete(idx, j)
-        else:
-            if idx not in cols or len(cols[idx]) != 1:
-                continue
-            i = next(iter(cols[idx]))
-            rank_count += 1
-            delete(i, idx)
-
-    if not rows:
-        return rank_count
-    col_index = {j: t for t, j in enumerate(sorted(cols))}
+def negate(field, values):
+    """-values over field, elementwise, for a coefficient column of a triplet array."""
     if isinstance(field, PrimeField):
-        at, ac, av = [], [], []
-        for t, (i, r) in enumerate(sorted(rows.items())):
-            for j, val in r.items():
-                at.append(t)
-                ac.append(col_index[j])
-                av.append(val)
-        a = np.zeros((len(rows), len(col_index)), dtype=np.int64)
-        a[at, ac] = av
-        return rank_count + len(_fp_eliminate(a, field.p))
-    core = Matrix.zeros(field, len(rows), len(col_index))
-    for t, (i, r) in enumerate(sorted(rows.items())):
-        for j, val in r.items():
-            core.rows[t][col_index[j]] = val
-    return rank_count + rank(core)
+        return (field.p - values) % field.p
+    return -values
+
+
+def sparse_rank(field, nrows, ncols, entries):
+    """Rank of a sparse matrix given as a triplet array (see as_triplets).
+
+    Repeated positions are summed.  Singleton rows and columns are
+    peeled first, in rounds over the whole array (the first stage of
+    structured Gaussian elimination: LaMacchia, Odlyzko, CRYPTO 1990).
+    A round counts the live entries of every row; each row with one
+    entry (i, j) is a pivot, and removing row i and column j is a pure
+    deletion, because eliminating column j with row i touches nothing
+    else.  Several such rows may sit in one column, so a round keeps one
+    pivot per column.  A round that finds no singleton row counts
+    columns instead and keeps one singleton column per row, by the same
+    argument transposed.  The pivot rows and columns are masked out, and
+    rounds go on until none is found.  A row counted with a repeated
+    position is not a singleton, so repeats cost pivots, never
+    correctness.  The surviving core sums its entries into a dense
+    matrix: _fp_eliminate over every F_p, F_2 included, at any size (its
+    rank is all it reads), the generic loop over Q.
+    """
+    e = as_triplets(field, entries)
+    prime = isinstance(field, PrimeField)
+    vals = e[:, 2] % field.p if prime else e[:, 2]
+    live = vals != 0
+    r = e[live, 0].astype(np.int64)
+    c = e[live, 1].astype(np.int64)
+    vals = vals[live]
+    found = 0
+    while r.size:
+        single = np.bincount(r, minlength=nrows)[r] == 1
+        if single.any():
+            pc, first = np.unique(c[single], return_index=True)
+            pr = r[single][first]
+        else:
+            single = np.bincount(c, minlength=ncols)[c] == 1
+            if not single.any():
+                break
+            pr, first = np.unique(r[single], return_index=True)
+            pc = c[single][first]
+        found += pr.size
+        dead_rows = np.zeros(nrows, dtype=bool)
+        dead_rows[pr] = True
+        dead_cols = np.zeros(ncols, dtype=bool)
+        dead_cols[pc] = True
+        keep = ~(dead_rows[r] | dead_cols[c])
+        r, c, vals = r[keep], c[keep], vals[keep]
+    if not r.size:
+        return found
+    # compact the core's rows and columns to 0..k-1, in their original order
+    row_at = np.cumsum(np.bincount(r, minlength=nrows) > 0) - 1
+    col_at = np.cumsum(np.bincount(c, minlength=ncols) > 0) - 1
+    shape = (int(row_at[-1]) + 1, int(col_at[-1]) + 1)
+    r, c = row_at[r], col_at[c]
+    if prime:
+        a = np.zeros(shape, dtype=np.int64)
+        np.add.at(a, (r, c), vals)
+        return found + len(_fp_eliminate(a % field.p, field.p))
+    core = Matrix.from_triplets(field, shape[0], shape[1],
+                                zip(r.tolist(), c.tolist(), vals.tolist()))
+    return found + rank(core)

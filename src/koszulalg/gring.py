@@ -6,12 +6,16 @@ Its degree-d basis is the standard monomials (those outside LT(I)),
 found by walking the staircase: every standard monomial of degree d > 0
 is x_i*m for a standard m of degree d - w_i, so the candidates come from
 the lower bases and each needs only a leading-monomial test.
-Multiplication by x_i on R_d is built column by column without general
-division: x_i*m is standard, or it lies on the border of the staircase,
-and then its normal form is a combination of normal forms of smaller
-monomials of the same degree, memoized for that one target degree (the
+Multiplication by x_i is built without general division (the
 multiplication-matrix construction of FGLM: Faugere, Gianni, Lazard,
-Mora, J. Symb. Comp. 1993; border bases: Kehrein, Kreuzer, Robbiano).
+Mora, J. Symb. Comp. 1993; border bases: Kehrein, Kreuzer, Robbiano),
+for every generator and degree at once: all products x_i*m of standard
+monomials are located among the standard monomials by one sorted search
+of hash keys, each hit checked against the exponent rows.  A product
+that is not found and not in the monomial part of I lies on the border
+of the staircase, and its normal form is a combination of normal forms
+of smaller monomials of the same degree, memoized for that one target
+degree.
 The same border normal forms answer every product of elements: a
 product table maps each monomial of the polynomial ring to its normal
 form (itself if standard, nothing past top_degree, else its border
@@ -20,25 +24,25 @@ polynomials go through polyring.normal_form.
 
 A SemigroupRing is k[t^{g_1},...,t^{g_n}] inside k[t], graded by
 t-degree, with dim R_d <= 1 decided by a coin-problem sieve.  Both
-expose per-degree bases, multiplication-by-generator matrices in sparse
-triplet form, and degree slices of powers of the maximal ideal.  A
-quotient also counts the minimal generators of its ideal per degree
-(graded Nakayama); the rank-only Betti path and ord(R) read them
-instead of Koszul homology in degree 1.
+expose per-degree bases, multiplication-by-generator matrices as triplet
+arrays (exactalg.as_triplets), and degree slices of powers of the
+maximal ideal.  A quotient also counts the minimal generators of its
+ideal per degree (graded Nakayama); the rank-only Betti path and ord(R)
+read them instead of Koszul homology in degree 1.
 
 Construction validates minimality of the chosen generators of the
 maximal ideal (ker f inside mF): for quotients every variable must
 survive into R, for semigroups no generator may be representable by
 the others.  A quotient keeps the degree bases its construction walks,
 one tuple per degree, so a basis is an index lookup; its dimensions and
-generators are computed once.  The remaining caches of a quotient (basis
-indices, multiplication triplets, slices of powers of m, the per-degree
-border normal forms and the product table) are size-capped Memo dicts
-that evict the oldest entry first.  A semigroup ring decides
-membership in m^a from one table, grown in place on demand, of the
-largest number of generators summing to each degree.  The mathematical
-value of a ring never changes, but its caches fill in place without
-locks, so a ring belongs to one thread.
+generators are computed once, and so is its multiplication table, on
+the first request.  The remaining caches of a quotient (basis indices,
+slices of powers of m, the per-degree border normal forms and the
+product table) are size-capped Memo dicts that evict the oldest entry
+first.  A semigroup ring decides membership in m^a from one table, grown
+in place on demand, of the largest number of generators summing to each
+degree.  The mathematical value of a ring never changes, but its caches
+fill in place without locks, so a ring belongs to one thread.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+
+import numpy as np
 
 from koszulalg import exactalg
 from koszulalg.exactalg import Matrix
@@ -155,7 +161,14 @@ class GradedRing:
         raise NotImplementedError
 
     def mult_triplets(self, i, d):
-        """Multiplication by generator i as (row, col, coeff) triplets R_d -> R_{d+w_i}."""
+        """Multiplication by generator i, R_d -> R_{d+w_i}, as a triplet array.
+
+        One (nnz, 3) array of (row, col, coeff), int64 over F_p and
+        dtype=object over Q (exactalg.as_triplets), ordered by column
+        and by row within a column, zero coefficients omitted: column c
+        holds the coordinates of x_i times the c-th basis element of R_d.
+        The array is cached and shared; callers must not write to it.
+        """
         raise NotImplementedError
 
     def generator(self, i):
@@ -289,8 +302,9 @@ class ArtinianQuotient(GradedRing):
                     % self.gen_names[i])
             self._generators.append(RingElement(self, {mono: self.field.one}))
 
+        self._no_product = exactalg.as_triplets(self.field)
         self._index_cache = Memo(64)
-        self._mult_cache = Memo(48)
+        self._mult_table = None
         self._mpower_cache = Memo(4096)
         self._border_cache = Memo(16)
         self._products = Memo(4096)
@@ -360,25 +374,93 @@ class ArtinianQuotient(GradedRing):
 
     def mult_triplets(self, i, d):
         if d < 0 or d + self.weights[i] > self.top_degree:
-            return []
-        return self._mult_cache.get_or_compute(
-            (i, d), lambda: self._mult_columns(i, d))
+            return self._no_product
+        if self._mult_table is None:
+            self._mult_table = self._multiplication_table()
+        table, bounds = self._mult_table
+        return table[bounds[i][d]:bounds[i][d + 1]]
 
-    def _mult_columns(self, i, d):
-        """Column c holds the coordinates of x_i * (c-th basis monomial)."""
-        one = self.field.one
-        dst_index = self._basis_index(d + self.weights[i])
-        memo = self._border_cache.get_or_compute(d + self.weights[i], dict)
-        out = []
-        for col, m in enumerate(self._monomial_basis(d)):
-            prod = m[:i] + (m[i] + 1,) + m[i + 1:]
-            row = dst_index.get(prod)
-            if row is not None:
-                out.append((row, col, one))
-            else:
-                out.extend((r, col, c)
-                           for r, c in self._border_nf(prod, dst_index, memo))
-        return out
+    def _multiplication_table(self):
+        """(triplet array, bounds): every x_i on every R_d, built at once.
+
+        The standard monomials of all degrees, degree by degree in basis
+        order, are the rows of one int64 exponent array.  A row's search
+        key is a linear form in its exponents with odd coefficients
+        modulo 2^64, redrawn until the keys of the basis are distinct, so
+        x_i*m has the key of m plus the coefficient of x_i.  All products
+        x_i*m are looked up by one searchsorted among the sorted keys,
+        and a candidate counts only if its exponent row equals the
+        product: a wrapped or colliding key never makes a wrong entry.  A
+        product found is the standard monomial it equals, in degree
+        deg(m) + w_i.  One not found lies past top_degree or on the
+        border of the staircase; past top_degree, or as a multiple of a
+        monomial of the basis, it lies in I, and only the others go
+        through _border_nf, target degree by target degree.  Entries are
+        ordered by generator, then source monomial, rows increasing
+        within one, so table[bounds[i][d]:bounds[i][d + 1]] is x_i on R_d.
+        """
+        F = self.field
+        n = self.ngens
+        N = sum(self._dims)
+        exps = np.fromiter(itertools.chain.from_iterable(
+            itertools.chain.from_iterable(self._bases)),
+            dtype=np.int64, count=N * n).reshape(N, n)
+        starts = np.array((0,) + tuple(itertools.accumulate(self._dims)))
+        degree = np.arange(len(self._dims)).repeat(self._dims)
+        local = np.arange(N) - starts[degree]
+        for seed in itertools.count():
+            coeffs = np.array([_splitmix64(seed * n + t) | 1 for t in range(n)],
+                              dtype=np.uint64)
+            keys = exps.astype(np.uint64) @ coeffs
+            order = keys.argsort()
+            sorted_keys = keys[order]
+            if (sorted_keys[1:] != sorted_keys[:-1]).all():
+                break
+        # Flat product f = i*N + s is x_i times the s-th monomial.  Its key
+        # is searched in key order, where x_i only shifts the keys (mod
+        # 2^64), so the searches run nearly in order.
+        units = np.eye(n, dtype=np.int64)
+        cand = np.empty((n, N), dtype=np.int64)
+        cand[:, order] = order.take(
+            sorted_keys.searchsorted(sorted_keys + coeffs[:, None]), mode="clip")
+        hit = (exps[cand] - exps == units[:, None, :]).all(axis=2).ravel()
+        target = (degree + np.array(self.weights)[:, None]).ravel()
+        miss = (~hit & (target <= self.top_degree)).nonzero()[0]
+        if miss.size:
+            # a multiple of a monomial of the basis lies in I
+            monomials = np.array([lm for lm, tail in self._reducers if not tail],
+                                 dtype=np.int64).reshape(-1, n)
+            prods = exps[miss % N] + units[miss // N]
+            border = ~(prods[:, None, :] >= monomials).all(axis=2).any(axis=1)
+            miss, prods = miss[border], prods[border]
+        # Product f holds entries start[f]..start[f+1]-1: one if it hit,
+        # its border normal form if it is on the border.  The forms are
+        # computed target degree by target degree, as their memos are.
+        count = hit.astype(np.int64)
+        miss = miss.tolist()
+        forms = [None] * len(miss)
+        if miss:
+            degrees = target[miss].tolist()
+            monos = prods.tolist()
+            for k in sorted(range(len(miss)), key=degrees.__getitem__):
+                e = degrees[k]
+                memo = self._border_cache.get_or_compute(e, dict)
+                forms[k] = self._border_nf(tuple(monos[k]), self._basis_index(e), memo)
+                count[miss[k]] = len(forms[k])
+        start = np.concatenate(([0], count.cumsum()))
+        out = np.empty((start[-1], 3), dtype=exactalg.triplet_dtype(F))
+        src = hit.nonzero()[0]
+        at = start[src]
+        out[at, 0] = local[cand.ravel()[src]]
+        out[at, 1] = local[src % N]
+        out[at, 2] = F.one
+        if miss:
+            cols = local[np.array(miss) % N].tolist()
+            out[[start[f] + t for f, nf in zip(miss, forms) for t in range(len(nf))]] = (
+                exactalg.as_triplets(F, [(r, col, c) for col, nf in zip(cols, forms)
+                                         for r, c in nf]))
+        firsts = np.arange(0, n * N, N)[:, None] + starts
+        return out, start[firsts].tolist()
 
     def _border_nf(self, mono, dst_index, memo):
         """Normal form of a non-standard monomial as [(row, coeff)], rows increasing.
@@ -477,7 +559,7 @@ class ArtinianQuotient(GradedRing):
                 lower = self.max_ideal_power_vectors(a - 1, d - w)
                 if not lower:
                     continue
-                trip = self.mult_triplets(i, d - w)
+                trip = self.mult_triplets(i, d - w).tolist()
                 for v in lower:
                     img = [self.field.zero] * self.dim(d)
                     for r, c, coeff in trip:
@@ -582,6 +664,9 @@ class SemigroupRing(GradedRing):
         self._member_bound = bound
         self._tctx = PolyContext(field, ["t"], [1])
         self._gen_counts = [0]
+        # t^a -> t^(a+g_i) is the 1 x 1 identity or, off the semigroup, nothing
+        self._no_product = exactalg.as_triplets(field)
+        self._unit_product = exactalg.as_triplets(field, [(0, 0, field.one)])
 
     @staticmethod
     def _sieve(gens, bound):
@@ -611,8 +696,8 @@ class SemigroupRing(GradedRing):
 
     def mult_triplets(self, i, d):
         if self.dim(d) == 0 or self.dim(d + self.generators[i]) == 0:
-            return []
-        return [(0, 0, self.field.one)]
+            return self._no_product
+        return self._unit_product
 
     def generator(self, i):
         return RingElement(self, {self.generators[i]: self.field.one})
@@ -673,6 +758,14 @@ class SemigroupRing(GradedRing):
     def __repr__(self):
         return "SemigroupRing(%s[%s])" % (
             self.field, ",".join("t^%d" % g for g in self.generators))
+
+
+def _splitmix64(x):
+    """The splitmix64 mix of x: a well-spread 64-bit word for each integer."""
+    x = (x + 0x9E3779B97F4A7C15) % 2 ** 64
+    x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 % 2 ** 64
+    x = (x ^ x >> 27) * 0x94D049BB133111EB % 2 ** 64
+    return x ^ x >> 31
 
 
 # ------------------------------------------------------------ contract names

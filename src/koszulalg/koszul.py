@@ -7,10 +7,15 @@ degree, so every computation happens strand by strand: the strand
 (i, d) has one basis element per pair (subset S of size i, basis
 element of R_{d - w(S)}).
 
+The strand of d_i in degree d is one triplet array (exactalg.as_triplets:
+int64 over F_p, dtype=object over Q), the multiplication tables of the
+ring concatenated block by block with the block offsets and signs
+applied to whole columns.
+
 Homology is computed in one pass over internal degrees that builds every
 H_i at once (a caller that reads only H_1 can build H_0 and H_1 from the
 strands of d_1 and d_2 alone).  In degree d it walks i from n down to 0
-and assembles the triplets of each d_i once: they give the kernel of
+and assembles the triplet array of each d_i once: it gives the kernel of
 H_i, and one step later the boundary columns of H_{i-1}.  Each strand is
 one sparse row echelon form.  The columns of d_{i+1} go in first and
 span the boundaries B; then the canonical kernel basis of d_i goes in,
@@ -29,7 +34,8 @@ Betti tables read off rank H_i(K)_{i+j}; a rank-only path serves
 tables far beyond the sizes where kernel bases fit in memory.  It takes
 the ranks of d_1 and (for quotients) d_2 in closed form from dim R_d and
 the minimal generators of the ideal, and ranks the other strands by
-sparse peeling plus dense elimination of the core.
+peeling the strand arrays in whole-array rounds plus dense elimination
+of the core.
 
 Truncation: Artinian rings carry everything in internal degrees
 d <= top_degree + sum(w_j).  For semigroup rings the strand in degree
@@ -46,6 +52,8 @@ exactness floor's strand, which every degree from the floor on shares.
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 from koszulalg import exactalg
 from koszulalg.exactalg import Matrix
@@ -273,8 +281,14 @@ class KoszulComplex:
         self.subset_weights = [
             [self.subset_weight(S) for S in level] for level in self.subsets
         ]
+        # faces[i][s]: (l, j, position of S minus j) for the s-th subset S of size i
+        self.faces = [
+            [[(l, j, self.subset_index[i - 1][S[:l] + S[l + 1:]])
+              for l, j in enumerate(S)] for S in level]
+            for i, level in enumerate(self.subsets)]
         self._layouts = {}
         self._homology = None
+        self._no_entries = exactalg.as_triplets(self.field)
 
     # ------------------------------------------------------------ structure
 
@@ -298,29 +312,44 @@ class KoszulComplex:
         return self.strand_offsets(i, d)[1]
 
     def diff_triplets(self, i, d):
-        """Sparse triplets of d_{i,d}: strand (i, d) -> strand (i-1, d)."""
+        """Triplet array of d_{i,d}: strand (i, d) -> strand (i-1, d).
+
+        The block from subset S to S minus its l-th element j (0-based)
+        is the table of x_j on R_{d-w(S)} with sign (-1)^l: the tables
+        are concatenated in subset order, and the block offsets and
+        signs applied to the whole array at once.  The result is an
+        (nnz, 3) array in exactalg.as_triplets form, len() its number of
+        nonzeros; a strand with no entries shares one empty array.
+        """
         src_offsets, _ = self.strand_offsets(i, d)
         dst_offsets, _ = self.strand_offsets(i - 1, d)
-        out = []
-        for s_pos, S in enumerate(self.subsets[i]):
-            a = d - self.subset_weights[i][s_pos]
-            if self.ring.dim(a) == 0:
+        ring = self.ring
+        tables, sizes, shifts, odd = [], [], [], []
+        for s_pos, w in enumerate(self.subset_weights[i]):
+            a = d - w
+            if ring.dim(a) == 0:
                 continue
-            col0 = src_offsets[s_pos]
-            for l, j in enumerate(S):
-                T = tuple(x for x in S if x != j)
-                row0 = dst_offsets[self.subset_index[i - 1][T]]
-                sign = 1 if l % 2 == 0 else -1
-                for r, c, coeff in self.ring.mult_triplets(j, a):
-                    if sign < 0:
-                        coeff = self.field.neg(coeff)
-                    out.append((row0 + r, col0 + c, coeff))
+            for l, j, t_pos in self.faces[i][s_pos]:
+                table = ring.mult_triplets(j, a)
+                if len(table):
+                    tables.append(table)
+                    sizes.append(len(table))
+                    shifts.append((dst_offsets[t_pos], src_offsets[s_pos]))
+                    odd.append(l % 2)
+        if not tables:
+            return self._no_entries
+        out = np.concatenate(tables)
+        out[:, :2] += np.repeat(np.array(shifts), sizes, axis=0)
+        if self.field.characteristic != 2:  # -1 = 1 in characteristic 2
+            neg = np.repeat(np.array(odd, dtype=bool), sizes)
+            out[neg, 2] = exactalg.negate(self.field, out[neg, 2])
         return out
 
     def diff_matrix(self, i, d):
         _, src = self.strand_offsets(i, d)
         _, dst = self.strand_offsets(i - 1, d)
-        return Matrix.from_triplets(self.field, dst, src, self.diff_triplets(i, d))
+        return Matrix.from_triplets(
+            self.field, dst, src, self.diff_triplets(i, d).tolist())
 
     def strand_vectors(self, i, u):
         """Strand coordinates of the homological-degree-i part of u, per internal degree.
@@ -470,23 +499,23 @@ def _homology_pass(K, top):
     classes = [[] for _ in range(top + 1)]
     degree_data = [{} for _ in range(top + 1)]
     for d in range(K.truncation + 1):
-        boundary, rank_b = [], 0
+        boundary, rank_b = K._no_entries, 0
         for i in range(min(top + 1, K.n), -1, -1):
             total = K.strand_dim(i, d)
             if total == 0:
-                boundary, rank_b = [], 0
+                boundary, rank_b = K._no_entries, 0
                 continue
-            triplets = K.diff_triplets(i, d) if i else []
+            triplets = K.diff_triplets(i, d) if i else K._no_entries
             if i > top:
                 boundary, rank_b = triplets, None
                 continue
             # d_0 = 0: a matrix with no rows, whose kernel is every unit vector
-            kernel = exactalg.kernel_basis(Matrix.from_triplets(
-                F, K.strand_dim(i - 1, d), total, triplets))
+            kernel = exactalg.kernel_basis_of_triplets(
+                F, K.strand_dim(i - 1, d), total, triplets)
             if kernel:
                 span = exactalg.Echelon(F)
                 columns = {}
-                for r, c, a in boundary:
+                for r, c, a in boundary.tolist():
                     if c not in columns:
                         columns[c] = [F.zero] * total
                     columns[c][r] = F.add(columns[c][r], a)

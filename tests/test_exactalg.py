@@ -143,24 +143,92 @@ def test_span_dim_and_contains():
 
 
 @given(st.data())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_sparse_rank_matches_dense(data):
     field = data.draw(st.sampled_from([GF2, QQ, PrimeField(5)]))
     nrows = data.draw(st.integers(min_value=1, max_value=8))
     ncols = data.draw(st.integers(min_value=1, max_value=8))
     entries = []
-    seen = set()
     for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
         r = data.draw(st.integers(min_value=0, max_value=nrows - 1))
         c = data.draw(st.integers(min_value=0, max_value=ncols - 1))
-        if (r, c) in seen:
-            continue
-        seen.add((r, c))
         v = field.from_int(data.draw(st.integers(min_value=1, max_value=4)))
-        if v != field.zero:
-            entries.append((r, c, v))
+        entries.append((r, c, v))
+        if data.draw(st.booleans()):
+            # the same position again: a pair that cancels mod p, or a sum
+            if data.draw(st.booleans()):
+                entries.append((r, c, field.neg(v)))
+            else:
+                w = data.draw(st.integers(min_value=1, max_value=4))
+                entries.append((r, c, field.from_int(w)))
+    data.draw(st.randoms()).shuffle(entries)
     dense = Matrix.from_triplets(field, nrows, ncols, entries)
     assert exactalg.sparse_rank(field, nrows, ncols, entries) == rank(dense)
+    array = exactalg.as_triplets(field, entries)
+    assert exactalg.sparse_rank(field, nrows, ncols, array) == rank(dense)
+
+
+def _sparse_and_dense_rank(field, nrows, ncols, entries):
+    dense = rank(Matrix.from_triplets(field, nrows, ncols, entries))
+    return exactalg.sparse_rank(
+        field, nrows, ncols, exactalg.as_triplets(field, entries)), dense
+
+
+@pytest.mark.parametrize("field", [GF2, PrimeField(5), QQ])
+def test_sparse_rank_bidiagonal_peels_one_pivot_a_round(field):
+    # only the last row is a singleton; each round uncovers the next one
+    n = 40
+    entries = [(i, i, field.one) for i in range(n)]
+    entries += [(i, i + 1, field.from_int(3)) for i in range(n - 1)]
+    assert _sparse_and_dense_rank(field, n, n, entries) == (n, n)
+
+
+@pytest.mark.parametrize("field, expected", [(GF2, 4), (PrimeField(5), 5), (QQ, 5)])
+def test_sparse_rank_core_without_singletons(field, expected):
+    # I + P for the 5-cycle P: two entries in every row and column, so
+    # nothing peels; det = 1 - (-1)^5 = 2 vanishes only over F_2
+    entries = [(i, i, field.one) for i in range(5)]
+    entries += [(i, (i + 1) % 5, field.one) for i in range(5)]
+    assert _sparse_and_dense_rank(field, 5, 5, entries) == (expected, expected)
+
+
+@pytest.mark.parametrize("field", [GF2, PrimeField(32003), QQ])
+def test_sparse_rank_of_no_entries(field):
+    empty = exactalg.as_triplets(field)
+    assert empty.shape == (0, 3)
+    assert exactalg.sparse_rank(field, 3, 4, empty) == 0
+    assert exactalg.sparse_rank(field, 3, 4, []) == 0
+
+
+@pytest.mark.parametrize("p", [3, 32003])
+def test_kernel_of_triplets_sums_repeats_on_the_int64_path(p):
+    # 70 x 80 is past the 4096-entry rule; every third entry comes twice,
+    # half of those pairs cancelling
+    F = PrimeField(p)
+    rng = random.Random(5)
+    entries = []
+    for t in range(900):
+        i, j, a = rng.randrange(70), rng.randrange(80), rng.randrange(1, p)
+        entries.append((i, j, a))
+        if t % 3 == 0:
+            entries.append((i, j, F.neg(a) if t % 2 else rng.randrange(1, p)))
+    m = Matrix.from_triplets(F, 70, 80, entries)
+    assert exactalg._int64_path(F, 70, 80)
+    array = exactalg.as_triplets(F, entries)
+    assert exactalg.kernel_basis_of_triplets(F, 70, 80, array) == kernel_basis(m)
+    assert exactalg.sparse_rank(F, 70, 80, array) == rank(m)
+
+
+def test_sparse_rank_f32003_peels_and_eliminates():
+    # singleton rows and columns around a dense random core of rank 6
+    F = PrimeField(32003)
+    rng = random.Random(11)
+    entries = [(i, j, rng.randrange(1, F.p)) for i in range(8) for j in range(6)]
+    entries += [(8 + t, 6 + t, rng.randrange(1, F.p)) for t in range(10)]
+    entries += [(t, 16 + t, rng.randrange(1, F.p)) for t in range(4)]
+    entries += [(18 + t, t, rng.randrange(1, F.p)) for t in range(3)]
+    entries += [(3, 2, F.p - entries[3 * 6 + 2][2])]  # cancels one core entry
+    assert _sparse_and_dense_rank(F, 21, 20, entries) == (20, 20)
 
 
 def _rank_mod2_reference(rows):
@@ -186,7 +254,7 @@ def test_gf2_int64_path_agrees_with_reference():
     rng = random.Random(7)
     rows = [[rng.randrange(2) for _ in range(80)] for _ in range(80)]
     m2 = Matrix(GF2, [list(r) for r in rows], 80)
-    assert exactalg._int64_path(m2)
+    assert exactalg._int64_path(m2.field, m2.nrows, m2.ncols)
     r2 = rank(m2)
     assert r2 == _rank_mod2_reference(rows)
     kernel = kernel_basis(m2)
@@ -253,11 +321,13 @@ def test_int64_rank_matches_generic_rref(data):
     for j in data.draw(st.sets(st.integers(0, ncols - 1), max_size=3)):
         for row in m.rows:
             row[j] = 0
-    assert exactalg._int64_path(m) == large
+    assert exactalg._int64_path(m.field, m.nrows, m.ncols) == large
     R, pivots = exactalg._generic_rref(m)
     assert rref(m) == (R, pivots)
     assert rank(m) == len(pivots)
     assert kernel_basis(m) == _generic_kernel(m)
+    assert exactalg.kernel_basis_of_triplets(
+        F, nrows, ncols, exactalg.as_triplets(F, _triplets(m))) == _generic_kernel(m)
     assert exactalg.sparse_rank(F, nrows, ncols, _triplets(m)) == len(pivots)
 
 

@@ -1,6 +1,7 @@
 """Graded ring backends: Artinian quotients and numerical semigroups."""
 
 import glob
+import itertools
 import json
 import math
 import os
@@ -202,7 +203,7 @@ def test_cache_consistency_under_repeated_calls():
     R = conftest.row3_ring()
     first = R.mult_triplets(0, 1)
     again = R.mult_triplets(0, 1)
-    assert first == again
+    assert first.tolist() == again.tolist()
     b1 = R.basis_of_degree(2)
     b2 = R.basis_of_degree(2)
     assert [str(x) for x in b1] == [str(x) for x in b2]
@@ -210,27 +211,37 @@ def test_cache_consistency_under_repeated_calls():
 
 # ------------------------------------------- staircase walk vs. the oracles
 
-def _oracle_triplets(R, i, d):
+def _oracle_triplets(R, i, d, standard):
     """x_i: R_d -> R_{d+w_i} from the normal form of every x_i * m."""
     var = tuple(1 if j == i else 0 for j in range(R.ngens))
-    dst = standard_monomials(R.gb, d + R.weights[i])
+    dst = standard(d + R.weights[i])
     dst_index = {m: t for t, m in enumerate(dst)}
     out = []
-    for col, m in enumerate(standard_monomials(R.gb, d)):
+    for col, m in enumerate(standard(d)):
         nf = normal_form(R.ctx.monomial(mono_mul(m, var)), R.gb)
         for mono, coeff in nf.terms:
-            out.append((dst_index[mono], col, coeff))
+            out.append([dst_index[mono], col, coeff])
     return out
 
 
-def assert_matches_oracles(R, triplet_degrees=None):
+def assert_matches_oracles(R, triplet_degrees=None, standard=None):
+    """Bases and multiplication tables of R against the normal-form oracles.
+
+    standard(d) lists the standard monomials of degree d in decreasing
+    term order; by default polyring.standard_monomials enumerates every
+    monomial of degree d and drops the multiples of leading monomials.
+    """
+    if standard is None:
+        def standard(d):
+            return standard_monomials(R.gb, d)
     for d in range(-1, R.top_degree + max(R.weights) + 1):
-        assert list(R._monomial_basis(d)) == standard_monomials(R.gb, d), d
+        assert list(R._monomial_basis(d)) == standard(d), d
     if triplet_degrees is None:
         triplet_degrees = range(-1, R.top_degree + 1)
     for i in range(R.ngens):
         for d in triplet_degrees:
-            assert R.mult_triplets(i, d) == _oracle_triplets(R, i, d), (i, d)
+            assert (R.mult_triplets(i, d).tolist()
+                    == _oracle_triplets(R, i, d, standard)), (i, d)
 
 
 def _quotient_fixtures():
@@ -255,6 +266,38 @@ def test_big_x98_ring_matches_oracles():
     assert R.top_degree == 245
     assert_matches_oracles(
         R, triplet_degrees=[0, 1, 49, 50, 100, 101, 148, 149, 196, 197, 244, 245])
+
+
+def test_exponent_box_past_int64_matches_oracles():
+    # 18 variables, x1^16 - x2^16, x_i^16 for i >= 3 and every x_i*x_j:
+    # the box of exponents, prod(b_i + 1) = 17 * 16^17 > 2^63, would wrap
+    # a single int64 mixed-radix key of a monomial (with radix 16, x17^d
+    # and x18^d would both wrap to 0).  x1 * x1^15 lies on the border,
+    # with normal form x2^16.  The standard monomials are the pure powers
+    # x_t^d, d <= 15, and x2^16; enumerating every monomial of degree 16
+    # in 18 variables is out of reach, so the basis oracle is that closed
+    # form.
+    n = 18
+    names = ["x%d" % (t + 1) for t in range(n)]
+    ctx = PolyContext(PrimeField(5), names)
+    gens = ["x1^16 - x2^16"] + ["%s^16" % v for v in names[2:]]
+    gens += ["%s*%s" % (u, v) for u, v in itertools.combinations(names, 2)]
+    R = make_artinian_quotient(ctx, gens)
+
+    def power(t, d):
+        return tuple(d if s == t else 0 for s in range(n))
+
+    def standard(d):
+        if d < 0 or d > 16:
+            return []
+        if d == 16:
+            return [power(1, 16)]
+        return sorted({power(t, d) for t in range(n)}, key=ctx.key, reverse=True)
+
+    box = [1 + max(m[t] for d in range(R.top_degree + 1) for m in standard(d))
+           for t in range(n)]
+    assert math.prod(box) > 2 ** 63
+    assert_matches_oracles(R, standard=standard)
 
 
 @st.composite
@@ -371,8 +414,7 @@ def test_random_artinian_products_match_normal_form(ideal, seed):
 
 
 def test_memo_evicts_oldest_insertion_first():
-    # a hit does not refresh an entry; the traced work counts of
-    # mult_triplets depend on this policy
+    # a hit does not refresh an entry
     memo, computed = Memo(2), []
     for key in (1, 2, 1, 3, 1):
         assert memo.get_or_compute(key, lambda: computed.append(key) or -key) == -key

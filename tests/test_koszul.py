@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -634,9 +635,47 @@ def test_differential_repeats_past_exactness_floor(name):
     K = KoszulComplex(load_ring_spec(conftest.fixture_path(name)))
     floor = K.exactness_floor
     for i in range(K.n + 1):
-        expected = sorted(K.diff_triplets(i, floor))
+        expected = sorted(K.diff_triplets(i, floor).tolist())
         for d in (floor + 1, floor + 7, 2 * floor + 3):
-            assert sorted(K.diff_triplets(i, d)) == expected
+            assert sorted(K.diff_triplets(i, d).tolist()) == expected
+
+
+def _family_fp():
+    """x^6, y^7, z^8, (x^3 + y^3) z^4 over F32003: d_2 in degree 9 is 8928 entries."""
+    ctx = PolyContext(PrimeField(32003), ["x", "y", "z"])
+    return make_artinian_quotient(ctx, ["x^6", "y^7", "z^8", "x^3*z^4 + y^3*z^4"])
+
+
+def _exact_scalars(values):
+    return all(type(a) in (int, Fraction) for a in values)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: load_ring_spec(conftest.fixture_path("f2_destefani.json")),
+    lambda: load_ring_spec(conftest.fixture_path("q_x2_xy_y2_z2.json")),
+    _family_fp,
+], ids=["f2_destefani", "q_x2_xy_y2_z2", "family_F32003"])
+def test_no_numpy_scalar_leaks(make):
+    # strands are numpy arrays; what leaves them must be Python ints and
+    # Fractions, or json.dumps of a report would raise
+    K = KoszulComplex(make())
+    R = K.ring
+    for j in range(K.n):
+        for d in range(R.top_degree + 1):
+            assert _exact_scalars(
+                a for t in R.mult_triplets(j, d).tolist() for a in t), (j, d)
+    int64_strands = 0
+    for i in range(K.n + 1):
+        basis = homology_basis(K, i)
+        for data in basis.degree_data.values():
+            assert _exact_scalars(a for v in data.rep_vectors for a in v), i
+        for d in range(K.truncation + 1):
+            src, dst = K.strand_dim(i, d), K.strand_dim(i - 1, d)
+            if i and src and dst:
+                m = K.diff_matrix(i, d)
+                assert _exact_scalars(a for row in m.rows for a in row), (i, d)
+                int64_strands += exactalg._int64_path(K.field, dst, src)
+    assert (int64_strands > 0) == (R.field == PrimeField(32003))
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "bench",
