@@ -2,25 +2,26 @@
 
 An ArtinianQuotient is k[x_1..x_n]/I for a weighted-homogeneous ideal
 I with Artinian quotient, presented by a reduced monic Groebner basis.
-Its degree-d basis is the standard monomials (those outside LT(I)),
-found by walking the staircase: every standard monomial of degree d > 0
-is x_i*m for a standard m of degree d - w_i, so the candidates come from
-the lower bases and each needs only a leading-monomial test.
+Its basis is the standard monomials (those outside LT(I)), kept as the
+rows of one int64 exponent array, degree by degree in decreasing term
+order.  The array is built in one whole-array round per variable: a
+standard monomial on x_1..x_{i-1} extends by the powers of x_i below
+the least x_i-exponent of a leading monomial that blocks it.
 Multiplication by x_i is built without general division (the
 multiplication-matrix construction of FGLM: Faugere, Gianni, Lazard,
 Mora, J. Symb. Comp. 1993; border bases: Kehrein, Kreuzer, Robbiano),
 for every generator and degree at once: all products x_i*m of standard
 monomials are located among the standard monomials by one sorted search
 of hash keys, each hit checked against the exponent rows.  A product
-that is not found and not in the monomial part of I lies on the border
-of the staircase, and its normal form is a combination of normal forms
-of smaller monomials of the same degree, memoized for that one target
-degree.
-The same border normal forms answer every product of elements: a
-product table maps each monomial of the polynomial ring to its normal
-form (itself if standard, nothing past top_degree, else its border
-normal form in its own degree), so neither products nor parsed
-polynomials go through polyring.normal_form.
+not found in degree <= top_degree lies on the border of the staircase;
+the normal forms of all of them come from whole-array rounds that
+replace each pending term by the tail of its first dividing basis
+element, merge equal terms and keep those found among the standard
+monomials.
+The same table answers every product of elements: a monomial's normal
+form is nothing past top_degree, itself if standard, and otherwise x_i
+times the normal form of mono/x_i, one table column per term, so
+neither products nor parsed polynomials go through polyring.normal_form.
 
 A SemigroupRing is k[t^{g_1},...,t^{g_n}] inside k[t], graded by
 t-degree, with dim R_d <= 1 decided by a coin-problem sieve.  Both
@@ -33,14 +34,14 @@ read them instead of Koszul homology in degree 1.
 Construction validates minimality of the chosen generators of the
 maximal ideal (ker f inside mF): for quotients every variable must
 survive into R, for semigroups no generator may be representable by
-the others.  A quotient keeps the degree bases its construction walks,
-one tuple per degree, so a basis is an index lookup; its dimensions and
-generators are computed once, and so is its multiplication table, on
-the first request.  The remaining caches of a quotient (basis indices,
-slices of powers of m, the per-degree border normal forms and the
-product table) are size-capped Memo dicts that evict the oldest entry
-first.  A semigroup ring decides membership in m^a from one table, grown
-in place on demand, of the largest number of generators summing to each
+the others.  A quotient computes its exponent array, dimensions and
+generators once, and its multiplication table on the first request.
+The basis tuples of a degree are made on its first request and kept;
+basis indices, slices of powers of m and the product table are
+size-capped Memo dicts that evict the oldest entry first.  The
+rank-only paths never make a basis tuple.
+A semigroup ring decides membership in m^a from one table, grown in
+place on demand, of the largest number of generators summing to each
 degree.  The mathematical value of a ring never changes, but its caches
 fill in place without locks, so a ring belongs to one thread.
 """
@@ -54,15 +55,13 @@ import operator
 import numpy as np
 
 from koszulalg import exactalg
-from koszulalg.exactalg import Matrix
+from koszulalg.exactalg import Matrix, PrimeField
 from koszulalg.polyring import (
     GroebnerBasis,
     PolyContext,
     Polynomial,
     buchberger,
-    mono_div,
     mono_divides,
-    mono_mul,
     normal_form,
     parse_poly,
 )
@@ -138,14 +137,16 @@ class Memo:
     def get(self, key):
         return self.data.get(key)
 
-    def get_or_compute(self, key, fn):
-        if key in self.data:
-            return self.data[key]
-        value = fn()
+    def put(self, key, value):
         while len(self.data) >= self.maxsize:
             self.data.pop(next(iter(self.data)))
         self.data[key] = value
         return value
+
+    def get_or_compute(self, key, fn):
+        if key in self.data:
+            return self.data[key]
+        return self.put(key, fn())
 
 
 class GradedRing:
@@ -264,14 +265,9 @@ class ArtinianQuotient(GradedRing):
         self.ideal_gens = tuple(ideal_gens)
 
         # Artinian iff every variable has a pure-power leading monomial.
-        bounds = [None] * self.ngens
-        for lm in self.gb.leading_monomials():
-            support = [i for i, e in enumerate(lm) if e > 0]
-            if len(support) == 1:
-                i = support[0]
-                if bounds[i] is None or lm[i] < bounds[i]:
-                    bounds[i] = lm[i]
-        missing = [self.gen_names[i] for i in range(self.ngens) if bounds[i] is None]
+        lms = self.gb.leading_monomials()
+        powers = {i for lm in lms for i, e in enumerate(lm) if e == sum(lm) > 0}
+        missing = [v for i, v in enumerate(self.gen_names) if i not in powers]
         if missing:
             raise RingConstructionError(
                 "quotient is not Artinian: no pure power of %s in the initial ideal"
@@ -279,88 +275,89 @@ class ArtinianQuotient(GradedRing):
 
         # Each reducer is (leading monomial, tail with negated coefficients)
         # of a monic basis element: a monomial u*lm reduces to
-        # sum(c * u*t for t, c in tail).
+        # sum(c * u*t for t, c in tail).  The monomials of the basis (no
+        # tail) come first, so a multiple of one is dropped at once.
         F = self.field
-        self._reducers = [
-            (g.leading_monomial(), [(t, F.neg(c)) for t, c in g.terms[1:]])
-            for g in self.gb.gens]
-        # _walls[i][e]: leading monomials whose x_i-exponent is e.
-        self._walls = [{} for _ in range(self.ngens)]
-        for lm, _ in self._reducers:
-            for i, e in enumerate(lm):
-                if e:
-                    self._walls[i].setdefault(e, []).append(lm)
+        n = self.ngens
+        reducers = sorted(
+            ((g.leading_monomial(), [(t, F.neg(c)) for t, c in g.terms[1:]])
+             for g in self.gb.gens), key=lambda r: bool(r[1]))
+        self._lms = np.array([lm for lm, _ in reducers], dtype=np.int64).reshape(-1, n)
+        tails = [term for _, tail in reducers for term in tail]
+        self._tail_len = np.array([len(tail) for _, tail in reducers], dtype=np.int64)
+        self._tail_start = self._tail_len.cumsum() - self._tail_len
+        self._tail_exps = np.array([t for t, _ in tails], dtype=np.int64).reshape(-1, n)
+        self._tail_coef = np.array([c for _, c in tails], dtype=exactalg.triplet_dtype(F))
 
         # Minimality of x_1..x_n as generators of m: each x_i survives in
         # R_{w_i}, so it is standard, hence its own normal form.
         self._generators = []
-        for i in range(self.ngens):
-            mono = tuple(1 if j == i else 0 for j in range(self.ngens))
-            if self._reducer(mono) is not None:
+        for i in range(n):
+            mono = tuple(1 if j == i else 0 for j in range(n))
+            if any(mono_divides(lm, mono) for lm in lms):
                 raise RingConstructionError(
                     "generator %s is not minimal (reducible modulo the ideal)"
                     % self.gen_names[i])
-            self._generators.append(RingElement(self, {mono: self.field.one}))
+            self._generators.append(RingElement(self, {mono: F.one}))
 
-        self._no_product = exactalg.as_triplets(self.field)
+        self._no_product = exactalg.as_triplets(F)
+        self._bases = {}
         self._index_cache = Memo(64)
         self._mult_table = None
         self._mpower_cache = Memo(4096)
-        self._border_cache = Memo(16)
         self._products = Memo(4096)
 
-        # Walk the staircase degree by degree.  Once max(weights)
-        # consecutive degrees are empty, every higher degree is empty too.
-        bases, empty = [], 0
-        while empty < max(self.weights):
-            bases.append(self._walk_staircase(len(bases), bases))
-            empty = empty + 1 if not bases[-1] else 0
-        self._bases = tuple(bases[:len(bases) - empty])
-        self._dims = tuple(map(len, self._bases))
-        self.top_degree = len(self._bases) - 1
-
-    def _reducer(self, mono):
-        """First (lm, tail) of the basis with lm dividing mono, or None."""
-        for reducer in self._reducers:
-            if mono_divides(reducer[0], mono):
-                return reducer
-        return None
+        self._exps, dims = self._staircase()
+        self._dims = tuple(dims)
+        self._starts = (0,) + tuple(itertools.accumulate(dims))
+        self.top_degree = len(dims) - 1
 
     # ------------------------------------------------------------- queries
 
     def dim(self, d):
         return self._dims[d] if 0 <= d <= self.top_degree else 0
 
-    def _monomial_basis(self, d):
-        """Standard monomials of degree d in decreasing term order."""
-        return self._bases[d] if 0 <= d <= self.top_degree else ()
+    def _staircase(self):
+        """(exponent rows, dims): the standard monomials in basis order.
 
-    def _walk_staircase(self, d, known):
-        """Degree-d standard monomials from the lower bases known[d - w_i].
-
-        A standard monomial of degree d > 0 is x_i*m with m standard,
-        for i its last variable; generating x_i*m only from m supported
-        on x_1..x_i makes each candidate once.  Since m is standard,
-        x_i*m is not only if a leading monomial with x_i-exponent
-        m_i + 1 divides it.
+        Built in one whole-array round per variable.  A standard monomial
+        m on x_1..x_{i-1} extends to m*x_i^e exactly for e < E(m), where
+        E(m) is the least x_i-exponent of the leading monomials whose
+        last variable is x_i and whose other exponents divide m: the
+        pure power of x_i is one of them, and one with an earlier last
+        variable never divides m, since m is standard.  The rows are then
+        ordered by degree, then decreasing term order; dims[d] counts
+        those of degree d.
         """
-        if d == 0:
-            return ((0,) * self.ngens,)
-        out = []
-        for i, w in enumerate(self.weights):
-            if d < w:
-                continue
-            walls = self._walls[i]
-            for m in known[d - w]:
-                if any(m[i + 1:]):
-                    continue
-                e = m[i] + 1
-                cand = m[:i] + (e,) + m[i + 1:]
-                hits = walls.get(e)
-                if hits is None or not any(mono_divides(lm, cand) for lm in hits):
-                    out.append(cand)
-        self.ctx.sort_decreasing(out)
-        return tuple(out)
+        n = self.ngens
+        lms = self._lms
+        stair = np.zeros((1, n), dtype=np.int64)
+        last = n - 1 - (lms[:, ::-1] > 0).argmax(axis=1)
+        unbounded = np.iinfo(np.int64).max
+        for i in range(n):
+            walls = lms[last == i]
+            divides = (walls[:, :i] <= stair[:, None, :i]).all(axis=2)
+            reach = np.where(divides, walls[:, i], unbounded).min(axis=1)
+            stair = stair.repeat(reach, axis=0)
+            stair[:, i] = np.arange(len(stair)) - (reach.cumsum() - reach).repeat(reach)
+        degree = stair @ np.array(self.weights)
+        if self.ctx.order == "grevlex":
+            # higher total degree first, then smaller exponents read from
+            # the last variable backwards
+            keys = (*stair.T, -stair.sum(axis=1), degree)
+        else:
+            keys = (*(-stair[:, ::-1]).T, degree)
+        return stair[np.lexsort(keys)], np.bincount(degree).tolist()
+
+    def _monomial_basis(self, d):
+        """Standard monomials of degree d in decreasing term order, as tuples."""
+        basis = self._bases.get(d)
+        if basis is None:
+            if not 0 <= d <= self.top_degree:
+                return ()
+            basis = self._bases[d] = tuple(map(
+                tuple, self._exps[self._starts[d]:self._starts[d + 1]].tolist()))
+        return basis
 
     def basis_of_degree(self, d):
         if d < 0:
@@ -383,29 +380,23 @@ class ArtinianQuotient(GradedRing):
     def _multiplication_table(self):
         """(triplet array, bounds): every x_i on every R_d, built at once.
 
-        The standard monomials of all degrees, degree by degree in basis
-        order, are the rows of one int64 exponent array.  A row's search
-        key is a linear form in its exponents with odd coefficients
-        modulo 2^64, redrawn until the keys of the basis are distinct, so
-        x_i*m has the key of m plus the coefficient of x_i.  All products
-        x_i*m are looked up by one searchsorted among the sorted keys,
-        and a candidate counts only if its exponent row equals the
-        product: a wrapped or colliding key never makes a wrong entry.  A
-        product found is the standard monomial it equals, in degree
-        deg(m) + w_i.  One not found lies past top_degree or on the
-        border of the staircase; past top_degree, or as a multiple of a
-        monomial of the basis, it lies in I, and only the others go
-        through _border_nf, target degree by target degree.  Entries are
-        ordered by generator, then source monomial, rows increasing
+        The rows of the exponent array are the standard monomials, degree
+        by degree in basis order.  A row's search key is a linear form in
+        its exponents with odd coefficients modulo 2^64, redrawn until
+        the keys of the basis are distinct, so x_i*m has the key of m
+        plus the coefficient of x_i.  A monomial is looked up by one
+        searchsorted among the sorted keys, and a candidate counts only
+        if its exponent row equals the monomial: a wrapped or colliding
+        key never makes a wrong entry.  A product x_i*m found is the
+        standard monomial it equals, in degree deg(m) + w_i.  One not
+        found lies past top_degree, hence in I, or on the border of the
+        staircase, where _border_forms gives its normal form.  Entries
+        are ordered by generator, then source monomial, rows increasing
         within one, so table[bounds[i][d]:bounds[i][d + 1]] is x_i on R_d.
         """
-        F = self.field
-        n = self.ngens
-        N = sum(self._dims)
-        exps = np.fromiter(itertools.chain.from_iterable(
-            itertools.chain.from_iterable(self._bases)),
-            dtype=np.int64, count=N * n).reshape(N, n)
-        starts = np.array((0,) + tuple(itertools.accumulate(self._dims)))
+        exps = self._exps
+        N, n = exps.shape
+        starts = np.array(self._starts)
         degree = np.arange(len(self._dims)).repeat(self._dims)
         local = np.arange(N) - starts[degree]
         for seed in itertools.count():
@@ -416,107 +407,137 @@ class ArtinianQuotient(GradedRing):
             sorted_keys = keys[order]
             if (sorted_keys[1:] != sorted_keys[:-1]).all():
                 break
+        del keys
+
+        def locate(rows):
+            at = order.take(sorted_keys.searchsorted(rows.astype(np.uint64) @ coeffs),
+                            mode="clip")
+            return at, (exps[at] == rows).all(axis=1)
+
         # Flat product f = i*N + s is x_i times the s-th monomial.  Its key
         # is searched in key order, where x_i only shifts the keys (mod
         # 2^64), so the searches run nearly in order.
-        units = np.eye(n, dtype=np.int64)
         cand = np.empty((n, N), dtype=np.int64)
         cand[:, order] = order.take(
             sorted_keys.searchsorted(sorted_keys + coeffs[:, None]), mode="clip")
-        hit = (exps[cand] - exps == units[:, None, :]).all(axis=2).ravel()
-        target = (degree + np.array(self.weights)[:, None]).ravel()
-        miss = (~hit & (target <= self.top_degree)).nonzero()[0]
+        units = np.eye(n, dtype=np.int64)
+        hit = np.empty((n, N), dtype=bool)
+        for i in range(n):
+            hit[i] = (exps[cand[i]] - exps == units[i]).all(axis=1)
+        hit = hit.ravel()
+        # a miss past top_degree lies in I, and so does every miss when I
+        # is a monomial ideal
+        miss = (~hit).nonzero()[0] if self._tail_len.any() else np.empty(0, np.int64)
+        miss = miss[degree[miss % N] + np.array(self.weights)[miss // N]
+                    <= self.top_degree]
         if miss.size:
-            # a multiple of a monomial of the basis lies in I
-            monomials = np.array([lm for lm, tail in self._reducers if not tail],
-                                 dtype=np.int64).reshape(-1, n)
-            prods = exps[miss % N] + units[miss // N]
-            border = ~(prods[:, None, :] >= monomials).all(axis=2).any(axis=1)
-            miss, prods = miss[border], prods[border]
+            origin, rows, border = self._border_forms(
+                miss, exps[miss % N] + units[miss // N], locate)
+            rows = local[rows]
+        del order, sorted_keys, degree
+        cand = local[cand]
+
         # Product f holds entries start[f]..start[f+1]-1: one if it hit,
-        # its border normal form if it is on the border.  The forms are
-        # computed target degree by target degree, as their memos are.
+        # its border normal form if it is on the border.
         count = hit.astype(np.int64)
-        miss = miss.tolist()
-        forms = [None] * len(miss)
-        if miss:
-            degrees = target[miss].tolist()
-            monos = prods.tolist()
-            for k in sorted(range(len(miss)), key=degrees.__getitem__):
-                e = degrees[k]
-                memo = self._border_cache.get_or_compute(e, dict)
-                forms[k] = self._border_nf(tuple(monos[k]), self._basis_index(e), memo)
-                count[miss[k]] = len(forms[k])
+        if miss.size:
+            np.add.at(count, origin, 1)
         start = np.concatenate(([0], count.cumsum()))
-        out = np.empty((start[-1], 3), dtype=exactalg.triplet_dtype(F))
+        del count
+        out = np.empty((start[-1], 3), dtype=exactalg.triplet_dtype(self.field))
         src = hit.nonzero()[0]
         at = start[src]
-        out[at, 0] = local[cand.ravel()[src]]
+        out[at, 0] = cand.ravel()[src]
+        del cand
         out[at, 1] = local[src % N]
-        out[at, 2] = F.one
-        if miss:
-            cols = local[np.array(miss) % N].tolist()
-            out[[start[f] + t for f, nf in zip(miss, forms) for t in range(len(nf))]] = (
-                exactalg.as_triplets(F, [(r, col, c) for col, nf in zip(cols, forms)
-                                         for r, c in nf]))
+        out[at, 2] = self.field.one
+        if miss.size:
+            # origin is sorted: searchsorted finds the first entry of each
+            at = start[origin] + np.arange(origin.size) - origin.searchsorted(origin)
+            out[at, 0] = rows
+            out[at, 1] = local[origin % N]
+            out[at, 2] = border
         firsts = np.arange(0, n * N, N)[:, None] + starts
         return out, start[firsts].tolist()
 
-    def _border_nf(self, mono, dst_index, memo):
-        """Normal form of a non-standard monomial as [(row, coeff)], rows increasing.
+    def _border_forms(self, origin, monos, locate):
+        """Normal forms of non-standard monomials, in whole-array rounds.
 
-        mono = u*lm for the first leading monomial lm dividing it, so
-        NF(mono) = -sum c_t NF(u*t) over the tail of that monic basis
-        element.  Every u*t is smaller in the term order and of the same
-        degree, indexed by dst_index when standard; memo holds the normal
-        forms of the others, for this one target degree only.
+        origin labels each of the monomial rows monos.  A round replaces
+        every pending term c*u*lm, lm the first leading monomial dividing
+        it, by c times u times the tail of its monic basis element: a
+        multiple of a monomial of the basis drops out, and every new term
+        is smaller in the term order and of the same degree.  Equal
+        (origin, monomial) pairs are merged; a term that locate finds
+        among the standard monomials is final.  Returns the final terms,
+        merged, as (origin, standard monomial row, coeff) sorted by both.
         """
         F = self.field
-        stack = [mono]
-        while stack:
-            top = stack[-1]
-            if top in memo:
-                stack.pop()
-                continue
-            lm, tail = self._reducer(top)
-            u = mono_div(top, lm)
-            terms = [(mono_mul(u, t), c) for t, c in tail]
-            pending = [p for p, _ in terms if p not in dst_index and p not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            acc = {}
-            for p, c in terms:
-                row = dst_index.get(p)
-                for r, a in ((row, F.one),) if row is not None else memo[p]:
-                    acc[r] = F.add(acc.get(r, F.zero), F.mul(c, a))
-            memo[top] = sorted((r, a) for r, a in acc.items() if a != F.zero)
-            stack.pop()
-        return memo[mono]
+        merge = (self._tail_len > 1).any()
+        coef = np.full(len(origin), F.one, dtype=exactalg.triplet_dtype(F))
+        done = []
+        while origin.size:
+            g = (monos[:, None, :] >= self._lms).all(axis=2).argmax(axis=1)
+            size = self._tail_len[g]
+            each = np.arange(g.size).repeat(size)
+            term = (self._tail_start[g] - size.cumsum() + size)[each] + np.arange(each.size)
+            origin = origin[each]
+            monos = monos[each] - self._lms[g[each]] + self._tail_exps[term]
+            coef = _reduce_mod(F, coef[each] * self._tail_coef[term])
+            if merge:
+                labels, coef = _merge_terms(F, np.column_stack((origin, monos)), coef)
+                origin, monos = labels[:, 0], labels[:, 1:]
+            at, found = locate(monos)
+            done.append((origin[found], at[found], coef[found]))
+            origin, monos, coef = origin[~found], monos[~found], coef[~found]
+        origin, at, coef = (np.concatenate(part) for part in zip(*done))
+        if merge:
+            labels, coef = _merge_terms(F, np.column_stack((origin, at)), coef)
+            return labels[:, 0], labels[:, 1], coef
+        order = origin.argsort()
+        return origin[order], at[order], coef[order]
 
     def _monomial_nf(self, mono):
         """Normal form of a monomial of k[x_1..x_n]: ((standard monomial, coeff), ...).
 
-        The product table entry: a standard monomial is its own normal
-        form, one past top_degree lies in I, and any other has a border
-        normal form in its own degree.
+        The product table entry: nothing past top_degree, the monomial
+        itself if standard, else x_i times the normal form of mono/x_i,
+        one column of the multiplication table per term.  The chain of
+        divisions stops at a standard monomial or at an entry of the
+        table, and every monomial computed on it gets its entry.
         """
-        d = self.ctx.wdeg(mono)
-        if d > self.top_degree:
-            return ()
-        index = self._basis_index(d)
-        if mono in index:
-            return ((mono, self.field.one),)
-        basis = self._monomial_basis(d)
-        memo = self._border_cache.get_or_compute(d, dict)
-        return tuple((basis[r], c) for r, c in self._border_nf(mono, index, memo))
+        products = self._products
+        nf = products.get(mono)
+        if nf is not None:
+            return nf
+        F, wdeg = self.field, self.ctx.wdeg
+        if wdeg(mono) > self.top_degree:
+            return products.put(mono, ())
+        chain = []
+        while nf is None:
+            if mono in self._basis_index(wdeg(mono)):
+                nf = products.put(mono, ((mono, F.one),))
+            else:
+                i = max(t for t, e in enumerate(mono) if e)
+                chain.append((mono, i))
+                mono = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+                nf = products.get(mono)
+        for mono, i in reversed(chain):
+            d = wdeg(mono) - self.weights[i]
+            index, block = self._basis_index(d), self.mult_triplets(i, d)
+            bounds = block[:, 1].searchsorted([[index[m], index[m] + 1] for m, _ in nf])
+            column = self._sum((r, F.mul(c, a))
+                               for (lo, hi), (_, c) in zip(bounds.tolist(), nf)
+                               for r, a in block[lo:hi, ::2].tolist())
+            basis = self._monomial_basis(d + self.weights[i])
+            nf = products.put(mono, tuple((basis[r], a) for r, a in sorted(column.items())))
+        return nf
 
     def _reduce(self, terms):
         """Payload of sum(c * NF(m)) over (monomial m, scalar c) terms."""
-        mul, table = self.field.mul, self._products
-        return self._sum(
-            (m, mul(c, e)) for mono, c in terms for m, e in table.get_or_compute(
-                mono, lambda mono=mono: self._monomial_nf(mono)))
+        mul, known, nf = self.field.mul, self._products.data, self._monomial_nf
+        return self._sum((m, mul(c, e)) for mono, c in terms
+                         for m, e in (known[mono] if mono in known else nf(mono)))
 
     def from_polynomial(self, p):
         """The image in R of a polynomial over the ring's context."""
@@ -758,6 +779,25 @@ class SemigroupRing(GradedRing):
     def __repr__(self):
         return "SemigroupRing(%s[%s])" % (
             self.field, ",".join("t^%d" % g for g in self.generators))
+
+
+def _reduce_mod(field, values):
+    """values reduced into F_p, elementwise; over Q unchanged."""
+    return values % field.p if isinstance(field, PrimeField) else values
+
+
+def _merge_terms(field, labels, coef):
+    """(rows, sums): coef summed over equal rows of labels, sorted, zeros dropped."""
+    if not len(coef):
+        return labels, coef
+    order = np.lexsort(labels.T[::-1])
+    labels, coef = labels[order], coef[order]
+    first = np.ones(len(coef), dtype=bool)
+    first[1:] = (labels[1:] != labels[:-1]).any(axis=1)
+    first = first.nonzero()[0]
+    sums = _reduce_mod(field, np.add.reduceat(coef, first))
+    keep = sums != 0
+    return labels[first[keep]], sums[keep]
 
 
 def _splitmix64(x):

@@ -5,8 +5,11 @@ pass/fail line per criterion.  Criterion 10 is marked slow and is
 deselected by default; run it with `pytest -m slow -v`.
 """
 
+import json
 import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -370,3 +373,26 @@ def test_criterion_10_f199_vanishing(big_suite):
     level = big_suite["filtration"]["2"]["vanishing_level"]
     print("criterion 10 (F^199 sub-claim): FAIL - vanishing level is %d" % level)
     assert level <= 199
+
+
+@pytest.mark.slow
+def test_criterion_10_suite_peak_memory():
+    # one `suite --slow` call in a fresh interpreter, which reports its own
+    # peak resident set size (ru_maxrss, in KiB on Linux)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import resource, sys\n"
+            "from koszulalg import cli\n"
+            "status = cli.main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(status)\n")
+    run = subprocess.run(
+        [sys.executable, "-c", code, "suite", "--ring", fixture_path("f2_big_x98.json"),
+         "--slow", "--json"],
+        env=env, capture_output=True, text=True, timeout=1800)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["order"] == 98
+    peak_mb = int(run.stderr.split()[-1]) / 1024
+    assert peak_mb <= 300, peak_mb
+    print("criterion 10 memory: PASS (suite --slow peak RSS %.0f MB)" % peak_mb)

@@ -8,10 +8,11 @@ import os
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszulalg import exactalg
+from koszulalg import exactalg, gring
 from koszulalg.cli import load_ring_spec
 from koszulalg.exactalg import GF2, QQ, PrimeField
 from koszulalg.polyring import (
@@ -302,10 +303,12 @@ def test_exponent_box_past_int64_matches_oracles():
 
 @st.composite
 def artinian_ideals(draw):
-    """Pure powers of every variable plus random monomials and binomials.
+    """Pure powers of every variable plus random monomials, binomials and trinomials.
 
     Every extra generator has total degree >= 2, so each variable stays
-    a minimal generator of the maximal ideal.
+    a minimal generator of the maximal ideal.  A trinomial gives its
+    Groebner basis element a tail of two terms, so border normal forms
+    branch and their terms merge.
     """
     n = draw(st.integers(min_value=2, max_value=3))
     weights = draw(st.lists(st.integers(min_value=1, max_value=3),
@@ -322,17 +325,17 @@ def artinian_ideals(draw):
         monos = [m for m in monomials_of_weight(ctx, d) if sum(m) >= 2]
         if not monos:
             continue
-        if len(monos) < 2 or draw(st.booleans()):
-            gens.append(ctx.monomial(draw(st.sampled_from(monos))))
-            continue
-        m1, m2 = draw(st.lists(st.sampled_from(monos), min_size=2, max_size=2,
-                               unique=True))
-        if field is QQ:
-            c = Fraction(draw(st.sampled_from([-3, -1, 1, 2])),
-                         draw(st.sampled_from([1, 2, 5])))
-        else:
-            c = draw(st.integers(min_value=1, max_value=field.p - 1))
-        gens.append(Polynomial(ctx, [(m1, field.one), (m2, c)]))
+        size = draw(st.integers(min_value=1, max_value=min(3, len(monos))))
+        terms = draw(st.lists(st.sampled_from(monos), min_size=size, max_size=size,
+                              unique=True))
+        coeffs = [field.one]
+        for _ in terms[1:]:
+            if field is QQ:
+                coeffs.append(Fraction(draw(st.sampled_from([-3, -1, 1, 2])),
+                                       draw(st.sampled_from([1, 2, 5]))))
+            else:
+                coeffs.append(draw(st.integers(min_value=1, max_value=field.p - 1)))
+        gens.append(Polynomial(ctx, zip(terms, coeffs)))
     return ctx, gens
 
 
@@ -341,6 +344,38 @@ def artinian_ideals(draw):
 def test_random_artinian_ring_matches_oracles(ideal):
     ctx, gens = ideal
     assert_matches_oracles(ArtinianQuotient(ctx, gens))
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), QQ], ids=["F3", "Q"])
+def test_border_forms_cancel_where_reduction_paths_meet(field, monkeypatch):
+    # x*y - x*z + y*z has a tail of two terms; in the border normal forms
+    # two reduction paths reach one monomial with opposite coefficients
+    merged = []
+    merge = gring._merge_terms
+
+    def counting_merge(F, labels, coef):
+        out = merge(F, labels, coef)
+        merged.append(len(np.unique(labels, axis=0)) - len(out[1]))
+        return out
+
+    monkeypatch.setattr(gring, "_merge_terms", counting_merge)
+    ctx = PolyContext(field, ["x", "y", "z"])
+    R = make_artinian_quotient(ctx, ["x^2", "y^2", "z^3", "x*y - x*z + y*z"])
+    assert_matches_oracles(R)
+    assert max(merged) > 0
+    assert_products_match_oracle(R, random.Random(2))
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), QQ], ids=["F3", "Q"])
+def test_lex_quotient_with_empty_degrees_matches_oracles(field):
+    # weights (5, 2) leave degrees 1 and 3 empty, and degree 10 holds x^2
+    # and y^5, which lex and grevlex order differently
+    ctx = PolyContext(field, ["x", "y"], [5, 2], order="lex")
+    R = make_artinian_quotient(ctx, ["x^3", "y^8", "x^2*y^2 + y^7"])
+    assert R.dim(1) == R.dim(3) == 0
+    assert R._monomial_basis(10) == ((2, 0), (0, 5))
+    assert_matches_oracles(R)
+    assert_products_match_oracle(R, random.Random(3))
 
 
 # ------------------------------ product table vs. polyring.normal_form
@@ -360,7 +395,7 @@ def assert_products_match_oracle(R, rng, samples=30):
 
     Also every monomial through top_degree + max(weights) on its own:
     its normal form is itself, a border normal form, or zero past
-    top_degree, and nothing past top_degree reaches a border memo.
+    top_degree.
     """
     F = R.field
     standard = [m for d in range(R.top_degree + 1)
@@ -376,7 +411,6 @@ def assert_products_match_oracle(R, rng, samples=30):
         assert R.from_polynomial(p).data == dict(normal_form(p, R.gb).terms)
         if R.ctx.wdeg(m) > R.top_degree:
             assert R.from_polynomial(p).is_zero()
-    assert all(d <= R.top_degree for d in R._border_cache.data)
 
     def random_poly():
         return Polynomial(R.ctx, [
@@ -398,11 +432,11 @@ def test_products_match_normal_form(make):
 
 
 def test_products_match_normal_form_with_tiny_caches():
-    # every table entry and border memo is evicted almost at once
+    # every product table entry is evicted almost at once
     R = conftest.row3_ring(QQ)
-    R._products, R._border_cache = Memo(3), Memo(1)
+    R._products = Memo(3)
     assert_products_match_oracle(R, random.Random(1))
-    assert len(R._products.data) <= 3 and len(R._border_cache.data) <= 1
+    assert len(R._products.data) <= 3
 
 
 @given(artinian_ideals(), st.integers(min_value=0, max_value=2 ** 16))
@@ -432,19 +466,19 @@ def test_threaded_rank_only_betti_matches_serial():
     assert threaded.entries == serial.entries
 
 
-def test_rank_only_betti_walks_no_staircase_after_ring_build(monkeypatch):
-    # the ring build keeps the basis of every degree it walks
-    walks = []
-    walk = ArtinianQuotient._walk_staircase
-    monkeypatch.setattr(ArtinianQuotient, "_walk_staircase",
-                        lambda self, d, known: walks.append(d) or walk(self, d, known))
+def test_rank_only_betti_makes_no_basis_tuple(monkeypatch):
+    # the ring build and the rank-only path read the exponent array only
+    made = []
+    basis = ArtinianQuotient._monomial_basis
+    monkeypatch.setattr(ArtinianQuotient, "_monomial_basis",
+                        lambda self, d: made.append(d) or basis(self, d))
     ctx = PolyContext(GF2, ["x", "y", "z"])
     R = make_artinian_quotient(
         ctx, ["x^30", "y^31", "z^32", "x^15*z^17 + y^15*z^17"])
     assert R.top_degree == 75
-    built = len(walks)
     betti_table(KoszulComplex(R), rank_only=True)
-    assert len(walks) == built
+    assert made == []
+    assert not R._bases and not R._index_cache.data
 
 
 def _mpower_oracle(generators, a_max, bound):
