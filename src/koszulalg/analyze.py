@@ -24,10 +24,14 @@ in-scope check into one machine-readable report.
 
 Filtration queries are answered in class coordinates.  Since B ⊂ Z, a
 cycle lies in (Z ∩ F^l) + B exactly when it lies in F^l + B.  So each
-strand (i, d) reduces its representatives once per level l modulo
-m^(l-i) K_{i,d} + B_{i,d}, and a class c of that strand is in F^l H_i
-iff the combination of residuals with coefficients c vanishes: levels,
-dimensions and graded slices are all read off that residual matrix.
+strand (i, d) with k classes has one filtration table, built on its
+first query from a single level-ordered reduction: k independent
+linear forms on the class coordinates, each with a level, such that a
+class is in F^l H_i iff every form of level < l kills it (see
+_filtration_table).  The level of a class is the least level of a form
+that does not kill it, dim F^l counts the forms of level >= l, the dual
+basis of the forms is adapted to the filtration, and ord(R) is the
+least form level on H_1.
 """
 
 from __future__ import annotations
@@ -153,64 +157,77 @@ def _strand_power_vectors(K, i, d, a):
     return vecs
 
 
-def _residuals(K, i, d, l):
-    """Matrix r with F^l H_i in degree d = {class coordinates c : r c = 0}.
+def _filtration_table(K, i, d, data):
+    """Filtration table (levels, forms) of the strand (i, d), levels increasing.
 
-    Column t is the residual of the t-th degree-d representative modulo
-    m^(l-i) K_{i,d} + B_{i,d}; rows that are zero in every column are
-    dropped.  Memoized per (i, d, l) on the strand data.
+    A class of the strand is in F^l iff every form of level < l kills its
+    coordinates.  One Echelon starts from B_{i,d} and takes m^a K_{i,d}
+    for a from the largest with a nonzero slice (a product of a
+    generators has degree >= a * min weight) down to 1, tagging each
+    vector that grows it with the level i + a.
+    A representative reduced once is its residual modulo F^(i+1) + B
+    plus a combination of tagged vectors, so a class lies in F^l exactly
+    when the residual coordinates (level i) and the coefficients on the
+    tagged vectors of level < l vanish on it.  Of those forms, taken in
+    increasing level, the table keeps the k independent ones that come
+    first: they cut out every F^l, and no nonzero class is in all of them.
+    Built on the first query and kept on the strand data.
     """
-    data = homology_basis(K, i).degree_data[d]
-    if l not in data.residuals:
-        F = K.field
-        span = exactalg.Echelon(F, data.boundary_rows())
-        for v in _strand_power_vectors(K, i, d, l - i):
-            span.add(v)
-        columns = [span.reduce(v)[0] for v in data.rep_vectors]
-        rows = [row for row in zip(*columns) if any(a != F.zero for a in row)]
-        data.residuals[l] = Matrix(F, rows, len(columns))
-    return data.residuals[l]
+    if data.filtration is not None:
+        return data.filtration
+    F = K.field
+    k = len(data.rep_vectors)
+    if _is_standard_graded(K) or not k:
+        # F^l is the filtration by internal degree: every level is d
+        data.filtration = ([d] * k, Matrix.identity(F, k))
+        return data.filtration
+    span = exactalg.Echelon(F, data.boundary_rows())
+    tracked = []
+    for a in range((d - min(K.subset_weights[i])) // min(K.weights), 0, -1):
+        for v in _strand_power_vectors(K, i, d, a):
+            if span.add(v, ((len(tracked), F.one),)):
+                tracked.append(i + a)
+    residuals, coords = zip(*(
+        span.decompose(v, len(tracked)) for v in data.rep_vectors))
+    candidates = [(i, form) for form in zip(*residuals)]
+    candidates += reversed(list(zip(tracked, zip(*coords))))
+    picked = exactalg.Echelon(F)
+    levels, forms = [], []
+    for level, form in candidates:
+        if picked.add(form):
+            levels.append(level)
+            forms.append(form)
+            if len(forms) == k:
+                break
+    data.filtration = (levels, Matrix(F, forms, k))
+    return data.filtration
 
 
 def filtration_dim(K, i, l):
-    """dim F^l H_i, summed over internal degrees."""
-    basis = homology_basis(K, i)
-    if _is_standard_graded(K):
-        return sum(1 for cls in basis.classes if cls.degree >= l)
-    total = 0
-    for d, data in basis.degree_data.items():
-        if data.rep_vectors:
-            total += len(data.rep_vectors) - exactalg.rank(_residuals(K, i, d, l))
-    return total
+    """dim F^l H_i, summed over internal degrees: the forms of level >= l."""
+    return sum(
+        level >= l
+        for d, data in homology_basis(K, i).degree_data.items()
+        for level in _filtration_table(K, i, d, data)[0])
 
 
 def filtration_level(K, i, coords):
     """Largest l with the class in F^l H_i; math.inf for the zero class.
 
-    Every internal degree with a nonzero coordinate must pass: its part
-    of the class is in F^l iff the residual matrix kills its coordinates.
+    It is the least level, over the internal degrees, of a form of the
+    table that does not kill the class's coordinates there.
     """
     basis = homology_basis(K, i)
     F = K.field
     if len(coords) != basis.dim:
         raise ValueError("coordinate length mismatch")
-    if all(a == F.zero for a in coords):
-        return math.inf
-    if _is_standard_graded(K):
-        return min(
-            cls.degree for cls, a in zip(basis.classes, coords) if a != F.zero)
-    parts = []
-    for d, data in sorted(basis.degree_data.items()):
-        local = [coords[idx] for idx in data.class_indices]
-        if any(a != F.zero for a in local):
-            parts.append((d, local))
-    level = i
-    while all(
-            all(a == F.zero for a in _residuals(K, i, d, level + 1).mul_vec(local))
-            for d, local in parts):
-        level += 1
-        if level > parts[-1][0] + 1:
-            raise RuntimeError("filtration level failed to terminate")
+    level = math.inf
+    for d in {cls.degree for cls, a in zip(basis.classes, coords) if a != F.zero}:
+        data = basis.degree_data[d]
+        levels, forms = _filtration_table(K, i, d, data)
+        values = forms.mul_vec([coords[idx] for idx in data.class_indices])
+        level = min(level, next(
+            lev for lev, a in zip(levels, values) if a != F.zero))
     return level
 
 
@@ -220,75 +237,46 @@ def ring_order(K):
     For a standard graded quotient F^l H_1 is the part of H_1 in
     internal degree >= l, and H_1 in degree d is (I/mI)_d, so the order
     is the lowest degree of a minimal generator of I.  Weighted and
-    semigroup rings read it off the filtration of the H_1 basis, which
-    takes only the strands of d_1 and d_2.
+    semigroup rings take the least form level of the filtration tables
+    of H_1, which need only the strands of d_1 and d_2.
     """
     if _is_standard_graded(K):
         return min(K.ring.minimal_generator_counts(), default=math.inf)
     _homology_through(K, 1)
-    h1 = homology_basis(K, 1)
-    if h1.dim == 0:
-        return math.inf
-    levels = []
-    for cls in h1.classes:
-        levels.append(filtration_level(
-            K, 1, exactalg.unit_vector(K.field, h1.dim, cls.index)))
-    return min(levels)
+    return min((
+        level
+        for d, data in homology_basis(K, 1).degree_data.items()
+        for level in _filtration_table(K, 1, d, data)[0]), default=math.inf)
 
 
 class GrAlgebra:
-    """Associated graded homology: dims per (i, level) and gr products."""
+    """Associated graded homology: dims per (i, level) and gr products.
+
+    basis[i] holds (level, coords) pairs, by increasing level: the dual
+    basis of each strand's filtration forms, which is adapted to the
+    filtration, since the dual vector of a form of level l is killed by
+    every other form and so has level l.
+    """
 
     def __init__(self, K):
         self.complex = K
-        c = K.ring.codepth
+        F = K.field
         self.dims = {}
         self.basis = {}
-        for i in range(c + 1):
+        for i in range(K.ring.codepth + 1):
             hb = homology_basis(K, i)
-            adapted = self._adapted_basis(K, i, hb)
+            adapted = []
+            for d in hb.degrees():
+                data = hb.degree_data[d]
+                levels, forms = _filtration_table(K, i, d, data)
+                for level, dual in zip(levels, _inverse_columns(forms)):
+                    full = [F.zero] * hb.dim
+                    for idx, a in zip(data.class_indices, dual):
+                        full[idx] = a
+                    adapted.append((level, full))
+                    self.dims[(i, level)] = self.dims.get((i, level), 0) + 1
+            adapted.sort(key=lambda p: p[0])
             self.basis[i] = adapted
-            for level, _ in adapted:
-                key = (i, level)
-                self.dims[key] = self.dims.get(key, 0) + 1
-            total = sum(v for (ii, _), v in self.dims.items() if ii == i)
-            if total != hb.dim:
-                raise RuntimeError("filtration of H_%d is not exhaustive" % i)
-
-    @staticmethod
-    def _adapted_basis(K, i, hb):
-        """Pairs (level, coords) forming a filtration-adapted basis of H_i."""
-        out = []
-        for d in hb.degrees():
-            members = [cls for cls in hb.classes if cls.degree == d]
-            if not members:
-                continue
-            if _is_standard_graded(K):
-                # F^l is the filtration by internal degree: every level is d
-                out.extend((d, exactalg.unit_vector(K.field, hb.dim, cls.index))
-                           for cls in members)
-                continue
-            # general case: build F^l chain on the degree-d homology slice;
-            # inside one internal degree, levels are finite and bounded
-            lmax = d + 1
-            idxs = [cls.index for cls in members]
-            dim_d = len(idxs)
-            picked = []
-            picked_rows = []
-            for l in range(lmax, i - 1, -1):
-                slice_vectors = _gr_slice_vectors(K, i, d, l)
-                for v in slice_vectors:
-                    if exactalg.coords_in_span(v, picked_rows, K.field) is None:
-                        full = [K.field.zero] * hb.dim
-                        for t, idx in enumerate(idxs):
-                            full[idx] = v[t]
-                        picked.append((l, full))
-                        picked_rows.append(v)
-                if len(picked) == dim_d:
-                    break
-            out.extend(picked)
-        out.sort(key=lambda p: p[0])
-        return out
 
     def dim(self, i, l):
         return self.dims.get((i, l), 0)
@@ -332,13 +320,12 @@ class GrAlgebra:
         }
 
 
-def _gr_slice_vectors(K, i, d, l):
-    """Coordinates (on the degree-d classes) spanning F^l of that slice: rref of ker r."""
-    kernel = exactalg.kernel_basis(_residuals(K, i, d, l))
-    if not kernel:
-        return []
-    red, pivots = exactalg.rref(Matrix(K.field, kernel))
-    return red.rows[:len(pivots)]
+def _inverse_columns(M):
+    """The columns of M^-1 for an invertible square M, read off rref([M | I])."""
+    F, k = M.field, M.nrows
+    red, _ = exactalg.rref(Matrix(F, [
+        row + exactalg.unit_vector(F, k, t) for t, row in enumerate(M.rows)], 2 * k))
+    return [[row[k + b] for row in red.rows] for b in range(k)]
 
 
 def gr_homology(K):

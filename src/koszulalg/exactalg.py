@@ -472,7 +472,9 @@ class Echelon:
     alone, and is zero exactly when the vector lies in the span.  A tag
     is the combination ((index, scalar), ...) of tracked inputs that a
     row equals modulo the untagged rows, so the multiples give the
-    coordinates of a vector of the span on those inputs.
+    coordinates of a vector of the span on those inputs; decompose gives
+    them for any vector, which equals its residual plus that combination
+    modulo the untagged rows.
     """
 
     __slots__ = ("field", "rows")
@@ -522,18 +524,20 @@ class Echelon:
                   if a != zero)))
         return True
 
-    def coords(self, vec, k):
-        """Coordinates of vec on the k tracked inputs, or None outside the span."""
+    def decompose(self, vec, k):
+        """(residual, coordinates on the k tracked inputs) of vec."""
         F = self.field
-        zero = F.zero
         w, mults = self.reduce(vec)
-        if any(a != zero for a in w):
-            return None
-        out = [zero] * k
+        out = [F.zero] * k
         for r, c in mults:
             for t, a in self.rows[r][3]:
                 out[t] = F.add(out[t], F.mul(c, a))
-        return out
+        return w, out
+
+    def coords(self, vec, k):
+        """Coordinates of vec on the k tracked inputs, or None outside the span."""
+        w, out = self.decompose(vec, k)
+        return None if any(a != self.field.zero for a in w) else out
 
 
 def span_dim(vectors, field, ambient):

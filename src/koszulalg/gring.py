@@ -36,8 +36,8 @@ maximal ideal (ker f inside mF): for quotients every variable must
 survive into R, for semigroups no generator may be representable by
 the others.  A quotient computes its exponent array, dimensions and
 generators once, and its multiplication table on the first request.
-The basis tuples of a degree are made on its first request and kept;
-basis indices, slices of powers of m and the product table are
+The basis tuples and basis indices of a degree are made on its first
+request and kept; slices of powers of m and the product table are
 size-capped Memo dicts that evict the oldest entry first.  The
 rank-only paths never make a basis tuple.
 A semigroup ring decides membership in m^a from one table, grown in
@@ -302,7 +302,7 @@ class ArtinianQuotient(GradedRing):
 
         self._no_product = exactalg.as_triplets(F)
         self._bases = {}
-        self._index_cache = Memo(64)
+        self._indices = {}
         self._mult_table = None
         self._mpower_cache = Memo(4096)
         self._products = Memo(4096)
@@ -366,8 +366,12 @@ class ArtinianQuotient(GradedRing):
         return [RingElement(self, {m: one}) for m in self._monomial_basis(d)]
 
     def _basis_index(self, d):
-        return self._index_cache.get_or_compute(
-            d, lambda: {m: t for t, m in enumerate(self._monomial_basis(d))})
+        """{standard monomial of degree d: its position in the basis}."""
+        index = self._indices.get(d)
+        if index is None:
+            index = self._indices[d] = {
+                m: t for t, m in enumerate(self._monomial_basis(d))}
+        return index
 
     def mult_triplets(self, i, d):
         if d < 0 or d + self.weights[i] > self.top_degree:

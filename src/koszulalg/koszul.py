@@ -166,17 +166,17 @@ class _DegreeData:
     span is one sparse Echelon of the cycle space Z_{i,d}.  Its untagged
     rows, from the columns of d_{i+1}, span the boundaries B_{i,d}; each
     tagged row carries its coefficients on rep_vectors, which complete
-    B_{i,d} to Z_{i,d}.  residuals is a memo, keyed by filtration level,
-    that analyze fills with the filtration of this strand's classes.
+    B_{i,d} to Z_{i,d}.  filtration is None until analyze builds the
+    filtration table of this strand's classes on its first query.
     """
 
-    __slots__ = ("span", "rep_vectors", "class_indices", "residuals")
+    __slots__ = ("span", "rep_vectors", "class_indices", "filtration")
 
     def __init__(self, span, rep_vectors, class_indices):
         self.span = span
         self.rep_vectors = rep_vectors
         self.class_indices = class_indices
-        self.residuals = {}
+        self.filtration = None
 
     def boundary_rows(self):
         """The untagged echelon rows: a basis of B_{i,d}."""

@@ -1,6 +1,7 @@
 """Filtration levels, ring order, gr algebra, identity decision, suites."""
 
 import collections
+import itertools
 import json
 import math
 import os
@@ -288,6 +289,33 @@ def test_fast_and_general_paths_agree():
     assert ring_order(K1) == ring_order(K2) == 2
 
 
+def _filtration_answers(K, rnd):
+    """Every answer the standard-graded branch of the filtration table serves."""
+    F = K.field
+    out = {"order": ring_order(K)}
+    for i in range(K.n + 1):
+        basis = homology_basis(K, i)
+        top = max(basis.degrees(), default=i)
+        out["dims", i] = [filtration_dim(K, i, l) for l in range(i - 1, top + 2)]
+        samples = [_unit(K, i, cls) for cls in basis.classes]
+        samples += [[_scalar(F, rnd) for _ in range(basis.dim)] for _ in range(3)]
+        out["levels", i] = [filtration_level(K, i, coords) for coords in samples]
+    g = gr_homology(K)
+    out["gr"] = (g.to_json(), g.positive_products_vanish())
+    return out
+
+
+@pytest.mark.parametrize("name", _standard_graded_quotient_fixtures())
+def test_standard_graded_branch_matches_general_table(name, monkeypatch):
+    spec = conftest.fixture_path(name)
+    branch = _filtration_answers(
+        KoszulComplex(load_ring_spec(spec)), random.Random(name))
+    monkeypatch.setattr(analyze, "_is_standard_graded", lambda K: False)
+    general = _filtration_answers(
+        KoszulComplex(load_ring_spec(spec)), random.Random(name))
+    assert branch == general
+
+
 def test_level_of_zero_class(K_ci):
     dim = homology_basis(K_ci, 1).dim
     assert filtration_level(K_ci, 1, [K_ci.field.zero] * dim) == math.inf
@@ -432,9 +460,12 @@ def _assert_contraction_matches_lifts(K):
                     K, g, cls.element)
 
 
-@pytest.mark.parametrize("name", sorted(
+_FIXTURES_BUT_X98 = sorted(
     f for f in os.listdir(conftest.FIXTURES)
-    if f.endswith(".json") and f != "f2_big_x98.json"))
+    if f.endswith(".json") and f != "f2_big_x98.json")
+
+
+@pytest.mark.parametrize("name", _FIXTURES_BUT_X98)
 def test_contraction_matches_lift_oracle(name):
     _assert_contraction_matches_lifts(
         KoszulComplex(load_ring_spec(conftest.fixture_path(name))))
@@ -444,6 +475,35 @@ def test_contraction_matches_lift_oracle(name):
 @settings(max_examples=25, deadline=None)
 def test_contraction_matches_lift_oracle_on_random_rings(ring):
     _assert_contraction_matches_lifts(KoszulComplex(ring))
+
+
+def _assert_lift_action_abelian(K):
+    """Every two matrices D = H_i(phi) - id of the elementary lifts commute.
+
+    The maps id + D of the elementary lifts over a basis of H_1 generate
+    the lift action up to homotopy, so it is abelian exactly when every
+    two D commute in each degree.
+    """
+    differences = check_identity_all(K).differences
+    for i in range(K.ring.codepth + 1):
+        dim = homology_basis(K, i).dim
+        matrices = [exactalg.Matrix.from_columns(K.field, diff[i], dim)
+                    for diff in differences]
+        for a, b in itertools.combinations(
+                [m for m in matrices if not m.is_zero()], 2):
+            assert a.mul(b) == b.mul(a)
+
+
+@pytest.mark.parametrize("name", _FIXTURES_BUT_X98)
+def test_lift_action_is_abelian(name):
+    _assert_lift_action_abelian(
+        KoszulComplex(load_ring_spec(conftest.fixture_path(name))))
+
+
+@given(small_rings())
+@settings(max_examples=25, deadline=None)
+def test_lift_action_is_abelian_on_random_rings(ring):
+    _assert_lift_action_abelian(KoszulComplex(ring))
 
 
 @pytest.mark.parametrize("name", [

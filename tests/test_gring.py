@@ -478,7 +478,7 @@ def test_rank_only_betti_makes_no_basis_tuple(monkeypatch):
     assert R.top_degree == 75
     betti_table(KoszulComplex(R), rank_only=True)
     assert made == []
-    assert not R._bases and not R._index_cache.data
+    assert not R._bases and not R._indices
 
 
 def _mpower_oracle(generators, a_max, bound):
