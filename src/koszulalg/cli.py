@@ -68,7 +68,7 @@ def load_ring_spec(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise SpecError("cannot read ring spec: %s" % e)
     except json.JSONDecodeError as e:
         raise SpecError("ring spec is not valid JSON: %s" % e)
@@ -203,7 +203,7 @@ def load_lift_spec(path, K):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise SpecError("cannot read lift spec: %s" % e)
     images = {}
     for lineno, line in enumerate(lines, start=1):

@@ -18,10 +18,11 @@ the normal forms of all of them come from whole-array rounds that
 replace each pending term by the tail of its first dividing basis
 element, merge equal terms and keep those found among the standard
 monomials.
-The same table answers every product of elements: a monomial's normal
-form is nothing past top_degree, itself if standard, and otherwise x_i
-times the normal form of mono/x_i, one table column per term, so
-neither products nor parsed polynomials go through polyring.normal_form.
+Products and parsed polynomials of elements use the same rounds, not
+the table and not polyring.normal_form: a monomial's normal form is
+nothing past top_degree, itself if standard, and otherwise one of the
+border normal forms that each product or parse computes in one batch
+for the monomials it is the first to meet.
 
 A SemigroupRing is k[t^{g_1},...,t^{g_n}] inside k[t], graded by
 t-degree, with dim R_d <= 1 decided by a coin-problem sieve.  Both
@@ -36,10 +37,11 @@ maximal ideal (ker f inside mF): for quotients every variable must
 survive into R, for semigroups no generator may be representable by
 the others.  A quotient computes its exponent array, dimensions and
 generators once, and its multiplication table on the first request.
-The basis tuples and basis indices of a degree are made on its first
-request and kept; slices of powers of m and the product table are
-size-capped Memo dicts that evict the oldest entry first.  The
-rank-only paths never make a basis tuple.
+The basis tuples and basis indices of a degree, slices of powers of m,
+the normal forms of monomials and the hash-key index of the basis are
+made on first request and kept; nothing is evicted.  The rank-only
+paths never make a basis tuple.  A ring whose basis or degrees could pass
+SIZE_LIMIT is refused with MemoryError before any array is made.
 A semigroup ring decides membership in m^a from one table, grown in
 place on demand, of the largest number of generators summing to each
 degree.  The mathematical value of a ring never changes, but its caches
@@ -65,6 +67,10 @@ from koszulalg.polyring import (
     normal_form,
     parse_poly,
 )
+
+
+# The most standard monomials or degrees a ring may have
+SIZE_LIMIT = 2 ** 24
 
 
 class RingConstructionError(ValueError):
@@ -125,28 +131,6 @@ class RingElement:
 
     def __repr__(self):
         return "RingElement(%s)" % self
-
-
-class Memo:
-    """Memo dict of at most maxsize entries; the oldest insertion goes first."""
-
-    def __init__(self, maxsize):
-        self.maxsize = maxsize
-        self.data = {}
-
-    def get(self, key):
-        return self.data.get(key)
-
-    def put(self, key, value):
-        while len(self.data) >= self.maxsize:
-            self.data.pop(next(iter(self.data)))
-        self.data[key] = value
-        return value
-
-    def get_or_compute(self, key, fn):
-        if key in self.data:
-            return self.data[key]
-        return self.put(key, fn())
 
 
 class GradedRing:
@@ -266,12 +250,17 @@ class ArtinianQuotient(GradedRing):
 
         # Artinian iff every variable has a pure-power leading monomial.
         lms = self.gb.leading_monomials()
-        powers = {i for lm in lms for i, e in enumerate(lm) if e == sum(lm) > 0}
+        powers = {i: e for lm in lms for i, e in enumerate(lm) if e == sum(lm) > 0}
         missing = [v for i, v in enumerate(self.gen_names) if i not in powers]
         if missing:
             raise RingConstructionError(
                 "quotient is not Artinian: no pure power of %s in the initial ideal"
                 % ", ".join(missing))
+
+        # No exponent of x_i in the reduced basis passes that of its pure
+        # power, so this sum bounds every degree, and every array fits int64.
+        if sum(w * (powers[i] - 1) for i, w in enumerate(self.weights)) > SIZE_LIMIT:
+            raise MemoryError("quotient has degrees past %d" % SIZE_LIMIT)
 
         # Each reducer is (leading monomial, tail with negated coefficients)
         # of a monic basis element: a monomial u*lm reduces to
@@ -303,9 +292,10 @@ class ArtinianQuotient(GradedRing):
         self._no_product = exactalg.as_triplets(F)
         self._bases = {}
         self._indices = {}
+        self._products = {}
+        self._mpower_cache = {}
+        self._key_index = None
         self._mult_table = None
-        self._mpower_cache = Memo(4096)
-        self._products = Memo(4096)
 
         self._exps, dims = self._staircase()
         self._dims = tuple(dims)
@@ -327,7 +317,8 @@ class ArtinianQuotient(GradedRing):
         pure power of x_i is one of them, and one with an earlier last
         variable never divides m, since m is standard.  The rows are then
         ordered by degree, then decreasing term order; dims[d] counts
-        those of degree d.
+        those of degree d.  A round that would pass SIZE_LIMIT rows raises
+        MemoryError before the array is made.
         """
         n = self.ngens
         lms = self._lms
@@ -337,7 +328,10 @@ class ArtinianQuotient(GradedRing):
         for i in range(n):
             walls = lms[last == i]
             divides = (walls[:, :i] <= stair[:, None, :i]).all(axis=2)
+            # reach is at most the pure power of x_i, so the sum fits int64
             reach = np.where(divides, walls[:, i], unbounded).min(axis=1)
+            if reach.sum() > SIZE_LIMIT:
+                raise MemoryError("quotient has over %d standard monomials" % SIZE_LIMIT)
             stair = stair.repeat(reach, axis=0)
             stair[:, i] = np.arange(len(stair)) - (reach.cumsum() - reach).repeat(reach)
         degree = stair @ np.array(self.weights)
@@ -381,42 +375,58 @@ class ArtinianQuotient(GradedRing):
         table, bounds = self._mult_table
         return table[bounds[i][d]:bounds[i][d + 1]]
 
+    def _hash_keys(self):
+        """(coeffs, order, sorted keys): the search index of the standard monomials.
+
+        A row's search key is a linear form in its exponents with odd
+        coefficients modulo 2^64, redrawn until the keys of the basis are
+        distinct; order sorts the rows by key.  Built on first use and kept.
+        """
+        if self._key_index is None:
+            n = self.ngens
+            for seed in itertools.count():
+                coeffs = np.array([_splitmix64(seed * n + t) | 1 for t in range(n)],
+                                  dtype=np.uint64)
+                keys = self._exps.astype(np.uint64) @ coeffs
+                order = keys.argsort()
+                sorted_keys = keys[order]
+                if (sorted_keys[1:] != sorted_keys[:-1]).all():
+                    break
+            self._key_index = coeffs, order, sorted_keys
+        return self._key_index
+
+    def _locate(self, monos):
+        """(at, found): the exponent row each monomial row may equal, and if it does.
+
+        One searchsorted of the monomials' keys among the sorted keys of
+        the basis; a candidate counts only if its exponent row equals the
+        monomial, so a wrapped or colliding key never gives a wrong row.
+        """
+        coeffs, order, sorted_keys = self._hash_keys()
+        at = order.take(sorted_keys.searchsorted(monos.astype(np.uint64) @ coeffs),
+                        mode="clip")
+        return at, (self._exps[at] == monos).all(axis=1)
+
     def _multiplication_table(self):
         """(triplet array, bounds): every x_i on every R_d, built at once.
 
         The rows of the exponent array are the standard monomials, degree
-        by degree in basis order.  A row's search key is a linear form in
-        its exponents with odd coefficients modulo 2^64, redrawn until
-        the keys of the basis are distinct, so x_i*m has the key of m
-        plus the coefficient of x_i.  A monomial is looked up by one
-        searchsorted among the sorted keys, and a candidate counts only
-        if its exponent row equals the monomial: a wrapped or colliding
-        key never makes a wrong entry.  A product x_i*m found is the
-        standard monomial it equals, in degree deg(m) + w_i.  One not
-        found lies past top_degree, hence in I, or on the border of the
-        staircase, where _border_forms gives its normal form.  Entries
-        are ordered by generator, then source monomial, rows increasing
-        within one, so table[bounds[i][d]:bounds[i][d + 1]] is x_i on R_d.
+        by degree in basis order.  x_i*m has the search key of m plus the
+        coefficient of x_i (_hash_keys), so every product is searched
+        among the sorted keys at once, and checked against the exponent
+        rows.  A product x_i*m found is the standard monomial it equals,
+        in degree deg(m) + w_i.  One not found lies past top_degree,
+        hence in I, or on the border of the staircase, where
+        _border_forms gives its normal form.  Entries are ordered by
+        generator, then source monomial, rows increasing within one, so
+        table[bounds[i][d]:bounds[i][d + 1]] is x_i on R_d.
         """
         exps = self._exps
         N, n = exps.shape
+        coeffs, order, sorted_keys = self._hash_keys()
         starts = np.array(self._starts)
         degree = np.arange(len(self._dims)).repeat(self._dims)
         local = np.arange(N) - starts[degree]
-        for seed in itertools.count():
-            coeffs = np.array([_splitmix64(seed * n + t) | 1 for t in range(n)],
-                              dtype=np.uint64)
-            keys = exps.astype(np.uint64) @ coeffs
-            order = keys.argsort()
-            sorted_keys = keys[order]
-            if (sorted_keys[1:] != sorted_keys[:-1]).all():
-                break
-        del keys
-
-        def locate(rows):
-            at = order.take(sorted_keys.searchsorted(rows.astype(np.uint64) @ coeffs),
-                            mode="clip")
-            return at, (exps[at] == rows).all(axis=1)
 
         # Flat product f = i*N + s is x_i times the s-th monomial.  Its key
         # is searched in key order, where x_i only shifts the keys (mod
@@ -436,9 +446,9 @@ class ArtinianQuotient(GradedRing):
                     <= self.top_degree]
         if miss.size:
             origin, rows, border = self._border_forms(
-                miss, exps[miss % N] + units[miss // N], locate)
+                miss, exps[miss % N] + units[miss // N])
             rows = local[rows]
-        del order, sorted_keys, degree
+        del degree
         cand = local[cand]
 
         # Product f holds entries start[f]..start[f+1]-1: one if it hit,
@@ -464,7 +474,7 @@ class ArtinianQuotient(GradedRing):
         firsts = np.arange(0, n * N, N)[:, None] + starts
         return out, start[firsts].tolist()
 
-    def _border_forms(self, origin, monos, locate):
+    def _border_forms(self, origin, monos):
         """Normal forms of non-standard monomials, in whole-array rounds.
 
         origin labels each of the monomial rows monos.  A round replaces
@@ -472,7 +482,7 @@ class ArtinianQuotient(GradedRing):
         it, by c times u times the tail of its monic basis element: a
         multiple of a monomial of the basis drops out, and every new term
         is smaller in the term order and of the same degree.  Equal
-        (origin, monomial) pairs are merged; a term that locate finds
+        (origin, monomial) pairs are merged; a term that _locate finds
         among the standard monomials is final.  Returns the final terms,
         merged, as (origin, standard monomial row, coeff) sorted by both.
         """
@@ -491,7 +501,7 @@ class ArtinianQuotient(GradedRing):
             if merge:
                 labels, coef = _merge_terms(F, np.column_stack((origin, monos)), coef)
                 origin, monos = labels[:, 0], labels[:, 1:]
-            at, found = locate(monos)
+            at, found = self._locate(monos)
             done.append((origin[found], at[found], coef[found]))
             origin, monos, coef = origin[~found], monos[~found], coef[~found]
         origin, at, coef = (np.concatenate(part) for part in zip(*done))
@@ -501,47 +511,39 @@ class ArtinianQuotient(GradedRing):
         order = origin.argsort()
         return origin[order], at[order], coef[order]
 
-    def _monomial_nf(self, mono):
-        """Normal form of a monomial of k[x_1..x_n]: ((standard monomial, coeff), ...).
-
-        The product table entry: nothing past top_degree, the monomial
-        itself if standard, else x_i times the normal form of mono/x_i,
-        one column of the multiplication table per term.  The chain of
-        divisions stops at a standard monomial or at an entry of the
-        table, and every monomial computed on it gets its entry.
-        """
-        products = self._products
-        nf = products.get(mono)
-        if nf is not None:
-            return nf
-        F, wdeg = self.field, self.ctx.wdeg
-        if wdeg(mono) > self.top_degree:
-            return products.put(mono, ())
-        chain = []
-        while nf is None:
-            if mono in self._basis_index(wdeg(mono)):
-                nf = products.put(mono, ((mono, F.one),))
-            else:
-                i = max(t for t, e in enumerate(mono) if e)
-                chain.append((mono, i))
-                mono = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
-                nf = products.get(mono)
-        for mono, i in reversed(chain):
-            d = wdeg(mono) - self.weights[i]
-            index, block = self._basis_index(d), self.mult_triplets(i, d)
-            bounds = block[:, 1].searchsorted([[index[m], index[m] + 1] for m, _ in nf])
-            column = self._sum((r, F.mul(c, a))
-                               for (lo, hi), (_, c) in zip(bounds.tolist(), nf)
-                               for r, a in block[lo:hi, ::2].tolist())
-            basis = self._monomial_basis(d + self.weights[i])
-            nf = products.put(mono, tuple((basis[r], a) for r, a in sorted(column.items())))
-        return nf
-
     def _reduce(self, terms):
-        """Payload of sum(c * NF(m)) over (monomial m, scalar c) terms."""
-        mul, known, nf = self.field.mul, self._products.data, self._monomial_nf
-        return self._sum((m, mul(c, e)) for mono, c in terms
-                         for m, e in (known[mono] if mono in known else nf(mono)))
+        """Payload of sum(c * NF(m)) over (monomial m, scalar c) terms.
+
+        NF(m) is kept in _products: nothing past top_degree or, for a
+        monomial ideal, off the staircase; m itself if standard; else
+        its border normal form.  One pass over the terms reads the kept
+        ones; the monomials not met before wait in new, and after the
+        pass the non-standard ones among them go through one
+        _border_forms batch.
+        """
+        mul, known, new = self.field.mul, self._products, []
+        out = self._sum((m, mul(c, e)) for mono, c in terms for m, e in (
+            known[mono] if mono in known else new.append((mono, c)) or ()))
+        if not new:
+            return out
+        wdeg, one, rest = self.ctx.wdeg, self.field.one, []
+        for mono in {mono for mono, _ in new}:
+            d = wdeg(mono)
+            if d <= self.top_degree and mono in self._basis_index(d):
+                known[mono] = ((mono, one),)
+            elif d <= self.top_degree and self._tail_len.any():
+                rest.append(mono)
+            else:
+                known[mono] = ()
+        if rest:
+            origin, at, coef = self._border_forms(
+                np.arange(len(rest)), np.array(rest, dtype=np.int64))
+            forms = [[] for _ in rest]
+            for o, m, c in zip(origin.tolist(), self._exps[at].tolist(), coef.tolist()):
+                forms[o].append((tuple(m), c))
+            known.update(zip(rest, map(tuple, forms)))
+        return self._add(out, self._sum(
+            (m, mul(c, e)) for mono, c in new for m, e in known[mono]))
 
     def from_polynomial(self, p):
         """The image in R of a polynomial over the ring's context."""
@@ -577,26 +579,26 @@ class ArtinianQuotient(GradedRing):
         if a <= 0:
             return [exactalg.unit_vector(self.field, self.dim(d), s)
                     for s in range(self.dim(d))]
-        def compute():
-            vectors = []
-            for i in range(self.ngens):
-                w = self.weights[i]
-                lower = self.max_ideal_power_vectors(a - 1, d - w)
-                if not lower:
-                    continue
-                trip = self.mult_triplets(i, d - w).tolist()
-                for v in lower:
-                    img = [self.field.zero] * self.dim(d)
-                    for r, c, coeff in trip:
-                        if v[c] != self.field.zero:
-                            img[r] = self.field.add(img[r], self.field.mul(coeff, v[c]))
-                    vectors.append(img)
-            if not vectors:
-                return []
+        if (a, d) in self._mpower_cache:
+            return self._mpower_cache[a, d]
+        vectors = []
+        for i in range(self.ngens):
+            w = self.weights[i]
+            lower = self.max_ideal_power_vectors(a - 1, d - w)
+            if not lower:
+                continue
+            trip = self.mult_triplets(i, d - w).tolist()
+            for v in lower:
+                img = [self.field.zero] * self.dim(d)
+                for r, c, coeff in trip:
+                    if v[c] != self.field.zero:
+                        img[r] = self.field.add(img[r], self.field.mul(coeff, v[c]))
+                vectors.append(img)
+        if vectors:
             red, pivots = exactalg.rref(Matrix(self.field, vectors, self.dim(d)))
-            return [red.rows[r] for r in range(len(pivots))]
-
-        return self._mpower_cache.get_or_compute((a, d), compute)
+            vectors = red.rows[:len(pivots)]
+        self._mpower_cache[a, d] = vectors
+        return vectors
 
     def minimal_generator_counts(self):
         """{d: mu_d(I)}, the number of minimal generators of I in degree d.
@@ -672,6 +674,8 @@ class SemigroupRing(GradedRing):
         self.top_degree = None
 
         bound = max(generators) * min(generators) + max(generators) + 2
+        if bound > SIZE_LIMIT:
+            raise MemoryError("semigroup sieve needs degrees past %d" % SIZE_LIMIT)
         member = self._sieve(generators, bound)
         for idx, g in enumerate(generators):
             others = [h for h in generators if h != g]
@@ -686,7 +690,6 @@ class SemigroupRing(GradedRing):
         self.frobenius = frobenius
         self.conductor = frobenius + 1
         self._member = member
-        self._member_bound = bound
         self._tctx = PolyContext(field, ["t"], [1])
         self._gen_counts = [0]
         # t^a -> t^(a+g_i) is the 1 x 1 identity or, off the semigroup, nothing

@@ -97,11 +97,6 @@ class PolyContext:
             coeff = self.field.one
         return Polynomial(self, [(tuple(mono), coeff)])
 
-    def var(self, i):
-        mono = [0] * self.nvars
-        mono[i] = 1
-        return self.monomial(mono)
-
     def constant(self, c):
         return Polynomial(self, [((0,) * self.nvars, c)])
 

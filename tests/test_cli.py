@@ -439,6 +439,54 @@ def test_malformed_spec_exits_two(capsys, tmp_path, field, presentation):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("presentation", [
+    _x_quotient("x^4611686018427387904", "y^2", variables=("x", "y")),
+    _x_quotient("x^18446744073709551616", "y^2", variables=("x", "y")),
+    {"type": "quotient", "variables": ["x", "y"], "weights": [4611686018427387904, 1],
+     "ideal": ["x^2", "y^2"]},
+    {"type": "quotient", "variables": ["x"], "weights": [10 ** 20], "ideal": ["x^2"]},
+    {"type": "semigroup", "generators": [10 ** 20, 3]},
+    _x_quotient("x^8192", "y^8192", "z^2", variables=("x", "y", "z")),
+    {"type": "quotient", "variables": ["x", "y"], "weights": [2 ** 23, 1],
+     "ideal": ["x^4", "y^2"]},
+], ids=["exponent-2^62", "exponent-2^64", "weight-2^62", "weight-10^20",
+        "semigroup-generator-10^20", "staircase-2^27", "top-degree-past-limit"])
+def test_oversized_spec_exits_three(capsys, tmp_path, presentation):
+    # refused before any array of that size is made
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"field": "F2", "presentation": presentation}))
+    code, out, err = run(capsys, "order", "--ring", str(spec))
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: resource limit") and err.count("\n") == 1
+
+
+def test_non_utf8_ring_spec_exits_two(capsys, tmp_path):
+    spec = tmp_path / "bad.json"
+    spec.write_bytes(b"\xff\xfe{")
+    with pytest.raises(SpecError, match="utf-8"):
+        load_ring_spec(str(spec))
+    code, out, err = run(capsys, "order", "--ring", str(spec))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_utf8_lift_file_exits_two(capsys, tmp_path):
+    ring = fixture_path("f2_ci_x2_y2.json")
+    lift = tmp_path / "lift.txt"
+    lift.write_bytes(b"e1 -> e1\ne2 -> e2 + \xff*e1\n")
+    with pytest.raises(SpecError, match="utf-8"):
+        load_lift_spec(str(lift), KoszulComplex(load_ring_spec(ring)))
+    code, out, err = run(capsys, "lift-action", "--ring", ring, "--lift", str(lift))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [["--threads", "0"], ["--threads", "-3", "--slow"]],
                          ids=["zero", "negative-slow"])
 def test_threads_below_one_exits_two(capsys, argv):

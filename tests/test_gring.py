@@ -26,7 +26,6 @@ from koszulalg.polyring import (
 )
 from koszulalg.gring import (
     ArtinianQuotient,
-    Memo,
     RingConstructionError,
     RingElement,
     SemigroupRing,
@@ -346,10 +345,15 @@ def test_random_artinian_ring_matches_oracles(ideal):
     assert_matches_oracles(ArtinianQuotient(ctx, gens))
 
 
-@pytest.mark.parametrize("field", [PrimeField(3), QQ], ids=["F3", "Q"])
-def test_border_forms_cancel_where_reduction_paths_meet(field, monkeypatch):
+def _trinomial_ring(field):
     # x*y - x*z + y*z has a tail of two terms; in the border normal forms
     # two reduction paths reach one monomial with opposite coefficients
+    ctx = PolyContext(field, ["x", "y", "z"])
+    return make_artinian_quotient(ctx, ["x^2", "y^2", "z^3", "x*y - x*z + y*z"])
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), QQ], ids=["F3", "Q"])
+def test_border_forms_cancel_where_reduction_paths_meet(field, monkeypatch):
     merged = []
     merge = gring._merge_terms
 
@@ -359,11 +363,48 @@ def test_border_forms_cancel_where_reduction_paths_meet(field, monkeypatch):
         return out
 
     monkeypatch.setattr(gring, "_merge_terms", counting_merge)
-    ctx = PolyContext(field, ["x", "y", "z"])
-    R = make_artinian_quotient(ctx, ["x^2", "y^2", "z^3", "x*y - x*z + y*z"])
+    R = _trinomial_ring(field)
     assert_matches_oracles(R)
     assert max(merged) > 0
     assert_products_match_oracle(R, random.Random(2))
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), QQ], ids=["F3", "Q"])
+def test_one_reduce_call_mixes_every_kind_of_monomial(field):
+    # standard, border (m/x_i standard for some i), deeper non-standard
+    # and past-top_degree monomials in one call: the new ones go through
+    # one border-form batch, and a second call reads them back
+    R = _trinomial_ring(field)
+    ctx = R.ctx
+    standard = {m for d in range(R.top_degree + 1)
+                for m in standard_monomials(R.gb, d)}
+
+    def kind(m):
+        if ctx.wdeg(m) > R.top_degree:
+            return "past"
+        if m in standard:
+            return "standard"
+        below = [m[:i] + (m[i] - 1,) + m[i + 1:] for i in range(3) if m[i]]
+        return "border" if standard.intersection(below) else "deeper"
+
+    monos = [m for d in range(R.top_degree + 2) for m in monomials_of_weight(ctx, d)]
+    assert {kind(m) for m in monos} == {"standard", "border", "deeper", "past"}
+    rng = random.Random(4)
+    terms = [(m, field.from_int(rng.choice([-2, -1, 1, 2]))) for m in monos]
+    terms += terms[::3]
+    expected = dict(normal_form(Polynomial(ctx, terms), R.gb).terms)
+    assert R._reduce(terms) == expected
+    assert R._reduce(terms) == expected
+    assert R._mult_table is None
+
+
+def test_element_arithmetic_builds_no_multiplication_table():
+    R = _trinomial_ring(PrimeField(3))
+    a, b = R.parse_element("x + y*z - z^2"), R.parse_element("x*z - y + z^2")
+    p = R.ctx.parse("x + y*z - z^2") * R.ctx.parse("x*z - y + z^2")
+    assert (a * b).data == dict(normal_form(p, R.gb).terms)
+    assert_products_match_oracle(R, random.Random(5))
+    assert R._mult_table is None
 
 
 @pytest.mark.parametrize("field", [PrimeField(3), QQ], ids=["F3", "Q"])
@@ -431,28 +472,12 @@ def test_products_match_normal_form(make):
     assert_products_match_oracle(make(), random.Random(0))
 
 
-def test_products_match_normal_form_with_tiny_caches():
-    # every product table entry is evicted almost at once
-    R = conftest.row3_ring(QQ)
-    R._products = Memo(3)
-    assert_products_match_oracle(R, random.Random(1))
-    assert len(R._products.data) <= 3
-
-
 @given(artinian_ideals(), st.integers(min_value=0, max_value=2 ** 16))
 @settings(max_examples=40, deadline=None)
 def test_random_artinian_products_match_normal_form(ideal, seed):
     ctx, gens = ideal
     R = ArtinianQuotient(ctx, gens)
     assert_products_match_oracle(R, random.Random(seed), samples=10)
-
-
-def test_memo_evicts_oldest_insertion_first():
-    # a hit does not refresh an entry
-    memo, computed = Memo(2), []
-    for key in (1, 2, 1, 3, 1):
-        assert memo.get_or_compute(key, lambda: computed.append(key) or -key) == -key
-    assert computed == [1, 2, 3, 1]
 
 
 def test_threaded_rank_only_betti_matches_serial():
