@@ -447,6 +447,27 @@ def _thread_count(text):
     return n
 
 
+# The flags each subcommand reads besides --ring, --json and --threads;
+# any other flag is refused (exit 2) rather than silently ignored.
+_COMMAND_FLAGS = {
+    "betti": ("--slow",),
+    "homology": ("--degrees",),
+    "products": (),
+    "check-identity": ("--degrees",),
+    "lift-action": ("--lift", "--degrees"),
+    "order": (),
+    "gr": (),
+    "suite": ("--slow", "--seed"),
+}
+
+_FLAG_OPTIONS = {
+    "--lift": dict(metavar="FILE", help="lift file"),
+    "--degrees": dict(metavar="LIST", help="comma-separated homological degrees"),
+    "--slow": dict(action="store_true", help="rank-only large-scale path"),
+    "--seed": dict(type=int, default=0, help="seed for randomized suite checks"),
+}
+
+
 @functools.cache
 def _build_parser():
     """The one parser of the process; parse_args keeps no state between calls."""
@@ -459,19 +480,13 @@ def _build_parser():
         p = sub.add_parser(name)
         p.add_argument("--ring", required=True, metavar="FILE",
                        help="JSON ring spec file")
-        p.add_argument("--lift", metavar="FILE",
-                       help="lift file (lift-action only)")
-        p.add_argument("--degrees", metavar="LIST",
-                       help="comma-separated homological degrees")
         p.add_argument("--json", action="store_true",
                        help="canonical JSON output")
-        p.add_argument("--slow", action="store_true",
-                       help="rank-only large-scale path")
         p.add_argument("--threads", type=_thread_count, default=1, metavar="N",
                        help="upper bound on worker threads; strands run "
                             "serially, which meets every bound")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized suite checks")
+        for flag in _COMMAND_FLAGS[name]:
+            p.add_argument(flag, **_FLAG_OPTIONS[flag])
     return parser
 
 

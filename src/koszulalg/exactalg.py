@@ -13,8 +13,9 @@ gives the same canonical answers.
 A sparse matrix (a strand of the Koszul differential) is one (nnz, 3)
 array of (row, col, coeff) triplets: int64 over F_p, dtype=object over
 Q, so its .tolist() holds Python ints and Fractions only.  sparse_rank
-peels it in whole-array rounds; kernel_basis_of_triplets fills the int64
-elimination array straight from it.
+peels it in whole-array rounds, and ranks the blocks of a block-diagonal
+array in one peel; kernel_basis_of_triplets fills the int64 elimination
+array straight from it.
 
 Echelon keeps a span as sparse echelon rows, grows it one vector at a
 time, and reduces any vector against it in one pass over its rows: the
@@ -569,7 +570,7 @@ def negate(field, values):
     return -values
 
 
-def sparse_rank(field, nrows, ncols, entries):
+def sparse_rank(field, nrows, ncols, entries, blocks=None):
     """Rank of a sparse matrix given as a triplet array (see as_triplets).
 
     Repeated positions are summed.  Singleton rows and columns are
@@ -587,44 +588,73 @@ def sparse_rank(field, nrows, ncols, entries):
     correctness.  The surviving core sums its entries into a dense
     matrix: _fp_eliminate over every F_p, F_2 included, at any size (its
     rank is all it reads), the generic loop over Q.
+
+    blocks, if given, are row-block bounds 0 = b_0 <= ... <= b_k = nrows
+    of a block-diagonal matrix (no column has entries in two blocks),
+    and the answer is the list of the k block ranks.  The rounds run
+    once over the whole array; a block's rank counts the pivot rows that
+    fall in it, plus the rank of its own part of the core.
     """
     e = as_triplets(field, entries)
     prime = isinstance(field, PrimeField)
     vals = e[:, 2] % field.p if prime else e[:, 2]
-    live = vals != 0
+    live = np.flatnonzero(vals != 0)
     r = e[live, 0].astype(np.int64)
     c = e[live, 1].astype(np.int64)
     vals = vals[live]
-    found = 0
+    bounds = np.asarray((0, nrows) if blocks is None else blocks, dtype=np.int64)
+    found = np.zeros(bounds.size - 1, dtype=np.int64)
     while r.size:
         single = np.bincount(r, minlength=nrows)[r] == 1
         if single.any():
-            pc, first = np.unique(c[single], return_index=True)
-            pr = r[single][first]
+            pc, pr = _one_each(c[single], r[single], ncols)
         else:
             single = np.bincount(c, minlength=ncols)[c] == 1
             if not single.any():
                 break
-            pr, first = np.unique(r[single], return_index=True)
-            pc = c[single][first]
-        found += pr.size
+            pr, pc = _one_each(r[single], c[single], nrows)
+        found += np.bincount(_block_of(bounds, pr), minlength=found.size)
         dead_rows = np.zeros(nrows, dtype=bool)
         dead_rows[pr] = True
         dead_cols = np.zeros(ncols, dtype=bool)
         dead_cols[pc] = True
         keep = ~(dead_rows[r] | dead_cols[c])
         r, c, vals = r[keep], c[keep], vals[keep]
-    if not r.size:
-        return found
-    # compact the core's rows and columns to 0..k-1, in their original order
-    row_at = np.cumsum(np.bincount(r, minlength=nrows) > 0) - 1
-    col_at = np.cumsum(np.bincount(c, minlength=ncols) > 0) - 1
-    shape = (int(row_at[-1]) + 1, int(col_at[-1]) + 1)
-    r, c = row_at[r], col_at[c]
-    if prime:
-        a = np.zeros(shape, dtype=np.int64)
+    if r.size:
+        # the core, split by block and each part eliminated on its own
+        b = _block_of(bounds, r)
+        order = np.argsort(b, kind="stable")
+        r, c, vals, b = r[order], c[order], vals[order], b[order]
+        starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
+        for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [r.size]):
+            found[b[lo]] += _core_rank(field, r[lo:hi], c[lo:hi], vals[lo:hi])
+    return int(found[0]) if blocks is None else found.tolist()
+
+
+def _one_each(keys, values, size):
+    """(each distinct key, one of its values), keys in [0, size).
+
+    A scatter: when a key repeats, whichever write lands is kept.
+    """
+    owner = np.full(size, -1, dtype=np.int64)
+    owner[keys] = values
+    hit = np.flatnonzero(owner >= 0)
+    return hit, owner[hit]
+
+
+def _block_of(bounds, rows):
+    """Block of each row, for row-block bounds (empty blocks allowed)."""
+    return np.searchsorted(bounds, rows, side="right") - 1
+
+
+def _core_rank(field, r, c, vals):
+    """Rank of the core left by peeling, its rows and columns compacted."""
+    rows, r = np.unique(r, return_inverse=True)
+    cols, c = np.unique(c, return_inverse=True)
+    if isinstance(field, PrimeField):
+        a = np.zeros((rows.size, cols.size), dtype=np.int64)
         np.add.at(a, (r, c), vals)
-        return found + len(_fp_eliminate(a % field.p, field.p))
-    core = Matrix.from_triplets(field, shape[0], shape[1],
+        return len(_fp_eliminate(a % field.p, field.p))
+    core = Matrix.from_triplets(field, rows.size, cols.size,
                                 zip(r.tolist(), c.tolist(), vals.tolist()))
-    return found + rank(core)
+    return rank(core)

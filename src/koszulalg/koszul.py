@@ -10,7 +10,8 @@ element of R_{d - w(S)}).
 The strand of d_i in degree d is one triplet array (exactalg.as_triplets:
 int64 over F_p, dtype=object over Q), the multiplication tables of the
 ring concatenated block by block with the block offsets and signs
-applied to whole columns.
+applied to whole columns; the strands of several consecutive degrees
+stack the same way into one block-diagonal array.
 
 Homology is computed in one pass over internal degrees that builds every
 H_i at once (a caller that reads only H_1 can build H_0 and H_1 from the
@@ -33,9 +34,11 @@ Strand layouts (block offsets) are kept per (i, d).
 Betti tables read off rank H_i(K)_{i+j}; a rank-only path serves
 tables far beyond the sizes where kernel bases fit in memory.  It takes
 the ranks of d_1 and (for quotients) d_2 in closed form from dim R_d and
-the minimal generators of the ideal, and ranks the other strands by
-peeling the strand arrays in whole-array rounds plus dense elimination
-of the core.
+the minimal generators of the ideal, and ranks the other strands of
+each d_i in batches of consecutive degrees: one block-diagonal triplet
+array per batch, peeled once in whole-array rounds, each strand's rank
+read from the block of its pivot rows plus dense elimination of its own
+part of the core.
 
 Truncation: Artinian rings carry everything in internal degrees
 d <= top_degree + sum(w_j).  For semigroup rings the strand in degree
@@ -311,7 +314,7 @@ class KoszulComplex:
     def strand_dim(self, i, d):
         return self.strand_offsets(i, d)[1]
 
-    def diff_triplets(self, i, d):
+    def diff_triplets(self, i, d, stop=None):
         """Triplet array of d_{i,d}: strand (i, d) -> strand (i-1, d).
 
         The block from subset S to S minus its l-th element j (0-based)
@@ -320,22 +323,31 @@ class KoszulComplex:
         signs applied to the whole array at once.  The result is an
         (nnz, 3) array in exactalg.as_triplets form, len() its number of
         nonzeros; a strand with no entries shares one empty array.
+
+        With stop, the strands of d_i in the degrees d..stop-1 are
+        stacked block-diagonally in one array, in degree order: each
+        strand's rows and columns start where the previous one's end.
         """
-        src_offsets, _ = self.strand_offsets(i, d)
-        dst_offsets, _ = self.strand_offsets(i - 1, d)
         ring = self.ring
         tables, sizes, shifts, odd = [], [], [], []
-        for s_pos, w in enumerate(self.subset_weights[i]):
-            a = d - w
-            if ring.dim(a) == 0:
-                continue
-            for l, j, t_pos in self.faces[i][s_pos]:
-                table = ring.mult_triplets(j, a)
-                if len(table):
-                    tables.append(table)
-                    sizes.append(len(table))
-                    shifts.append((dst_offsets[t_pos], src_offsets[s_pos]))
-                    odd.append(l % 2)
+        row_base = col_base = 0
+        for deg in range(d, d + 1 if stop is None else stop):
+            src_offsets, src_total = self.strand_offsets(i, deg)
+            dst_offsets, dst_total = self.strand_offsets(i - 1, deg)
+            for s_pos, w in enumerate(self.subset_weights[i]):
+                a = deg - w
+                if ring.dim(a) == 0:
+                    continue
+                for l, j, t_pos in self.faces[i][s_pos]:
+                    table = ring.mult_triplets(j, a)
+                    if len(table):
+                        tables.append(table)
+                        sizes.append(len(table))
+                        shifts.append((row_base + dst_offsets[t_pos],
+                                       col_base + src_offsets[s_pos]))
+                        odd.append(l % 2)
+            row_base += dst_total
+            col_base += src_total
         if not tables:
             return self._no_entries
         out = np.concatenate(tables)
@@ -628,6 +640,16 @@ def product_vanishing(K, i, j):
     return product_witness(K, i, j) is None
 
 
+# Source columns of one stacked batch of strand_ranks; a larger strand is
+# a batch of its own.  Below it, numpy's per-call cost of one assembly and
+# one peel per strand dominates the small rings (the betti-fp rank phase
+# about halves).  On the x^98 ring (strands of up to 6598 columns) caps of
+# 2^13-2^17 rank d_3 as fast as one strand a batch at the same 207 MB
+# peak, while a single batch of all 732550 columns is slower and peaks at
+# 279 MB.
+BATCH_COLUMNS = 1 << 15
+
+
 def strand_ranks(K):
     """{(i, d): rank of d_i on the strand (i, d)} wherever source and target are nonzero.
 
@@ -637,23 +659,38 @@ def strand_ranks(K):
     the number of minimal generators of I in degree d, so rank d_2 in
     degree d is dim K_{1,d} - dim R_d - mu_d(I).  A semigroup ring has
     no given ideal and ranks its d_2 strands.  Every other strand is
-    ranked by sparse peeling plus dense elimination of the core.
+    ranked in a batch: the strands of d_i in consecutive degrees, up to
+    BATCH_COLUMNS source columns (a larger strand makes a batch of its
+    own), are stacked into one block-diagonal triplet array and peeled
+    once, and each strand's rank is read from its block.
     """
     mu = (K.ring.minimal_generator_counts()
           if isinstance(K.ring, ArtinianQuotient) else None)
+    degrees = range(K.truncation + 1)
+    dims = [[K.strand_dim(i, d) for d in degrees] for i in range(K.n + 1)]
     ranks = {}
-    for d in range(K.truncation + 1):
-        for i in range(1, K.n + 1):
-            src, dst = K.strand_dim(i, d), K.strand_dim(i - 1, d)
-            if not (src and dst):
-                continue
-            if i == 1:
-                ranks[(i, d)] = dst
-            elif i == 2 and mu is not None:
-                ranks[(i, d)] = dst - ranks.get((1, d), 0) - mu.get(d, 0)
-            else:
-                ranks[(i, d)] = exactalg.sparse_rank(
-                    K.field, dst, src, K.diff_triplets(i, d))
+    for i in range(1, K.n + 1):
+        src, dst = dims[i], dims[i - 1]
+        live = [d for d in degrees if src[d] and dst[d]]
+        if i == 1 or (i == 2 and mu is not None):
+            for d in live:
+                ranks[(i, d)] = (dst[d] if i == 1 else
+                                 dst[d] - ranks.get((1, d), 0) - mu.get(d, 0))
+            continue
+        start = 0
+        while start < len(live):
+            stop, cols = start + 1, src[live[start]]
+            while stop < len(live) and cols + src[live[stop]] <= BATCH_COLUMNS:
+                cols += src[live[stop]]
+                stop += 1
+            first, last = live[start], live[stop - 1] + 1
+            bounds = np.cumsum([0] + dst[first:last])
+            block_ranks = exactalg.sparse_rank(
+                K.field, int(bounds[-1]), sum(src[first:last]),
+                K.diff_triplets(i, first, last), bounds)
+            for d in live[start:stop]:
+                ranks[(i, d)] = block_ranks[d - first]
+            start = stop
     return ranks
 
 

@@ -499,6 +499,53 @@ def test_threads_below_one_exits_two(capsys, argv):
     assert "--threads" in captured.err
 
 
+_READS = {
+    "betti": {"--slow"},
+    "homology": {"--degrees"},
+    "products": set(),
+    "check-identity": {"--degrees"},
+    "lift-action": {"--lift", "--degrees"},
+    "order": set(),
+    "gr": set(),
+    "suite": {"--slow", "--seed"},
+}
+_FLAG_ARGS = {
+    "--degrees": ["--degrees", "1"],
+    "--slow": ["--slow"],
+    "--lift": ["--lift", fixture_path("lift_identity_false_e1_ze3.txt")],
+    "--seed": ["--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, reads in _READS.items()
+    for flag in _FLAG_ARGS if flag not in reads])
+def test_flag_the_subcommand_never_reads_exits_two(capsys, command, flag):
+    argv = [command, "--ring", fixture_path("f2_identity_false.json")]
+    if command == "lift-action":
+        argv += _FLAG_ARGS["--lift"]
+    with pytest.raises(SystemExit) as e:
+        main(argv + _FLAG_ARGS[flag])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag in errors[0]
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_every_subcommand_takes_json_and_threads(capsys, command):
+    # the benchmark passes both to every subcommand
+    ring = "f2_identity_false.json" if command == "lift-action" else "f2_ci_x2_y2.json"
+    argv = [command, "--ring", fixture_path(ring), "--json", "--threads", "2"]
+    if command == "lift-action":
+        argv += _FLAG_ARGS["--lift"]
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1)
+    assert out and err == ""
+
+
 def test_parser_reused_across_calls(capsys):
     # one parser per process: after a successful call, bad flags and
     # unknown subcommands still exit 2, and consecutive subcommands print

@@ -231,6 +231,107 @@ def test_sparse_rank_f32003_peels_and_eliminates():
     assert _sparse_and_dense_rank(F, 21, 20, entries) == (20, 20)
 
 
+# ------------------------------------------- block-diagonal sparse_rank
+
+
+def _cycle_block(field, n):
+    """I + P for the n-cycle P: nothing peels, so all of it is core."""
+    return ([(i, i, field.one) for i in range(n)]
+            + [(i, (i + 1) % n, field.one) for i in range(n)])
+
+
+def _stack_blocks(field, blocks, rng):
+    """Stack (nrows, ncols, entries) blocks diagonally, columns permuted.
+
+    Returns (nrows, ncols, shuffled triplet array, row bounds).  Each
+    block keeps its own rows and columns, but the columns of all blocks
+    are interleaved, and the entries come in random order.
+    """
+    nrows = sum(b[0] for b in blocks)
+    ncols = sum(b[1] for b in blocks)
+    perm = list(range(ncols))
+    rng.shuffle(perm)
+    entries, bounds, row0, col0 = [], [0], 0, 0
+    for m, n, block in blocks:
+        entries += [(row0 + i, perm[col0 + j], a) for i, j, a in block]
+        row0, col0 = row0 + m, col0 + n
+        bounds.append(row0)
+    rng.shuffle(entries)
+    return nrows, ncols, exactalg.as_triplets(field, entries), bounds
+
+
+def _block_ranks(field, blocks):
+    return [rank(Matrix.from_triplets(field, m, n, block)) for m, n, block in blocks]
+
+
+@pytest.mark.parametrize("field", [GF2, PrimeField(32003), QQ])
+def test_block_ranks_with_surviving_cores_and_empty_blocks(field):
+    rng = random.Random(7)
+    dense = [(i, j, field.from_int(rng.randrange(1, 7)))
+             for i in range(4) for j in range(3)]
+    blocks = [
+        (5, 5, _cycle_block(field, 5)),
+        (0, 4, []),                       # no rows
+        (3, 0, []),                       # no columns
+        (2, 2, []),                       # no entries
+        (4, 3, dense),                    # a dense core of its own
+        (3, 3, _cycle_block(field, 3)),
+        (2, 2, [(0, 1, field.from_int(2)), (1, 0, field.one)]),
+    ]
+    nrows, ncols, array, bounds = _stack_blocks(field, blocks, rng)
+    expected = _block_ranks(field, blocks)
+    assert exactalg.sparse_rank(field, nrows, ncols, array, bounds) == expected
+    assert exactalg.sparse_rank(field, nrows, ncols, array) == sum(expected)
+
+
+@pytest.mark.parametrize("field", [GF2, PrimeField(32003), QQ])
+def test_block_needs_a_column_round_while_another_peels_rows(field):
+    # The bidiagonal block uncovers one singleton row a round for 30
+    # rounds; the other block has two entries in every row, so it waits
+    # for the first round that finds no singleton row anywhere and then
+    # peels by its singleton columns 0 and 3.
+    n = 30
+    bidiagonal = [(i, i, field.one) for i in range(n)]
+    bidiagonal += [(i, i + 1, field.from_int(3)) for i in range(n - 1)]
+    columns_only = [(0, 0, field.one), (0, 1, field.one),
+                    (1, 1, field.one), (1, 2, field.one),
+                    (2, 2, field.from_int(2)), (2, 3, field.one)]
+    blocks = [(n, n, bidiagonal), (3, 4, columns_only), (1, 1, [(0, 0, field.one)])]
+    nrows, ncols, array, bounds = _stack_blocks(field, blocks, random.Random(3))
+    assert _block_ranks(field, blocks) == [n, 3, 1]
+    assert exactalg.sparse_rank(field, nrows, ncols, array, bounds) == [n, 3, 1]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_block_ranks_match_dense_rank_of_each_block(data):
+    field = data.draw(st.sampled_from([GF2, PrimeField(32003), QQ]))
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32)))
+    blocks = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        kind = data.draw(st.sampled_from(["random", "cycle", "empty"]))
+        if kind == "cycle":
+            n = data.draw(st.integers(min_value=2, max_value=6))
+            blocks.append((n, n, _cycle_block(field, n)))
+            continue
+        m = data.draw(st.integers(min_value=0, max_value=7))
+        n = data.draw(st.integers(min_value=0, max_value=7))
+        block = []
+        count = 0 if kind == "empty" or not (m and n) else rng.randrange(m * n + 4)
+        for _ in range(count):
+            i, j = rng.randrange(m), rng.randrange(n)
+            a = field.from_int(rng.randrange(1, 5))
+            block.append((i, j, a))
+            if rng.random() < 0.3:
+                # the same position again: a pair that cancels, or a sum
+                block.append((i, j, field.neg(a) if rng.random() < 0.5
+                              else field.from_int(rng.randrange(1, 5))))
+        blocks.append((m, n, block))
+    nrows, ncols, array, bounds = _stack_blocks(field, blocks, rng)
+    expected = _block_ranks(field, blocks)
+    assert exactalg.sparse_rank(field, nrows, ncols, array, bounds) == expected
+
+
 def _rank_mod2_reference(rows):
     """Plain-Python Gaussian elimination oracle."""
     rows = [list(r) for r in rows]

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from koszulalg import exactalg
+from koszulalg import exactalg, koszul
 from koszulalg.cli import load_ring_spec, main
 from koszulalg.exactalg import GF2, QQ, PrimeField
 from koszulalg.gring import (
@@ -276,6 +276,56 @@ def test_closed_form_ranks_match_strands_on_random_rings(ideal):
     assert betti_table(K, rank_only=True) == betti_table(K)
 
 
+def _batch_cap_rings():
+    rings = [(name, load_ring_spec(conftest.fixture_path(name)))
+             for name in _every_fixture_but_x98()]
+    rings += [("semigroup_6101415_Q", conftest.semigroup_6101415(QQ)),
+              ("semigroup_6101415_F3", conftest.semigroup_6101415(PrimeField(3))),
+              ("semigroup_910111317", conftest.semigroup_910111317())]
+    return rings
+
+
+@pytest.mark.parametrize("cap", [0, 40])
+def test_batch_cap_does_not_change_ranks(monkeypatch, cap):
+    # cap 0 ranks one strand per batch, 40 a few small strands per batch
+    default = {name: strand_ranks(KoszulComplex(ring))
+               for name, ring in _batch_cap_rings()}
+    monkeypatch.setattr(koszul, "BATCH_COLUMNS", cap)
+    for name, ring in _batch_cap_rings():
+        assert strand_ranks(KoszulComplex(ring)) == default[name], name
+
+
+@given(artinian_ideals(), st.sampled_from([0, 7]))
+@settings(max_examples=30, deadline=None)
+def test_batch_cap_does_not_change_ranks_on_random_rings(ideal, cap):
+    ctx, gens = ideal
+    K = KoszulComplex(ArtinianQuotient(ctx, gens))
+    default = strand_ranks(K)
+    saved = koszul.BATCH_COLUMNS
+    koszul.BATCH_COLUMNS = cap
+    try:
+        assert strand_ranks(K) == default
+    finally:
+        koszul.BATCH_COLUMNS = saved
+
+
+@pytest.mark.parametrize("ring, first", [
+    (conftest.q_ring, 3), (conftest.semigroup_6101415, 2)], ids=["quotient", "semigroup"])
+def test_default_batch_covers_every_strand_of_d_i_at_once(monkeypatch, ring, first):
+    K = KoszulComplex(ring())
+    calls = []
+    assemble = KoszulComplex.diff_triplets
+
+    def record(self, i, d, stop=None):
+        calls.append((i, stop))
+        return assemble(self, i, d, stop)
+
+    monkeypatch.setattr(KoszulComplex, "diff_triplets", record)
+    strand_ranks(K)
+    assert [i for i, _ in calls] == list(range(first, K.n + 1))
+    assert all(stop is not None for _, stop in calls)
+
+
 @pytest.mark.parametrize("weights, counts", [
     ([1, 1, 1], {2: 2, 3: 2}),
     ([1, 1, 2], {2: 2, 4: 2}),
@@ -294,8 +344,8 @@ def test_minimal_generator_counts_skip_redundant_generators(weights, counts):
     assert betti_table(K, rank_only=True) == betti_table(K)
 
 
-class _Strand(list):
-    """Triplets of one strand, tagged with its (i, d)."""
+class _Strands(list):
+    """Triplets of a batch of strands, tagged with the (i, d) it covers."""
 
 
 def _record_ranked_strands(monkeypatch):
@@ -303,14 +353,14 @@ def _record_ranked_strands(monkeypatch):
     assemble = KoszulComplex.diff_triplets
     sparse_rank = exactalg.sparse_rank
 
-    def tagged(self, i, d):
-        out = _Strand(assemble(self, i, d))
-        out.strand = (i, d)
+    def tagged(self, i, d, stop=None):
+        out = _Strands(assemble(self, i, d, stop))
+        out.strands = [(i, e) for e in range(d, d + 1 if stop is None else stop)]
         return out
 
-    def record(field, nrows, ncols, entries):
-        ranked.append(entries.strand)
-        return sparse_rank(field, nrows, ncols, entries)
+    def record(field, nrows, ncols, entries, blocks=None):
+        ranked.extend(entries.strands)
+        return sparse_rank(field, nrows, ncols, entries, blocks)
 
     monkeypatch.setattr(KoszulComplex, "diff_triplets", tagged)
     monkeypatch.setattr(exactalg, "sparse_rank", record)
