@@ -161,10 +161,10 @@ def _filtration_table(K, i, d, data):
     """Filtration table (levels, forms) of the strand (i, d), levels increasing.
 
     A class of the strand is in F^l iff every form of level < l kills its
-    coordinates.  One Echelon starts from B_{i,d} and takes m^a K_{i,d}
-    for a from the largest with a nonzero slice (a product of a
-    generators has degree >= a * min weight) down to 1, tagging each
-    vector that grows it with the level i + a.
+    coordinates.  One Echelon starts from the boundary columns (spanning
+    B_{i,d}) and takes m^a K_{i,d} for a from the largest with a nonzero
+    slice (a product of a generators has degree >= a * min weight) down
+    to 1, tagging each vector that grows it with the level i + a.
     A representative reduced once is its residual modulo F^(i+1) + B
     plus a combination of tagged vectors, so a class lies in F^l exactly
     when the residual coordinates (level i) and the coefficients on the
@@ -181,7 +181,9 @@ def _filtration_table(K, i, d, data):
         # F^l is the filtration by internal degree: every level is d
         data.filtration = ([d] * k, Matrix.identity(F, k))
         return data.filtration
-    span = exactalg.Echelon(F, data.boundary_rows())
+    span = exactalg.Echelon(F)
+    for column in data.boundary_columns(F, K.strand_dim(i, d)):
+        span.add(column)
     tracked = []
     for a in range((d - min(K.subset_weights[i])) // min(K.weights), 0, -1):
         for v in _strand_power_vectors(K, i, d, a):

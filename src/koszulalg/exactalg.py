@@ -19,9 +19,10 @@ array straight from it.
 
 Echelon keeps a span as sparse echelon rows, grows it one vector at a
 time, and reduces any vector against it in one pass over its rows: the
-residual decides membership and the multiples give coordinates.  It is
-the one mutable object here; every other value is immutable after
-construction and every other operation is pure.
+residual decides membership and the multiples give coordinates.  Only
+the filtration tables of analyze use it.  It is the one mutable object
+here; every other value is immutable after construction and every other
+operation is pure.
 """
 
 from __future__ import annotations
@@ -333,17 +334,6 @@ def _int64_rows(M):
     return np.array(M.rows, dtype=np.int64) % M.field.p
 
 
-def _int64_kernel(a, p):
-    """kernel_basis of an int64 array over F_p, read off its reduced form at once."""
-    ncols = a.shape[1]
-    pivots = _fp_eliminate(a, p, reduced=True)
-    free = np.setdiff1d(np.arange(ncols), pivots)
-    out = np.zeros((free.size, ncols), dtype=np.int64)
-    out[np.arange(free.size), free] = 1
-    out[:, pivots] = (p - a[:len(pivots), free].T) % p
-    return out.tolist()
-
-
 def _generic_rref(M):
     """rref by the per-scalar loop over any field."""
     F = M.field
@@ -396,40 +386,44 @@ def rank(M):
 
 
 def kernel_basis(M):
-    """Canonical basis of {v : Mv = 0}.
-
-    Derived from rref: one vector per free column f (in increasing
-    order), with v[f] = 1 and v[pivot_r] = -R[r][f].  Deterministic.
-    On the int64 path they are read off the reduced array at once.
-    """
+    """Canonical basis of {v : Mv = 0}; see kernel_basis_of_triplets."""
     _check_field(M)
-    F = M.field
-    if _int64_path(F, M.nrows, M.ncols):
-        return _int64_kernel(_int64_rows(M), F.p)
-    R, pivots = _generic_rref(M)
-    basis = []
-    for f in sorted(set(range(M.ncols)).difference(pivots)):
-        v = [F.zero] * M.ncols
-        v[f] = F.one
-        for r, p in enumerate(pivots):
-            v[p] = F.neg(R.rows[r][f])
-        basis.append(v)
-    return basis
+    entries = [(i, j, a) for i, row in enumerate(M.rows) for j, a in enumerate(row)
+               if a != M.field.zero]
+    return kernel_basis_of_triplets(
+        M.field, M.nrows, M.ncols, as_triplets(M.field, entries))[0]
 
 
 def kernel_basis_of_triplets(field, nrows, ncols, entries):
-    """kernel_basis of the nrows x ncols matrix with these triplets.
+    """(kernel basis, rref pivots) of the nrows x ncols matrix with these triplets.
 
-    entries is a triplet array (see as_triplets); repeated positions are
-    summed.  Past the int64 rule of rref and rank the elimination array
-    is filled straight from it, below it and over Q from its .tolist(),
-    so the answer is kernel_basis(Matrix.from_triplets(...)) either way.
+    The basis is derived from rref: one vector per free column f (in
+    increasing order), with v[f] = 1 and v[pivot_r] = -R[r][f].  entries
+    is a triplet array (see as_triplets); repeated positions are summed.
+    Past the int64 rule of rref and rank the elimination array is filled
+    straight from it and the basis read off the reduced array at once;
+    below it and over Q the generic loop runs on its .tolist().
     """
     if _int64_path(field, nrows, ncols):
+        p = field.p
         a = np.zeros((nrows, ncols), dtype=np.int64)
         np.add.at(a, (entries[:, 0], entries[:, 1]), entries[:, 2])
-        return _int64_kernel(a % field.p, field.p)
-    return kernel_basis(Matrix.from_triplets(field, nrows, ncols, entries.tolist()))
+        a %= p
+        pivots = _fp_eliminate(a, p, reduced=True)
+        free = np.setdiff1d(np.arange(ncols), pivots)
+        out = np.zeros((free.size, ncols), dtype=np.int64)
+        out[np.arange(free.size), free] = 1
+        out[:, pivots] = (p - a[:len(pivots), free].T) % p
+        return out.tolist(), pivots
+    R, pivots = _generic_rref(Matrix.from_triplets(field, nrows, ncols, entries.tolist()))
+    basis = []
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        v = [field.zero] * ncols
+        v[f] = field.one
+        for r, c in enumerate(pivots):
+            v[c] = field.neg(R.rows[r][f])
+        basis.append(v)
+    return basis, pivots
 
 
 def coords_in_span(v, basis, field):
@@ -463,9 +457,7 @@ class Echelon:
     """Sparse row echelon basis of a span that grows one vector at a time.
 
     Rows are (pivot, columns, values, tag) tuples sorted by pivot, each
-    zero left of its pivot and 1 there.  The constructor takes such rows,
-    for instance some of another Echelon's: the tuples are immutable and
-    shared, never copied.
+    zero left of its pivot and 1 there.
 
     Reducing a vector walks the rows in pivot order, subtracting the
     multiple of each row that clears its pivot entry in the partly reduced
@@ -480,9 +472,9 @@ class Echelon:
 
     __slots__ = ("field", "rows")
 
-    def __init__(self, field, rows=()):
+    def __init__(self, field):
         self.field = field
-        self.rows = list(rows)
+        self.rows = []
 
     def reduce(self, vec):
         """(residual, [(row position, multiple)]) of vec against the span."""
@@ -534,11 +526,6 @@ class Echelon:
             for t, a in self.rows[r][3]:
                 out[t] = F.add(out[t], F.mul(c, a))
         return w, out
-
-    def coords(self, vec, k):
-        """Coordinates of vec on the k tracked inputs, or None outside the span."""
-        w, out = self.decompose(vec, k)
-        return None if any(a != self.field.zero for a in w) else out
 
 
 def span_dim(vectors, field, ambient):

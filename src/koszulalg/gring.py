@@ -69,7 +69,8 @@ from koszulalg.polyring import (
 )
 
 
-# The most standard monomials or degrees a ring may have
+# The most standard monomials or degrees a ring may have, and the most
+# entries of a dense strand koszul's homology pass may eliminate
 SIZE_LIMIT = 2 ** 24
 
 

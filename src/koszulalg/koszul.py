@@ -16,20 +16,12 @@ stack the same way into one block-diagonal array.
 Homology is computed in one pass over internal degrees that builds every
 H_i at once (a caller that reads only H_1 can build H_0 and H_1 from the
 strands of d_1 and d_2 alone).  In degree d it walks i from n down to 0
-and assembles the triplet array of each d_i once: it gives the kernel of
-H_i, and one step later the boundary columns of H_{i-1}.  Each strand is
-one sparse row echelon form.  The columns of d_{i+1} go in first and
-span the boundaries B; then the canonical kernel basis of d_i goes in,
-and the kernel vectors that extend the span become the representatives
-Z', each row remembering its coefficients on Z'.  So Z_{i,d} = span(B) +
-span(Z'), a direct sum.  The columns stop once the span reaches rank B,
-known from the kernel of d_{i+1} one step earlier, and the kernel
-vectors once it reaches dim Z: whatever is left lies in the span and
-would be skipped, so stopping changes no representative.  Every
-class_of query is one reduction of the cycle's coordinate vector.
-Since the strand's span is exactly its cycle space, a zero residual is
-the cycle condition itself, so class_of needs no separate d(z) = 0.
-Strand layouts (block offsets) are kept per (i, d).
+and assembles the triplet array of each d_i once: its rref gives the
+kernel of H_i, and one step later its columns at the rref's pivots span
+the boundaries of H_{i-1}.  In the coordinates of the free columns of
+d_i, one more rref gives the classes and the functionals of class_of
+(see _homology_pass), which checks d_i z = 0 against the strand's own
+triplets.  Strand layouts (block offsets) are kept per (i, d).
 
 Betti tables read off rank H_i(K)_{i+j}; a rank-only path serves
 tables far beyond the sizes where kernel bases fit in memory.  It takes
@@ -48,8 +40,8 @@ complex still asserts computed vanishing in that degree instead of
 trusting the argument blindly, and truncates there.  Cycles built from
 the recorded ones (images under a lift, products with a perturbation)
 may reach past the truncation; those components add nothing to the
-class, and class_of reduces them against the recorded span of the
-exactness floor's strand, which every degree from the floor on shares.
+class, and class_of checks them against the d_i of the exactness
+floor's strand, which every degree from the floor on shares.
 """
 
 from __future__ import annotations
@@ -60,7 +52,7 @@ import numpy as np
 
 from koszulalg import exactalg
 from koszulalg.exactalg import Matrix
-from koszulalg.gring import ArtinianQuotient, SemigroupRing
+from koszulalg.gring import SIZE_LIMIT, ArtinianQuotient, SemigroupRing
 
 
 class TruncationError(RuntimeError):
@@ -164,30 +156,46 @@ def _merge_sign(S, T):
 
 
 class _DegreeData:
-    """Reduction data of one homology strand (i, d).
+    """Reduction data of one homology strand (i, d), in free-column coordinates.
 
-    span is one sparse Echelon of the cycle space Z_{i,d}.  Its untagged
-    rows, from the columns of d_{i+1}, span the boundaries B_{i,d}; each
-    tagged row carries its coefficients on rep_vectors, which complete
-    B_{i,d} to Z_{i,d}.  filtration is None until analyze builds the
-    filtration table of this strand's classes on its first query.
+    rep_vectors are the kernel vectors of d_i that are classes (see
+    _homology_pass).  rep_coords applies the map z -> (coordinates on
+    rep_vectors modulo boundaries, d_i z), whose entries are the class
+    functionals and the triplets of d_i, gathered on the first query.
+    filtration is None until analyze builds its table on the first query.
     """
 
-    __slots__ = ("span", "rep_vectors", "class_indices", "filtration")
+    __slots__ = ("rep_vectors", "class_indices", "filtration",
+                 "_boundary", "_parts", "_map")
 
-    def __init__(self, span, rep_vectors, class_indices):
-        self.span = span
+    def __init__(self, boundary, rep_vectors, class_indices, functionals, diff, rows):
         self.rep_vectors = rep_vectors
         self.class_indices = class_indices
         self.filtration = None
+        self._boundary = boundary
+        self._parts = (functionals, diff, rows)
+        self._map = None
 
-    def boundary_rows(self):
-        """The untagged echelon rows: a basis of B_{i,d}."""
-        return [row for row in self.span.rows if not row[3]]
+    def boundary_columns(self, field, total):
+        """The boundary columns as vectors: a basis of B_{i,d} (spanning past top)."""
+        b = _columns_at(*self._boundary)
+        return Matrix.from_triplets(
+            field, len(self._boundary[1]), total, b[:, [1, 0, 2]].tolist()).rows
 
-    def rep_coords(self, vec):
+    def rep_coords(self, field, vec):
         """Coordinates of vec on rep_vectors modulo boundaries; None if vec is no cycle."""
-        return self.span.coords(vec, len(self.rep_vectors))
+        k = len(self.rep_vectors)
+        if self._map is None:
+            functionals, diff, rows = self._parts
+            entries = np.concatenate((functionals, diff + (k, 0, 0)))
+            self._map = (*entries[:, :2].T.astype(np.int64), entries[:, 2], k + rows)
+        r, c, vals, size = self._map
+        p = field.characteristic
+        terms = vals * np.array(vec, dtype=vals.dtype)[c]
+        out = np.full(size, field.zero, dtype=vals.dtype)
+        np.add.at(out, r, terms % p if p else terms)
+        out = (out % p if p else out).tolist()
+        return None if any(out[k:]) else out[:k]
 
 
 class HomologyClass:
@@ -499,76 +507,107 @@ def _homology_through(K, top):
 def _homology_pass(K, top):
     """H_0..H_top, one internal degree at a time, each d_i assembled once.
 
-    In degree d, i runs from min(top + 1, n) down to 0: the triplets of
-    d_i give the kernel of the strand (i, d), if i <= top, and are kept
-    one step, as the boundary columns of the strand (i-1, d).  The
-    columns stop at rank B_{i,d} = dim K_{i+1,d} - dim Z_{i+1,d} rows
-    (past top all go in), the kernel vectors at dim Z_{i,d} rows: the
-    span is then all of Z_{i,d}, so every vector left would be skipped
-    and the representatives are those of the full search.
+    In degree d, i runs from min(top + 1, n) down to 0.  The columns of
+    d_{i+1} at its rref pivots are independent boundary columns of the
+    strand (i, d); past top all columns go.  With F the free columns of
+    the rref of d_i, a cycle z is the combination of the canonical kernel
+    vectors v_f with coefficients z[f], so z -> z[F] maps Z_{i,d} onto
+    k^F and B_{i,d} onto the span of C, the boundary columns restricted
+    to the rows F.  v_f is a class iff f is not the last nonzero
+    position of a vector of span(C), a pivot of the rref of C^T with its
+    columns reversed: exactly the kernel vectors that a search adding
+    the boundaries, then each v_f in turn, keeps.  That C^T has one
+    kernel vector u per class, and u . z[F] (F reversed) is the
+    coordinate of z on the class modulo boundaries.  If the boundary
+    columns are independent and as many as the cycles, B = Z: nothing is
+    eliminated.  A dense strand past SIZE_LIMIT entries raises
+    MemoryError before any work.
     """
     F = K.field
+    dims = [[K.strand_dim(i, d) for d in range(K.truncation + 1)] for i in range(K.n + 1)]
+    for i, d in itertools.product(range(1, min(top + 1, K.n) + 1), range(K.truncation + 1)):
+        if dims[i - 1][d] * dims[i][d] > SIZE_LIMIT:
+            raise MemoryError("strand of d_%d in degree %d is past %d dense entries"
+                              % (i, d, SIZE_LIMIT))
     classes = [[] for _ in range(top + 1)]
     degree_data = [{} for _ in range(top + 1)]
     for d in range(K.truncation + 1):
-        boundary, rank_b = K._no_entries, 0
+        # triplets of d_{i+1}, its boundary columns and its number of columns
+        boundary = (K._no_entries, [], 0)
         for i in range(min(top + 1, K.n), -1, -1):
-            total = K.strand_dim(i, d)
+            total = dims[i][d]
             if total == 0:
-                boundary, rank_b = K._no_entries, 0
+                boundary = (K._no_entries, [], 0)
                 continue
             triplets = K.diff_triplets(i, d) if i else K._no_entries
             if i > top:
-                boundary, rank_b = triplets, None
+                boundary = (triplets, list(range(total)), total)
                 continue
             # d_0 = 0: a matrix with no rows, whose kernel is every unit vector
-            kernel = exactalg.kernel_basis_of_triplets(
-                F, K.strand_dim(i - 1, d), total, triplets)
+            rows = dims[i - 1][d] if i else 0
+            kernel, pivots = exactalg.kernel_basis_of_triplets(F, rows, total, triplets)
             if kernel:
-                span = exactalg.Echelon(F)
-                columns = {}
-                for r, c, a in boundary.tolist():
-                    if c not in columns:
-                        columns[c] = [F.zero] * total
-                    columns[c][r] = F.add(columns[c][r], a)
-                for c in sorted(columns):
-                    if len(span.rows) == rank_b:
-                        break
-                    span.add(columns[c])
-                reps = []
-                indices = []
-                for v in kernel:
-                    if len(span.rows) == len(kernel):
-                        break
-                    if not span.add(v, ((len(reps), F.one),)):
-                        continue
-                    idx = len(classes[i])
-                    label = "h%d.%d" % (i, idx + 1)
-                    classes[i].append(HomologyClass(
-                        idx, d, K.vector_to_element(i, d, v), label))
-                    reps.append(v)
-                    indices.append(idx)
-                degree_data[i][d] = _DegreeData(span, reps, indices)
+                positions, functionals = _classes_in_free_columns(
+                    F, total, pivots, boundary, i < top)
+                reps = [kernel[t] for t in positions]
+                indices = list(range(len(classes[i]), len(classes[i]) + len(reps)))
+                classes[i] += [HomologyClass(idx, d, K.vector_to_element(i, d, v),
+                                             "h%d.%d" % (i, idx + 1))
+                               for idx, v in zip(indices, reps)]
+                degree_data[i][d] = _DegreeData(
+                    boundary, reps, indices, functionals, triplets, rows)
                 if K.exactness_floor is not None and d >= K.exactness_floor and reps:
                     raise TruncationError(
                         "nonzero H_%d in degree %d inside the vanishing window"
                         % (i, d))
-            boundary, rank_b = triplets, total - len(kernel)
+            boundary = (triplets, pivots, total)
     return [HomologyBasis(K, i, classes[i], degree_data[i])
             for i in range(top + 1)]
+
+
+def _columns_at(triplets, columns, ncols):
+    """Triplets in the given columns (of ncols), renumbered by position among them."""
+    number = np.full(ncols, -1)
+    number[columns] = np.arange(len(columns))
+    c = number[triplets[:, 1].astype(np.int64)]
+    out = triplets[c >= 0]
+    out[:, 1] = c[c >= 0]
+    return out
+
+
+def _classes_in_free_columns(F, total, pivots, boundary, independent):
+    """(positions of the classes among the kernel vectors, functionals); see _homology_pass."""
+    count = len(boundary[1])
+    if independent and count == total - len(pivots):  # B = Z
+        return [], exactalg.as_triplets(F)
+    free = np.ones(total, dtype=bool)
+    free[pivots] = False
+    rev = np.flatnonzero(free)[::-1]
+    slot = np.full(total, -1)  # row r of C is the reversed free column slot[r]
+    slot[rev] = np.arange(rev.size)
+    columns = _columns_at(*boundary)
+    r = slot[columns[:, 0].astype(np.int64)]
+    c_rev = np.column_stack((columns[r >= 0, 1], r[r >= 0], columns[r >= 0, 2]))
+    duals, trailing = exactalg.kernel_basis_of_triplets(
+        F, count, rev.size, exactalg.as_triplets(F, c_rev))
+    classes = np.ones(rev.size, dtype=bool)
+    classes[trailing] = False
+    functionals = [(t, int(rev[q]), a) for t, u in enumerate(reversed(duals))
+                   for q, a in enumerate(u) if a]
+    return ((rev.size - 1 - np.flatnonzero(classes)[::-1]).tolist(),
+            exactalg.as_triplets(F, functionals))
 
 
 def class_of(K, i, z):
     """Coordinates of the cycle z in the basis of H_i; verifies d(z) = 0.
 
     d preserves internal degree, so z is a cycle iff each internal
-    component is.  Up to the truncation a component lies in a strand
-    whose recorded span is its whole cycle space (zero where no data
-    is recorded), so its zero residual is the cycle check.  Past the
-    truncation (semigroup rings only) every block is k t^a and
-    x_j t^a = t^(a+g_j), so the strand has the layout and the d_i of the
-    exactness floor; the component is reduced against the floor's span,
-    which is all of Z there and holds no representatives.
+    component is.  Up to the truncation a component is checked against
+    its strand's d_i and mapped by the strand's functionals (zero where
+    no data is recorded: Z_{i,d} = 0).  Past the truncation (semigroup
+    rings only) every block is k t^a and x_j t^a = t^(a+g_j), so the
+    strand has the layout and the d_i of the exactness floor, whose data
+    checks the component and holds no classes.
     """
     deg = z.homological_degree()
     if not z.is_zero() and deg != i:
@@ -589,7 +628,7 @@ def class_of(K, i, z):
             if any(a != F.zero for a in vec):
                 raise NotACycleError("class_of received a non-cycle")
             continue
-        sol = data.rep_coords(vec)
+        sol = data.rep_coords(F, vec)
         if sol is None:
             raise NotACycleError("class_of received a non-cycle")
         for idx, c in zip(data.class_indices, sol):

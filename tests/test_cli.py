@@ -462,6 +462,31 @@ def test_oversized_spec_exits_three(capsys, tmp_path, presentation):
     assert err.startswith("error: resource limit") and err.count("\n") == 1
 
 
+def test_full_homology_on_x98_exits_three_at_once():
+    # its d_2 strand in degree 133 alone is 19791 x 19794 dense entries;
+    # the homology pass refuses before assembling any strand
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    run = subprocess.run(
+        [sys.executable, "-m", "koszulalg.cli", "homology", "--ring",
+         fixture_path("f2_big_x98.json"), "--json"],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert run.returncode == 3
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("error: resource limit") and run.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["betti", "check-identity", "products", "gr", "suite"])
+def test_every_full_path_command_on_x98_exits_three(capsys, command):
+    code, out, err = run(capsys, command, "--ring", fixture_path("f2_big_x98.json"))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: resource limit") and err.count("\n") == 1
+
+
 def test_non_utf8_ring_spec_exits_two(capsys, tmp_path):
     spec = tmp_path / "bad.json"
     spec.write_bytes(b"\xff\xfe{")

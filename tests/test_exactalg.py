@@ -200,23 +200,27 @@ def test_sparse_rank_of_no_entries(field):
     assert exactalg.sparse_rank(field, 3, 4, []) == 0
 
 
-@pytest.mark.parametrize("p", [3, 32003])
+@pytest.mark.parametrize("p", [2, 3, 32003])
 def test_kernel_of_triplets_sums_repeats_on_the_int64_path(p):
-    # 70 x 80 is past the 4096-entry rule; every third entry comes twice,
-    # half of those pairs cancelling
+    # 70 x 80 is past the 4096-entry rule, 40 x 50 below it; every third
+    # entry comes twice, half of those pairs cancelling.  Both paths
+    # return the kernel and pivots of the generic loop's rref.
     F = PrimeField(p)
     rng = random.Random(5)
-    entries = []
-    for t in range(900):
-        i, j, a = rng.randrange(70), rng.randrange(80), rng.randrange(1, p)
-        entries.append((i, j, a))
-        if t % 3 == 0:
-            entries.append((i, j, F.neg(a) if t % 2 else rng.randrange(1, p)))
-    m = Matrix.from_triplets(F, 70, 80, entries)
-    assert exactalg._int64_path(F, 70, 80)
-    array = exactalg.as_triplets(F, entries)
-    assert exactalg.kernel_basis_of_triplets(F, 70, 80, array) == kernel_basis(m)
-    assert exactalg.sparse_rank(F, 70, 80, array) == rank(m)
+    for nrows, ncols, large in ((70, 80, True), (40, 50, False)):
+        entries = []
+        for t in range(12 * nrows):
+            i, j, a = rng.randrange(nrows), rng.randrange(ncols), rng.randrange(1, p)
+            entries.append((i, j, a))
+            if t % 3 == 0:
+                entries.append((i, j, F.neg(a) if t % 2 else rng.randrange(1, p)))
+        m = Matrix.from_triplets(F, nrows, ncols, entries)
+        assert exactalg._int64_path(F, nrows, ncols) == large
+        array = exactalg.as_triplets(F, entries)
+        expected = (_generic_kernel(m), exactalg._generic_rref(m)[1])
+        assert exactalg.kernel_basis_of_triplets(F, nrows, ncols, array) == expected
+        assert kernel_basis(m) == expected[0]
+        assert exactalg.sparse_rank(F, nrows, ncols, array) == rank(m)
 
 
 def test_sparse_rank_f32003_peels_and_eliminates():
@@ -428,7 +432,13 @@ def test_int64_rank_matches_generic_rref(data):
     assert rank(m) == len(pivots)
     assert kernel_basis(m) == _generic_kernel(m)
     assert exactalg.kernel_basis_of_triplets(
-        F, nrows, ncols, exactalg.as_triplets(F, _triplets(m))) == _generic_kernel(m)
+        F, nrows, ncols, exactalg.as_triplets(F, _triplets(m))) == (
+            _generic_kernel(m), pivots)
+    # columns reversed, as the homology pass reads its boundaries
+    flipped = Matrix(F, [row[::-1] for row in m.rows], ncols)
+    assert exactalg.kernel_basis_of_triplets(
+        F, nrows, ncols, exactalg.as_triplets(F, _triplets(flipped))) == (
+            _generic_kernel(flipped), exactalg._generic_rref(flipped)[1])
     assert exactalg.sparse_rank(F, nrows, ncols, _triplets(m)) == len(pivots)
 
 

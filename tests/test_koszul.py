@@ -4,6 +4,7 @@ import collections
 import hashlib
 import json
 import os
+import random
 import threading
 from fractions import Fraction
 
@@ -485,18 +486,6 @@ def _boundary_rows(K, i, d):
     return [red.rows[t] for t in range(len(pivots))]
 
 
-def _strand_boundary_vectors(K, i, d, data):
-    """The untagged rows of a strand's echelon as dense vectors."""
-    F = K.field
-    out = []
-    for _, cols, vals, _ in data.boundary_rows():
-        v = [F.zero] * K.strand_dim(i, d)
-        for j, a in zip(cols, vals):
-            v[j] = a
-        out.append(v)
-    return out
-
-
 def _assert_boundaries_match_rref(K):
     F = K.field
     for i in range(K.n + 1):
@@ -508,11 +497,12 @@ def _assert_boundaries_match_rref(K):
                 # no strand data: Z_{i,d} = 0, so B_{i,d} = 0
                 assert expected == []
                 continue
-            rows = _strand_boundary_vectors(K, i, d, data)
-            assert len(rows) == len(expected)
-            if rows:
+            # the kept columns of d_{i+1} are a basis of B_{i,d}
+            columns = data.boundary_columns(F, K.strand_dim(i, d))
+            assert len(columns) == len(expected)
+            if columns:
                 red, pivots = exactalg.rref(
-                    exactalg.Matrix(F, rows, K.strand_dim(i, d)))
+                    exactalg.Matrix(F, columns, K.strand_dim(i, d)))
                 assert red.rows[:len(pivots)] == expected
 
 
@@ -526,12 +516,95 @@ def _reference_class_of(K, i, z):
         data = basis.degree_data.get(d)
         if d > K.truncation or data is None:
             continue
-        boundary = _strand_boundary_vectors(K, i, d, data)
+        boundary = _boundary_rows(K, i, d)
         sol = exactalg.coords_in_span(
             vec, boundary + data.rep_vectors, K.field)
         for t, idx in enumerate(data.class_indices):
             coords[idx] = K.field.add(coords[idx], sol[len(boundary) + t])
     return coords
+
+
+def _forward_search(K, i, d):
+    """(representatives, Echelon) of the strand (i, d) by the search the engine replaced.
+
+    The dense columns of d_{i+1} go into one Echelon, then the canonical
+    kernel vectors of d_i in order; a kernel vector that extends the span
+    is the next representative, tagged with its position.  None if
+    Z_{i,d} = 0.
+    """
+    F = K.field
+    total = K.strand_dim(i, d)
+    if total == 0:
+        return None
+    if i == 0:
+        kernel = [exactalg.unit_vector(F, total, s) for s in range(total)]
+    else:
+        kernel = exactalg.kernel_basis(K.diff_matrix(i, d))
+    if not kernel:
+        return None
+    span = exactalg.Echelon(F)
+    if i < K.n and K.strand_dim(i + 1, d):
+        m = K.diff_matrix(i + 1, d)
+        for j in range(m.ncols):
+            span.add(m.column(j))
+    reps = []
+    for v in kernel:
+        if span.add(v, ((len(reps), F.one),)):
+            reps.append(v)
+    return reps, span
+
+
+def _forward_class_of(K, i, z, searches):
+    """class_of by the forward search's Echelon: a zero residual is the cycle check."""
+    F = K.field
+    first, count = {}, 0  # index of each strand's first class
+    for d in range(K.truncation + 1):
+        first[d] = count
+        count += len(searches[(i, d)][0]) if searches[(i, d)] else 0
+    coords = [F.zero] * count
+    for d, vec in K.strand_vectors(i, z).items():
+        d = min(d, K.truncation)  # past it only semigroup rings, at the floor
+        found = searches[(i, d)]
+        if found is None:
+            if any(a != F.zero for a in vec):
+                raise NotACycleError("class_of received a non-cycle")
+            continue
+        residual, sol = found[1].decompose(vec, len(found[0]))
+        if any(a != F.zero for a in residual):
+            raise NotACycleError("class_of received a non-cycle")
+        for t, c in enumerate(sol):
+            coords[first[d] + t] = F.add(coords[first[d] + t], c)
+    return coords
+
+
+def _assert_matches_forward_search(K, rnd):
+    """Representatives, labels and class_of equal the forward Echelon search's."""
+    searches = {(i, d): _forward_search(K, i, d)
+                for i in range(K.n + 1) for d in range(K.truncation + 1)}
+    F = K.field
+    for i in range(K.n + 1):
+        forward = [(d, K.vector_to_element(i, d, v))
+                   for d in range(K.truncation + 1) if searches[(i, d)]
+                   for v in searches[(i, d)][0]]
+        basis = homology_basis(K, i)
+        assert [(c.degree, c.element) for c in basis.classes] == forward
+        assert [c.label for c in basis.classes] == [
+            "h%d.%d" % (i, t + 1) for t in range(len(forward))]
+        cycle = K.zero_element()
+        for d in range(K.truncation + 1):
+            if searches[(i, d)] is None:
+                continue
+            boundary = _boundary_rows(K, i, d)
+            span = boundary + searches[(i, d)][0]
+            coeffs = [_scalar(F, rnd) for _ in span]
+            vec = _combination(F, coeffs, span, K.strand_dim(i, d))
+            cycle = cycle + K.vector_to_element(i, d, vec)
+        chains = [cycle]
+        if i > 0:
+            chains.append(cycle + _random_chain(K, i, rnd))
+        for z in chains:
+            assert _outcome(class_of, K, i, z) == _outcome(
+                _forward_class_of, K, i, z, searches)
 
 
 def _outcome(fn, *args):
@@ -579,7 +652,7 @@ def test_strand_solver_matches_coords_in_span(ring, rnd):
         basis = homology_basis(K, i)
         cycle = K.zero_element()
         for d, data in sorted(basis.degree_data.items()):
-            boundary = _strand_boundary_vectors(K, i, d, data)
+            boundary = _boundary_rows(K, i, d)
             span = boundary + data.rep_vectors
             total = len(span[0])
             nb = len(boundary)
@@ -587,11 +660,11 @@ def test_strand_solver_matches_coords_in_span(ring, rnd):
             coeffs = [_scalar(F, rnd) for _ in span]
             vec = _combination(F, coeffs, span, total)
             assert exactalg.coords_in_span(vec, span, F) == coeffs
-            assert data.rep_coords(vec) == coeffs[nb:]
+            assert data.rep_coords(F, vec) == coeffs[nb:]
             # a random strand vector, inside the cycle space or not
             other = [_scalar(F, rnd) for _ in range(total)]
             sol = exactalg.coords_in_span(other, span, F)
-            assert data.rep_coords(other) == (
+            assert data.rep_coords(F, other) == (
                 None if sol is None else sol[nb:])
             cycle = cycle + K.vector_to_element(i, d, vec)
         assert class_of(K, i, cycle) == _reference_class_of(K, i, cycle)
@@ -615,6 +688,19 @@ def test_strand_boundaries_match_rref_of_columns_on_random_rings(ring):
 
 
 @pytest.mark.parametrize("name", _every_fixture_but_x98())
+def test_classes_match_forward_echelon_search(name):
+    _assert_matches_forward_search(
+        KoszulComplex(load_ring_spec(conftest.fixture_path(name))),
+        random.Random(name))
+
+
+@given(small_rings(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_classes_match_forward_echelon_search_on_random_rings(ring, rnd):
+    _assert_matches_forward_search(KoszulComplex(ring), rnd)
+
+
+@pytest.mark.parametrize("name", _every_fixture_but_x98())
 def test_homology_assembles_each_strand_once(name, monkeypatch):
     # one pass over internal degrees: the triplets of d_i give the kernel
     # of H_i and the boundaries of H_{i-1}
@@ -630,6 +716,27 @@ def test_homology_assembles_each_strand_once(name, monkeypatch):
     for i in range(K.n + 1):
         homology_basis(K, i)
     assert calls and max(calls.values()) == 1
+
+
+def test_homology_pass_refuses_a_dense_strand_before_assembling(monkeypatch):
+    K = KoszulComplex(load_ring_spec(conftest.fixture_path("f2_destefani.json")))
+    largest = max(K.strand_dim(i - 1, d) * K.strand_dim(i, d)
+                  for i in range(1, K.n + 1) for d in range(K.truncation + 1))
+    assemble = KoszulComplex.diff_triplets
+    calls = []
+
+    def counted(self, i, d):
+        calls.append((i, d))
+        return assemble(self, i, d)
+
+    monkeypatch.setattr(KoszulComplex, "diff_triplets", counted)
+    monkeypatch.setattr(koszul, "SIZE_LIMIT", largest - 1)
+    with pytest.raises(MemoryError, match="past %d dense entries" % (largest - 1)):
+        homology_basis(K, 0)
+    assert calls == [] and K._homology is None
+    monkeypatch.setattr(koszul, "SIZE_LIMIT", largest)
+    assert _dims(K) == _dims(
+        KoszulComplex(load_ring_spec(conftest.fixture_path("f2_destefani.json"))))
 
 
 def _random_chain(K, i, rnd):
@@ -719,6 +826,10 @@ def test_no_numpy_scalar_leaks(make):
         basis = homology_basis(K, i)
         for data in basis.degree_data.values():
             assert _exact_scalars(a for v in data.rep_vectors for a in v), i
+        for cls in basis.classes:
+            coords = class_of(K, i, cls.element)
+            assert _exact_scalars(coords), i
+            assert coords == exactalg.unit_vector(K.field, basis.dim, cls.index)
         for d in range(K.truncation + 1):
             src, dst = K.strand_dim(i, d), K.strand_dim(i - 1, d)
             if i and src and dst:
