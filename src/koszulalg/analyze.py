@@ -25,13 +25,15 @@ in-scope check into one machine-readable report.
 Filtration queries are answered in class coordinates.  Since B ⊂ Z, a
 cycle lies in (Z ∩ F^l) + B exactly when it lies in F^l + B.  So each
 strand (i, d) with k classes has one filtration table, built on its
-first query from a single level-ordered reduction: k independent
-linear forms on the class coordinates, each with a level, such that a
-class is in F^l H_i iff every form of level < l kills it (see
-_filtration_table).  The level of a class is the least level of a form
-that does not kill it, dim F^l counts the forms of level >= l, the dual
-basis of the forms is adapted to the filtration, and ord(R) is the
-least form level on H_1.
+first query: k independent linear forms on the class coordinates, each
+with a level, such that a class is in F^l H_i iff every form of level
+< l kills it.  One rref of the boundary columns, the slices of m^a K
+and the representatives gives the forms, each at the level read off
+the column group of its row's pivot; a second rref, the forms as
+columns, selects the first k independent ones (see _filtration_table).
+The level of a class is the least level of a form that does not kill
+it, dim F^l counts the forms of level >= l, the dual basis of the forms
+is adapted to the filtration, and ord(R) is the least form level on H_1.
 """
 
 from __future__ import annotations
@@ -161,17 +163,21 @@ def _filtration_table(K, i, d, data):
     """Filtration table (levels, forms) of the strand (i, d), levels increasing.
 
     A class of the strand is in F^l iff every form of level < l kills its
-    coordinates.  One Echelon starts from the boundary columns (spanning
-    B_{i,d}) and takes m^a K_{i,d} for a from the largest with a nonzero
-    slice (a product of a generators has degree >= a * min weight) down
-    to 1, tagging each vector that grows it with the level i + a.
-    A representative reduced once is its residual modulo F^(i+1) + B
-    plus a combination of tagged vectors, so a class lies in F^l exactly
-    when the residual coordinates (level i) and the coefficients on the
-    tagged vectors of level < l vanish on it.  Of those forms, taken in
-    increasing level, the table keeps the k independent ones that come
-    first: they cut out every F^l, and no nonzero class is in all of them.
-    Built on the first query and kept on the strand data.
+    coordinates.  One rref is taken of the columns: the boundary columns
+    (a basis of B_{i,d}), then m^a K_{i,d} for a from the largest with a
+    nonzero slice (a product of a generators has degree >= a * min
+    weight) down to 1, then the k representatives.  Each group has a
+    level, i + a for m^a and i for the representatives; the boundary
+    columns have none.  A row of the rref is zero left of its pivot, so
+    the rows with pivots after the group of m^a span the functionals
+    y . [columns] with y killing B + m^a K, and a class is in F^(i+a)
+    exactly when their last k entries vanish on it.  Every row with its
+    pivot in a group with a level gives one form (its last k entries) at
+    that level.  Of those forms, taken by increasing level, the table
+    keeps the k independent ones that come first (the pivots of a second
+    rref, the forms as columns): they cut out every F^l, and no nonzero
+    class is in all of them.  Built on the first query and kept on the
+    strand data.
     """
     if data.filtration is not None:
         return data.filtration
@@ -181,27 +187,20 @@ def _filtration_table(K, i, d, data):
         # F^l is the filtration by internal degree: every level is d
         data.filtration = ([d] * k, Matrix.identity(F, k))
         return data.filtration
-    span = exactalg.Echelon(F)
-    for column in data.boundary_columns(F, K.strand_dim(i, d)):
-        span.add(column)
-    tracked = []
+    columns = data.boundary_columns(F, K.strand_dim(i, d))
+    level_of = [None] * len(columns)
     for a in range((d - min(K.subset_weights[i])) // min(K.weights), 0, -1):
-        for v in _strand_power_vectors(K, i, d, a):
-            if span.add(v, ((len(tracked), F.one),)):
-                tracked.append(i + a)
-    residuals, coords = zip(*(
-        span.decompose(v, len(tracked)) for v in data.rep_vectors))
-    candidates = [(i, form) for form in zip(*residuals)]
-    candidates += reversed(list(zip(tracked, zip(*coords))))
-    picked = exactalg.Echelon(F)
-    levels, forms = [], []
-    for level, form in candidates:
-        if picked.add(form):
-            levels.append(level)
-            forms.append(form)
-            if len(forms) == k:
-                break
-    data.filtration = (levels, Matrix(F, forms, k))
+        group = _strand_power_vectors(K, i, d, a)
+        columns += group
+        level_of += [i + a] * len(group)
+    columns += data.rep_vectors
+    level_of += [i] * k
+    red, pivots = exactalg.rref(Matrix(F, zip(*columns), len(columns)))
+    forms = sorted(((level_of[c], row[-k:]) for row, c in zip(red.rows, pivots)
+                    if level_of[c] is not None), key=lambda form: form[0])
+    _, picked = exactalg.rref(Matrix(F, zip(*(row for _, row in forms)), len(forms)))
+    data.filtration = ([forms[c][0] for c in picked],
+                       Matrix(F, [forms[c][1] for c in picked], k))
     return data.filtration
 
 
@@ -217,19 +216,25 @@ def filtration_level(K, i, coords):
     """Largest l with the class in F^l H_i; math.inf for the zero class.
 
     It is the least level, over the internal degrees, of a form of the
-    table that does not kill the class's coordinates there.
+    table that does not kill the class's coordinates there; the forms
+    are walked by increasing level against the nonzero coordinates only.
     """
     basis = homology_basis(K, i)
     F = K.field
     if len(coords) != basis.dim:
         raise ValueError("coordinate length mismatch")
+    p = F.characteristic
     level = math.inf
     for d in {cls.degree for cls, a in zip(basis.classes, coords) if a != F.zero}:
         data = basis.degree_data[d]
         levels, forms = _filtration_table(K, i, d, data)
-        values = forms.mul_vec([coords[idx] for idx in data.class_indices])
-        level = min(level, next(
-            lev for lev, a in zip(levels, values) if a != F.zero))
+        nonzero = [(t, coords[idx]) for t, idx in enumerate(data.class_indices)
+                   if coords[idx] != F.zero]
+        for lev, form in zip(levels, forms.rows):
+            value = sum(form[t] * a for t, a in nonzero)
+            if (value % p if p else value) != 0:
+                level = min(level, lev)
+                break
     return level
 
 

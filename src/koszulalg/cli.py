@@ -261,6 +261,8 @@ def _parse_degrees(text, K):
         degrees = sorted({int(t) for t in text.split(",") if t.strip()})
     except ValueError:
         raise SpecError("--degrees expects a comma-separated integer list")
+    if not degrees:
+        raise SpecError("--degrees lists no degree")
     for i in degrees:
         if i < 0 or i > K.n:
             raise SpecError("degree %d outside 0..%d" % (i, K.n))
@@ -280,7 +282,7 @@ def cmd_betti(K, args):
 
 def cmd_homology(K, args):
     c = K.ring.codepth
-    degrees = _parse_degrees(args.degrees, K) if args.degrees else range(c + 1)
+    degrees = _parse_degrees(args.degrees, K) if args.degrees is not None else range(c + 1)
     out = {"dims": {}, "classes": {}}
     for i in degrees:
         basis = homology_basis(K, i)
@@ -334,7 +336,7 @@ def cmd_products(K, args):
 
 
 def cmd_check_identity(K, args):
-    degrees = _parse_degrees(args.degrees, K) if args.degrees else None
+    degrees = _parse_degrees(args.degrees, K) if args.degrees is not None else None
     verdict = analyze.check_identity_all(K, degrees)
     if args.json:
         _emit_json(verdict.to_json())
@@ -352,7 +354,7 @@ def cmd_lift_action(K, args):
         raise SpecError("lift-action requires --lift FILE")
     phi = load_lift_spec(args.lift, K)
     c = K.ring.codepth
-    degrees = _parse_degrees(args.degrees, K) if args.degrees else range(c + 1)
+    degrees = _parse_degrees(args.degrees, K) if args.degrees is not None else range(c + 1)
     maps = {i: induced_map(phi, i) for i in sorted({*degrees, *range(c + 1)})}
     out = {"lift": format_lift(phi), "degrees": {}, "identity": True}
     for i in degrees:

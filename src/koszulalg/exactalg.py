@@ -17,17 +17,13 @@ peels it in whole-array rounds, and ranks the blocks of a block-diagonal
 array in one peel; kernel_basis_of_triplets fills the int64 elimination
 array straight from it.
 
-Echelon keeps a span as sparse echelon rows, grows it one vector at a
-time, and reduces any vector against it in one pass over its rows: the
-residual decides membership and the multiples give coordinates.  Only
-the filtration tables of analyze use it.  It is the one mutable object
-here; every other value is immutable after construction and every other
-operation is pure.
+Every operation here is pure: it returns new values and leaves its
+arguments unchanged.  Only the private _fp_eliminate works in place, on
+an array its caller has just allocated.
 """
 
 from __future__ import annotations
 
-import bisect
 from fractions import Fraction
 
 import numpy as np
@@ -451,81 +447,6 @@ def coords_in_span(v, basis, field):
     for r, p in enumerate(pivots):
         coords[p] = R.rows[r][k]
     return coords
-
-
-class Echelon:
-    """Sparse row echelon basis of a span that grows one vector at a time.
-
-    Rows are (pivot, columns, values, tag) tuples sorted by pivot, each
-    zero left of its pivot and 1 there.
-
-    Reducing a vector walks the rows in pivot order, subtracting the
-    multiple of each row that clears its pivot entry in the partly reduced
-    vector.  The residual is zero at every pivot, depends on the span
-    alone, and is zero exactly when the vector lies in the span.  A tag
-    is the combination ((index, scalar), ...) of tracked inputs that a
-    row equals modulo the untagged rows, so the multiples give the
-    coordinates of a vector of the span on those inputs; decompose gives
-    them for any vector, which equals its residual plus that combination
-    modulo the untagged rows.
-    """
-
-    __slots__ = ("field", "rows")
-
-    def __init__(self, field):
-        self.field = field
-        self.rows = []
-
-    def reduce(self, vec):
-        """(residual, [(row position, multiple)]) of vec against the span."""
-        F = self.field
-        zero = F.zero
-        p = F.characteristic
-        w = list(vec)
-        mults = []
-        for r, (piv, cols, vals, _) in enumerate(self.rows):
-            c = w[piv]
-            if c == zero:
-                continue
-            mults.append((r, c))
-            if p:
-                for j, a in zip(cols, vals):
-                    w[j] = (w[j] - c * a) % p
-            else:
-                for j, a in zip(cols, vals):
-                    w[j] = w[j] - c * a
-        return w, mults
-
-    def add(self, vec, tag=()):
-        """Extend the span by vec (equal to the combination tag); False if inside."""
-        F = self.field
-        zero = F.zero
-        w, mults = self.reduce(vec)
-        lead = next((j for j, a in enumerate(w) if a != zero), None)
-        if lead is None:
-            return False
-        inv = F.inv(w[lead])
-        combo = dict(tag)
-        for r, c in mults:
-            for t, a in self.rows[r][3]:
-                combo[t] = F.sub(combo.get(t, zero), F.mul(c, a))
-        cols = tuple(j for j in range(lead, len(w)) if w[j] != zero)
-        # pivots are distinct, so the tuples compare on the pivot alone
-        bisect.insort(self.rows, (
-            lead, cols, tuple(F.mul(inv, w[j]) for j in cols),
-            tuple((t, F.mul(inv, a)) for t, a in sorted(combo.items())
-                  if a != zero)))
-        return True
-
-    def decompose(self, vec, k):
-        """(residual, coordinates on the k tracked inputs) of vec."""
-        F = self.field
-        w, mults = self.reduce(vec)
-        out = [F.zero] * k
-        for r, c in mults:
-            for t, a in self.rows[r][3]:
-                out[t] = F.add(out[t], F.mul(c, a))
-        return w, out
 
 
 def span_dim(vectors, field, ambient):

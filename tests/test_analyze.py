@@ -316,6 +316,26 @@ def test_standard_graded_branch_matches_general_table(name, monkeypatch):
     assert branch == general
 
 
+@pytest.mark.parametrize("name", _weighted_and_semigroup_fixtures())
+def test_filtration_table_on_both_sides_of_the_int64_rule(name, monkeypatch):
+    # No fixture's filtration rref reaches the 4096 entries of the int64
+    # rule, so each run forces one side of it for every prime field rref.
+    spec = conftest.fixture_path(name)
+    runs = []
+    for int64 in (True, False):
+        monkeypatch.setattr(
+            exactalg, "_int64_path",
+            lambda field, nrows, ncols, int64=int64: (
+                int64 and isinstance(field, exactalg.PrimeField)))
+        K = KoszulComplex(load_ring_spec(spec))
+        runs.append((K, _filtration_answers(K, random.Random(name))))
+    assert runs[0][1] == runs[1][1]
+    # the tables are kept on the strands; the reference runs on the usual rule
+    monkeypatch.undo()
+    for K, _ in runs:
+        _assert_filtration_matches_reference(K, random.Random(name))
+
+
 def test_level_of_zero_class(K_ci):
     dim = homology_basis(K_ci, 1).dim
     assert filtration_level(K_ci, 1, [K_ci.field.zero] * dim) == math.inf

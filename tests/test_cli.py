@@ -559,6 +559,21 @@ def test_flag_the_subcommand_never_reads_exits_two(capsys, command, flag):
     assert len(errors) == 1 and flag in errors[0]
 
 
+@pytest.mark.parametrize("command", ["homology", "check-identity", "lift-action"])
+@pytest.mark.parametrize("degrees", ["", ",", " "], ids=["empty", "comma", "space"])
+def test_degree_list_without_a_degree_exits_two(capsys, command, degrees):
+    # without --degrees, check-identity and lift-action exit 1 on this ring
+    argv = [command, "--ring", fixture_path("f2_identity_false.json")]
+    if command == "lift-action":
+        argv += _FLAG_ARGS["--lift"]
+    code, out, err = run(capsys, *argv, "--degrees", degrees)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--degrees" in errors[0]
+
+
 @pytest.mark.parametrize("command", sorted(_READS))
 def test_every_subcommand_takes_json_and_threads(capsys, command):
     # the benchmark passes both to every subcommand

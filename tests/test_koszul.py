@@ -525,12 +525,11 @@ def _reference_class_of(K, i, z):
 
 
 def _forward_search(K, i, d):
-    """(representatives, Echelon) of the strand (i, d) by the search the engine replaced.
+    """Representatives of the strand (i, d) by the search the engine replaced.
 
-    The dense columns of d_{i+1} go into one Echelon, then the canonical
-    kernel vectors of d_i in order; a kernel vector that extends the span
-    is the next representative, tagged with its position.  None if
-    Z_{i,d} = 0.
+    The canonical kernel vectors of d_i are taken in order; one outside
+    the span of B_{i,d} and the representatives so far is the next
+    representative.  None if Z_{i,d} = 0.
     """
     F = K.field
     total = K.strand_dim(i, d)
@@ -542,50 +541,47 @@ def _forward_search(K, i, d):
         kernel = exactalg.kernel_basis(K.diff_matrix(i, d))
     if not kernel:
         return None
-    span = exactalg.Echelon(F)
-    if i < K.n and K.strand_dim(i + 1, d):
-        m = K.diff_matrix(i + 1, d)
-        for j in range(m.ncols):
-            span.add(m.column(j))
+    boundary = _boundary_rows(K, i, d)
     reps = []
     for v in kernel:
-        if span.add(v, ((len(reps), F.one),)):
+        if exactalg.coords_in_span(v, boundary + reps, F) is None:
             reps.append(v)
-    return reps, span
+    return reps
 
 
 def _forward_class_of(K, i, z, searches):
-    """class_of by the forward search's Echelon: a zero residual is the cycle check."""
+    """class_of against the forward search's representatives.
+
+    A strand component outside the span of B_{i,d} and the
+    representatives is no cycle; inside it, its coefficients on the
+    representatives are the coordinates.
+    """
     F = K.field
     first, count = {}, 0  # index of each strand's first class
     for d in range(K.truncation + 1):
         first[d] = count
-        count += len(searches[(i, d)][0]) if searches[(i, d)] else 0
+        count += len(searches[(i, d)] or ())
     coords = [F.zero] * count
     for d, vec in K.strand_vectors(i, z).items():
         d = min(d, K.truncation)  # past it only semigroup rings, at the floor
-        found = searches[(i, d)]
-        if found is None:
-            if any(a != F.zero for a in vec):
-                raise NotACycleError("class_of received a non-cycle")
-            continue
-        residual, sol = found[1].decompose(vec, len(found[0]))
-        if any(a != F.zero for a in residual):
+        boundary = _boundary_rows(K, i, d)
+        sol = exactalg.coords_in_span(vec, boundary + (searches[(i, d)] or []), F)
+        if sol is None:
             raise NotACycleError("class_of received a non-cycle")
-        for t, c in enumerate(sol):
+        for t, c in enumerate(sol[len(boundary):]):
             coords[first[d] + t] = F.add(coords[first[d] + t], c)
     return coords
 
 
 def _assert_matches_forward_search(K, rnd):
-    """Representatives, labels and class_of equal the forward Echelon search's."""
+    """Representatives, labels and class_of equal the forward search's."""
     searches = {(i, d): _forward_search(K, i, d)
                 for i in range(K.n + 1) for d in range(K.truncation + 1)}
     F = K.field
     for i in range(K.n + 1):
         forward = [(d, K.vector_to_element(i, d, v))
                    for d in range(K.truncation + 1) if searches[(i, d)]
-                   for v in searches[(i, d)][0]]
+                   for v in searches[(i, d)]]
         basis = homology_basis(K, i)
         assert [(c.degree, c.element) for c in basis.classes] == forward
         assert [c.label for c in basis.classes] == [
@@ -595,7 +591,7 @@ def _assert_matches_forward_search(K, rnd):
             if searches[(i, d)] is None:
                 continue
             boundary = _boundary_rows(K, i, d)
-            span = boundary + searches[(i, d)][0]
+            span = boundary + searches[(i, d)]
             coeffs = [_scalar(F, rnd) for _ in span]
             vec = _combination(F, coeffs, span, K.strand_dim(i, d))
             cycle = cycle + K.vector_to_element(i, d, vec)
