@@ -377,14 +377,8 @@ def poincare_pairing(K, i):
     hj = homology_basis(K, c - i)
     if top.dim != 1:
         return {"matrix": None, "is_perfect": False, "dim_top": top.dim}
-    rows = []
-    for a in range(hi.dim):
-        ea = exactalg.unit_vector(K.field, hi.dim, a)
-        row = []
-        for b in range(hj.dim):
-            eb = exactalg.unit_vector(K.field, hj.dim, b)
-            row.append(homology_product(K, i, ea, c - i, eb)[0])
-        rows.append(row)
+    rows = [[class_of(K, c, wedge(x.element, y.element))[0] for y in hj.classes]
+            for x in hi.classes]
     if hi.dim == 0 or hj.dim == 0:
         perfect = hi.dim == hj.dim
         return {"matrix": Matrix(K.field, [], 0) if not rows else None,

@@ -28,9 +28,11 @@ A SemigroupRing is k[t^{g_1},...,t^{g_n}] inside k[t], graded by
 t-degree, with dim R_d <= 1 decided by a coin-problem sieve.  Both
 expose per-degree bases, multiplication-by-generator matrices as triplet
 arrays (exactalg.as_triplets), and degree slices of powers of the
-maximal ideal.  A quotient also counts the minimal generators of its
-ideal per degree (graded Nakayama); the rank-only Betti path and ord(R)
-read them instead of Koszul homology in degree 1.
+maximal ideal.  A quotient also keeps the number of minimal generators
+of its ideal in each degree, which the one Buchberger run that gives
+its Groebner basis counts (graded Nakayama, see polyring.buchberger);
+the rank-only Betti path and ord(R) read them instead of Koszul
+homology in degree 1.
 
 Construction validates minimality of the chosen generators of the
 maximal ideal (ker f inside mF): for quotients every variable must
@@ -64,7 +66,7 @@ from koszulalg.polyring import (
     Polynomial,
     buchberger,
     mono_divides,
-    normal_form,
+    normal_form,  # noqa: F401 -- bench/tracing.py wraps this binding
     parse_poly,
 )
 
@@ -246,11 +248,14 @@ class ArtinianQuotient(GradedRing):
         self.gen_names = list(ctx.variables)
         self.depth = 0
         nonzero = [g for g in ideal_gens if not g.is_zero()]
-        self.gb = buchberger(nonzero) if nonzero else GroebnerBasis(ctx, [])
+        self.gb = buchberger(nonzero) if nonzero else GroebnerBasis(ctx, [], {})
         self.ideal_gens = tuple(ideal_gens)
 
         # Artinian iff every variable has a pure-power leading monomial.
         lms = self.gb.leading_monomials()
+        if (0,) * ctx.nvars in lms:
+            raise RingConstructionError(
+                "the ideal contains a unit: the quotient is the zero ring")
         powers = {i: e for lm in lms for i, e in enumerate(lm) if e == sum(lm) > 0}
         missing = [v for i, v in enumerate(self.gen_names) if i not in powers]
         if missing:
@@ -604,37 +609,10 @@ class ArtinianQuotient(GradedRing):
     def minimal_generator_counts(self):
         """{d: mu_d(I)}, the number of minimal generators of I in degree d.
 
-        Graded Nakayama: mu_d = dim (I/mI)_d, and (mI)_d is the degree-d
-        part of the ideal J generated by the given generators of degree
-        below d.  So mu_d is the rank of the degree-d generators modulo
-        a Groebner basis of J, with no reduction where J is zero;
+        Counted by the ring's one Buchberger run (polyring.buchberger):
         redundant, dependent and zero generators count for nothing.
         """
-        by_degree = {}
-        for g in self.ideal_gens:
-            if not g.is_zero():
-                by_degree.setdefault(g.weighted_degree(), []).append(g)
-        counts, lower = {}, []
-        for d in sorted(by_degree):
-            reduced = by_degree[d]
-            if lower:
-                gb = buchberger(lower)
-                reduced = [normal_form(g, gb) for g in reduced]
-            columns, rows = {}, []
-            for g in reduced:
-                row = {}
-                for mono, c in g.terms:
-                    row[columns.setdefault(mono, len(columns))] = c
-                rows.append(row)
-            if columns:
-                zero = self.field.zero
-                mu = exactalg.rank(Matrix(self.field, [
-                    [row.get(t, zero) for t in range(len(columns))]
-                    for row in rows]))
-                if mu:
-                    counts[d] = mu
-            lower.extend(by_degree[d])
-        return counts
+        return dict(self.gb.generator_counts)
 
     def parse_element(self, text):
         return self.from_polynomial(self.ctx.parse(text))

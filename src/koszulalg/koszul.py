@@ -665,10 +665,9 @@ def product_witness(K, i, j):
     if i + j > K.n:
         return None
     F = K.field
-    for a in range(hi.dim):
-        ea = exactalg.unit_vector(F, hi.dim, a)
-        for b in range(hj.dim):
-            prod = homology_product(K, i, ea, j, exactalg.unit_vector(F, hj.dim, b))
+    for a, x in enumerate(hi.classes):
+        for b, y in enumerate(hj.classes):
+            prod = class_of(K, i + j, wedge(x.element, y.element))
             if any(c != F.zero for c in prod):
                 return a, b, prod
     return None

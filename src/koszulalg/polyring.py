@@ -5,9 +5,11 @@ degree first and breaks ties by graded reverse lexicographic order on
 the raw exponents (a "lex" tie-break variant exists so that order
 independence of dimension counts can be tested).  Includes a parser
 for the text grammar used everywhere (ring spec files, lift files,
-printed cycles), Buchberger's algorithm with the coprime-pair
-criterion and degree-ordered pair selection, normal forms, and
-enumeration of standard monomials by weighted degree.
+printed cycles), normal forms, enumeration of standard monomials by
+weighted degree, and Buchberger's algorithm with the coprime-pair
+criterion, run degree by degree so that the one run that gives the
+reduced Groebner basis also counts the minimal generators of the ideal
+in each degree.
 
 Only weighted-homogeneous ideals are supported; buchberger rejects
 anything else, because homology is computed strand by strand and
@@ -17,7 +19,6 @@ non-homogeneous ideals would break the grading.
 from __future__ import annotations
 
 import heapq
-import operator
 from fractions import Fraction
 
 from koszulalg.exactalg import Field
@@ -77,20 +78,6 @@ class PolyContext:
         if self.order == "grevlex":
             return (self.wdeg(mono), sum(mono), tuple(-e for e in reversed(mono)))
         return tuple(mono)
-
-    def sort_decreasing(self, monos):
-        """Sort a list of monomials of one weighted degree, biggest first.
-
-        The same order as sorting by key with reverse=True, but with
-        C-level sort keys: grevlex ranks higher total degree first, then
-        smaller exponents read from the last variable backwards; lex
-        ranks exponent tuples.
-        """
-        if self.order == "lex":
-            monos.sort(reverse=True)
-            return
-        monos.sort(key=operator.itemgetter(*reversed(range(self.nvars))))
-        monos.sort(key=sum, reverse=True)
 
     def monomial(self, mono, coeff=None):
         if coeff is None:
@@ -470,13 +457,19 @@ def s_polynomial(f, g):
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic generators, mutually in normal form."""
+    """Reduced Groebner basis: monic generators, mutually in normal form.
 
-    __slots__ = ("ctx", "gens")
+    generator_counts is {d: mu_d} for the generators buchberger was
+    given: mu_d is the number of minimal generators of the ideal in
+    weighted degree d, with no entry where it is zero.
+    """
 
-    def __init__(self, ctx, gens):
+    __slots__ = ("ctx", "gens", "generator_counts")
+
+    def __init__(self, ctx, gens, generator_counts):
         self.ctx = ctx
         self.gens = tuple(gens)
+        self.generator_counts = generator_counts
 
     def leading_monomials(self):
         return [g.leading_monomial() for g in self.gens]
@@ -492,15 +485,27 @@ class GroebnerBasis:
 
 
 def buchberger(gens):
-    """Reduced Groebner basis of the ideal generated by gens.
+    """Reduced Groebner basis of the ideal I generated by gens, with mu_d(I).
 
-    Weighted-homogeneous generators only.  S-pairs are processed in
-    increasing weighted degree of their lcm (normal strategy) and
-    pairs with coprime leading monomials are skipped.
+    Weighted-homogeneous generators only.  One heap orders the work by
+    weighted degree (normal strategy): in each degree the S-pairs, by
+    the degree of their lcm, come before the input generators, and
+    pairs with coprime leading monomials are skipped.  A nonzero
+    remainder joins the basis.  Its leading monomial is divisible by no
+    earlier one, so its own pairs lie in higher degrees.  Hence when
+    the generators of degree d are reduced, the basis spans the
+    degree-d part of the ideal J of the lower-degree generators, and
+    J_d = (mI)_d by graded Nakayama: the generators of degree d with a
+    nonzero remainder number mu_d(I), the minimal generators of I in
+    degree d (generator_counts).  For the same reason no leading
+    monomial of the basis divides another, so one pass of reduction by
+    the others, which keeps every leading monomial, gives the unique
+    reduced basis.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        raise ValueError("empty generator list requires a context; use GroebnerBasis(ctx, [])")
+        raise ValueError(
+            "empty generator list requires a context; use GroebnerBasis(ctx, [], {})")
     ctx = gens[0].ctx
     for g in gens:
         if g.ctx != ctx:
@@ -508,57 +513,32 @@ def buchberger(gens):
         if not g.is_homogeneous():
             raise ValueError("non-homogeneous generator: %s" % g)
 
-    basis = []
-    pairs = []
-
-    def push_pairs(t):
-        lt = basis[t].leading_monomial()
-        for s in range(t):
-            ls = basis[s].leading_monomial()
-            if mono_coprime(ls, lt):
-                continue
-            lcm = mono_lcm(ls, lt)
-            heapq.heappush(pairs, (ctx.wdeg(lcm), s, t))
-
-    for g in gens:
-        basis.append(g.monic())
-        push_pairs(len(basis) - 1)
-
-    while pairs:
-        _, s, t = heapq.heappop(pairs)
-        rem = normal_form(s_polynomial(basis[s], basis[t]), basis)
+    # (degree, 0, s, t) is the S-pair of basis[s] and basis[t],
+    # (degree, 1, k, 0) the input generator gens[k]
+    work = [(g.weighted_degree(), 1, k, 0) for k, g in enumerate(gens)]
+    heapq.heapify(work)
+    basis, counts = [], {}
+    while work:
+        d, is_generator, s, t = heapq.heappop(work)
+        if is_generator:
+            rem = normal_form(gens[s], basis)
+        else:
+            rem = normal_form(s_polynomial(basis[s], basis[t]), basis)
         if rem.is_zero():
             continue
+        if is_generator:
+            counts[d] = counts.get(d, 0) + 1
+        lt = rem.leading_monomial()
+        for j, g in enumerate(basis):
+            lj = g.leading_monomial()
+            if not mono_coprime(lj, lt):
+                heapq.heappush(work, (ctx.wdeg(mono_lcm(lj, lt)), 0, j, len(basis)))
         basis.append(rem.monic())
-        push_pairs(len(basis) - 1)
 
-    # Minimalize: drop generators whose leading monomial another divides.
-    keep = []
-    for i, g in enumerate(basis):
-        lm = g.leading_monomial()
-        redundant = False
-        for j, h in enumerate(basis):
-            if i == j:
-                continue
-            lh = h.leading_monomial()
-            if mono_divides(lh, lm) and (lh != lm or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(g)
-
-    # Inter-reduce to the unique reduced basis.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(keep)):
-            others = keep[:i] + keep[i + 1:]
-            r = normal_form(keep[i], others).monic()
-            if r != keep[i]:
-                keep[i] = r
-                changed = True
-    keep.sort(key=lambda g: ctx.key(g.leading_monomial()))
-    return GroebnerBasis(ctx, keep)
+    reduced = [normal_form(g, basis[:k] + basis[k + 1:]).monic()
+               for k, g in enumerate(basis)]
+    reduced.sort(key=lambda g: ctx.key(g.leading_monomial()))
+    return GroebnerBasis(ctx, reduced, counts)
 
 
 def monomials_of_weight(ctx, d):

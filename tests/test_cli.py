@@ -439,6 +439,19 @@ def test_malformed_spec_exits_two(capsys, tmp_path, field, presentation):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field, ideal", [
+    ("F2", ["1"]), ("F2", ["x^2", "3", "y^2"]), ("Q", ["x*y", "-1/2"])],
+    ids=["one", "three-in-F2", "unit-in-Q"])
+def test_unit_ideal_exits_two_naming_the_zero_ring(capsys, tmp_path, field, ideal):
+    spec = tmp_path / "unit.json"
+    spec.write_text(json.dumps(
+        {"field": field, "presentation": _x_quotient(*ideal, variables=("x", "y"))}))
+    code, out, err = run(capsys, "betti", "--ring", str(spec))
+    assert code == 2
+    assert out == ""
+    assert err == "error: the ideal contains a unit: the quotient is the zero ring\n"
+
+
 @pytest.mark.parametrize("presentation", [
     _x_quotient("x^4611686018427387904", "y^2", variables=("x", "y")),
     _x_quotient("x^18446744073709551616", "y^2", variables=("x", "y")),

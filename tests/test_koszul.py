@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from koszulalg import exactalg, koszul
+from koszulalg import exactalg, gring, koszul, polyring
+from koszulalg.analyze import ring_order
 from koszulalg.cli import load_ring_spec, main
 from koszulalg.exactalg import GF2, QQ, PrimeField
 from koszulalg.gring import (
@@ -343,6 +344,31 @@ def test_minimal_generator_counts_skip_redundant_generators(weights, counts):
     assert _h1_dims_by_degree(K) == counts
     assert strand_ranks(K) == _strand_oracle(K)
     assert betti_table(K, rank_only=True) == betti_table(K)
+
+
+@pytest.mark.parametrize("field", [GF2, PrimeField(3), QQ], ids=["F2", "F3", "Q"])
+def test_generator_in_mI_through_a_same_degree_s_pair_is_not_counted(field):
+    # y^3 = y*(x^2 + y^2) - x*(x*y) lies in mI, but only the S-pair of the
+    # two quadrics, whose lcm x^2*y has degree 3, shows it
+    K = KoszulComplex(make_artinian_quotient(
+        PolyContext(field, ["x", "y"]), ["x*y", "x^2 + y^2", "y^3"]))
+    assert K.ring.minimal_generator_counts() == {2: 2}
+    assert _h1_dims_by_degree(K) == {2: 2}
+    assert betti_table(K, rank_only=True) == betti_table(K)
+
+
+def test_counts_need_no_groebner_run_after_the_ring_is_built(monkeypatch):
+    ctx = PolyContext(PrimeField(3), ["x", "y", "z"])
+    K = KoszulComplex(make_artinian_quotient(ctx, [
+        "x^2", "x^2 + y^2", "y^2", "x^3", "x*y*z", "z^3", "x^2*z - y^2*z"]))
+
+    def refuse(gens):
+        raise AssertionError("a Groebner run after the ring build")
+
+    monkeypatch.setattr(polyring, "buchberger", refuse)
+    monkeypatch.setattr(gring, "buchberger", refuse)
+    assert strand_ranks(K) == _strand_oracle(K)
+    assert ring_order(K) == 2
 
 
 class _Strands(list):

@@ -1,18 +1,23 @@
 """Polynomial layer: grammar, term orders, Groebner bases."""
 
+import itertools
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from koszulalg.exactalg import GF2, QQ, PrimeField
+from koszulalg import exactalg
+from koszulalg.exactalg import GF2, QQ, Matrix, PrimeField
 from koszulalg.polyring import (
-    GroebnerBasis,
     PolyContext,
+    Polynomial,
     PolyParseError,
     _split_word,
     buchberger,
+    mono_coprime,
+    mono_divides,
+    mono_lcm,
     monomials_of_weight,
     normal_form,
     parse_poly,
@@ -262,13 +267,125 @@ def test_order_variant_changes_leading_terms_not_dimensions():
         assert len(standard_monomials(gb1, d)) == len(standard_monomials(gb2, d))
 
 
-@given(st.sampled_from(["grevlex", "lex"]),
-       st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4),
-       st.integers(min_value=0, max_value=9))
-@settings(max_examples=60, deadline=None)
-def test_sort_decreasing_matches_key(order, weights, d):
-    ctx = PolyContext(QQ, "xyzw"[:len(weights)], weights, order=order)
-    monos = monomials_of_weight(ctx, d)
-    expect = sorted(monos, key=ctx.key, reverse=True)
-    ctx.sort_decreasing(monos)
-    assert monos == expect
+def _reference_buchberger(gens):
+    """Reduced basis by the textbook route: every generator up front, then
+    S-pairs by lcm degree, then drop the elements whose leading monomial
+    another divides, then reduce by the others until nothing changes.
+    """
+    basis = [g.monic() for g in gens if not g.is_zero()]
+    ctx = basis[0].ctx
+    pairs = [(ctx.wdeg(mono_lcm(f.leading_monomial(), g.leading_monomial())), s, t)
+             for (s, f), (t, g) in itertools.combinations(enumerate(basis), 2)
+             if not mono_coprime(f.leading_monomial(), g.leading_monomial())]
+    while pairs:
+        pairs.sort()
+        _, s, t = pairs.pop(0)
+        rem = normal_form(s_polynomial(basis[s], basis[t]), basis)
+        if rem.is_zero():
+            continue
+        basis.append(rem.monic())
+        lt = rem.leading_monomial()
+        pairs += [(ctx.wdeg(mono_lcm(g.leading_monomial(), lt)), s, len(basis) - 1)
+                  for s, g in enumerate(basis[:-1])
+                  if not mono_coprime(g.leading_monomial(), lt)]
+    keep = [g for i, g in enumerate(basis) if not any(
+        mono_divides(h.leading_monomial(), g.leading_monomial())
+        and (h.leading_monomial() != g.leading_monomial() or j < i)
+        for j, h in enumerate(basis) if j != i)]
+    changed = True
+    while changed:
+        changed = False
+        for i, g in enumerate(keep):
+            r = normal_form(g, keep[:i] + keep[i + 1:]).monic()
+            if r != g:
+                keep[i], changed = r, True
+    return sorted(keep, key=lambda g: ctx.key(g.leading_monomial()))
+
+
+def _reference_counts(gens):
+    """{d: mu_d} by graded Nakayama, one degree at a time: the rank of the
+    degree-d generators modulo a basis of the lower-degree ones.
+    """
+    by_degree = {}
+    for g in gens:
+        if not g.is_zero():
+            by_degree.setdefault(g.weighted_degree(), []).append(g)
+    counts, lower = {}, []
+    for d in sorted(by_degree):
+        reduced = by_degree[d]
+        if lower:
+            basis = _reference_buchberger(lower)
+            reduced = [normal_form(g, basis) for g in reduced]
+        monos = sorted({m for g in reduced for m, _ in g.terms})
+        field = reduced[0].ctx.field
+        rows = [[dict(g.terms).get(m, field.zero) for m in monos] for g in reduced]
+        mu = exactalg.rank(Matrix(field, rows, len(monos))) if monos else 0
+        if mu:
+            counts[d] = mu
+        lower.extend(by_degree[d])
+    return counts
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """Weighted-homogeneous generators in either order: random forms, zeros,
+    repeats, S-polynomials, combinations u*g1 + v*g2 of earlier ones, and
+    earlier ones plus a form of their degree (often the same leading monomial).
+
+    The first extra generator is an S-polynomial or a combination, which
+    often lies in mI only through an S-pair of its own degree.
+    """
+    n = draw(st.integers(min_value=2, max_value=3))
+    weights = draw(st.lists(st.integers(min_value=1, max_value=2), min_size=n, max_size=n))
+    field = draw(st.sampled_from([GF2, PrimeField(3), PrimeField(5), QQ]))
+    ctx = PolyContext(field, "xyz"[:n], weights, order=draw(st.sampled_from(["grevlex", "lex"])))
+
+    coeffs = [c for c in map(field.from_int, (1, 2, 3, -1)) if c != field.zero]
+
+    def form(d):
+        monos = monomials_of_weight(ctx, d)
+        if not monos:
+            return ctx.zero()
+        terms = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        return Polynomial(ctx, [(m, draw(st.sampled_from(coeffs))) for m in terms])
+
+    gens = [form(draw(st.integers(min_value=2, max_value=3))) for _ in range(2)]
+    assume(not any(g.is_zero() for g in gens))
+    kinds = ["form", "zero", "repeat", "spair", "combination", "perturbed"]
+    for t in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(kinds[3:5] if t == 0 else kinds))
+        nonzero = [g for g in gens if not g.is_zero()]
+        g1, g2 = draw(st.permutations(nonzero))[-2:] if len(nonzero) > 1 else nonzero * 2
+        if kind == "form":
+            gens.append(form(draw(st.integers(min_value=1, max_value=4))))
+        elif kind == "zero":
+            gens.append(ctx.zero())
+        elif kind == "repeat":
+            gens.append(g1)
+        elif kind == "perturbed":
+            gens.append(g1 + form(g1.weighted_degree()))
+        elif kind == "spair":
+            gens.append(s_polynomial(g1, g2))
+        else:
+            d = max(g1.weighted_degree(), g2.weighted_degree())
+            d += draw(st.integers(min_value=0, max_value=1))
+            gens.append(form(d - g1.weighted_degree()) * g1
+                        + form(d - g2.weighted_degree()) * g2)
+    return draw(st.permutations(gens))
+
+
+@given(homogeneous_ideals())
+@settings(max_examples=80, deadline=None)
+def test_buchberger_matches_reference_and_counts_minimal_generators(gens):
+    gb = buchberger(gens)
+    basis = list(gb)
+    one = basis[0].ctx.field.one
+    assert all(g.leading_coeff() == one for g in basis)
+    for k, g in enumerate(basis):
+        assert normal_form(g, basis[:k] + basis[k + 1:]) == g
+    for f, g in itertools.combinations(basis, 2):
+        assert normal_form(s_polynomial(f, g), gb).is_zero()
+    assert all(normal_form(g, gb).is_zero() for g in gens)
+    assert basis == _reference_buchberger(gens)
+    assert gb.generator_counts == _reference_counts(gens)
+
