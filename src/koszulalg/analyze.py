@@ -238,6 +238,18 @@ def filtration_level(K, i, coords):
     return level
 
 
+def class_levels(K, i):
+    """filtration_level of each basis class of H_i: the least level of a form nonzero at it."""
+    basis = homology_basis(K, i)
+    levels = [None] * basis.dim
+    for d, data in basis.degree_data.items():
+        table_levels, forms = _filtration_table(K, i, d, data)
+        for t, idx in enumerate(data.class_indices):
+            levels[idx] = next(lev for lev, form in zip(table_levels, forms.rows)
+                               if form[t] != K.field.zero)
+    return levels
+
+
 def ring_order(K):
     """sup{l : F^l H_1 = H_1}; infinity when H_1 = 0 (regular ring).
 
@@ -349,9 +361,7 @@ def gr_induced_identity(K, differences):
     ok = True
     for i, columns in sorted(differences.items()):
         basis = homology_basis(K, i)
-        for cls, diff in zip(basis.classes, columns):
-            unit = exactalg.unit_vector(K.field, basis.dim, cls.index)
-            level = filtration_level(K, i, unit)
+        for cls, level, diff in zip(basis.classes, class_levels(K, i), columns):
             diff_level = filtration_level(K, i, diff)
             shift = diff_level - level if diff_level != math.inf else math.inf
             report["per_class"].append({

@@ -3,19 +3,18 @@
 Scalars are plain Python ints in [0, p) for prime fields and
 fractions.Fraction for the rationals; a Field descriptor supplies the
 arithmetic, so no rounding can ever occur.  Matrices are row-major
-lists of scalars.  Dense rref, kernels and rank of large matrices over
-every F_p, F_2 included, and the core of sparse_rank run one row echelon
-form on a numpy int64 array (_fp_eliminate): with p < 2^31 every
-product of two scalars stays below 2^62, so no step can overflow.
-Small matrices and Q go through the generic per-scalar loop, which
-gives the same canonical answers.
+lists of scalars.  Kernels, and the rref and rank of small or rational
+matrices, come from eliminate: one sparse column elimination over every
+field.  The rref and rank of matrices over F_p (F_2 included) of 4096
+entries or more, and the core of sparse_rank, run one row echelon form
+on a numpy int64 array (_fp_eliminate): with p < 2^31 every product of
+two scalars stays below 2^62, so no step can overflow.
 
 A sparse matrix (a strand of the Koszul differential) is one (nnz, 3)
 array of (row, col, coeff) triplets: int64 over F_p, dtype=object over
 Q, so its .tolist() holds Python ints and Fractions only.  sparse_rank
 peels it in whole-array rounds, and ranks the blocks of a block-diagonal
-array in one peel; kernel_basis_of_triplets fills the int64 elimination
-array straight from it.
+array in one peel; triplet_columns reads its columns for eliminate.
 
 Every operation here is pure: it returns new values and leaves its
 arguments unchanged.  Only the private _fp_eliminate works in place, on
@@ -24,6 +23,7 @@ an array its caller has just allocated.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 import numpy as np
@@ -219,9 +219,6 @@ class Matrix:
             m.rows[i][j] = field.add(m.rows[i][j], a)
         return m
 
-    def column(self, j):
-        return [r[j] for r in self.rows]
-
     def mul(self, other):
         if self.field != other.field:
             raise ValueError("field mismatch")
@@ -238,19 +235,6 @@ class Matrix:
                 for j, b in enumerate(brow):
                     if b != F.zero:
                         orow[j] = F.add(orow[j], F.mul(a, b))
-        return out
-
-    def mul_vec(self, v):
-        if len(v) != self.ncols:
-            raise ValueError("shape mismatch")
-        F = self.field
-        out = []
-        for row in self.rows:
-            s = F.zero
-            for a, b in zip(row, v):
-                if a != F.zero and b != F.zero:
-                    s = F.add(s, F.mul(a, b))
-            out.append(s)
         return out
 
     def is_zero(self):
@@ -330,30 +314,77 @@ def _int64_rows(M):
     return np.array(M.rows, dtype=np.int64) % M.field.p
 
 
-def _generic_rref(M):
-    """rref by the per-scalar loop over any field."""
-    F = M.field
-    rows = [list(r) for r in M.rows]
-    m, n = M.nrows, M.ncols
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        p = next((i for i in range(r, m) if rows[i][c] != F.zero), None)
-        if p is None:
+# ------------------------------------------------------- sparse elimination
+
+def _matrix_columns(M):
+    return [{i: row[j] for i, row in enumerate(M.rows) if row[j] != M.field.zero}
+            for j in range(M.ncols)]
+
+
+def eliminate(field, columns):
+    """(pivots, kernel) of the matrix with these {row: nonzero scalar} columns.
+
+    Left-looking (Gilbert, Peierls, SIAM J. Sci. Stat. Comput. 1988): a
+    column is reduced by the stored columns that own its rows, popped
+    from a heap in storing order (stored column k brings in only rows
+    owned after it), and stored, owning its least row, if anything is
+    left: the stored columns are the rref pivots.  The combination that
+    zeroes a free column is its canonical kernel vector, a {column:
+    scalar} dict, 1 at that column and absent at the other free ones.
+    """
+    p = field.characteristic
+    owner, stored, pivots, kernel = {}, [], [], []
+    for j, column in enumerate(columns):
+        col, comb = dict(column), {j: field.one}
+        heap = sorted(owner[r] for r in col if r in owner)
+        while heap:
+            prow, inv, red, red_comb = stored[heapq.heappop(heap)]
+            f = col.get(prow)  # None once cleared: an owner can be pushed twice
+            if f is not None:
+                f = -f * inv % p if p else -f * inv
+                for r in _add_multiple(col, f, red, p):
+                    if r in owner:
+                        heapq.heappush(heap, owner[r])
+                _add_multiple(comb, f, red_comb, p)
+        if col:
+            prow = min(col)
+            owner[prow] = len(stored)
+            stored.append((prow, field.inv(col[prow]), col, comb))
+            pivots.append(j)
+        else:
+            kernel.append(comb)
+    return pivots, kernel
+
+
+def _add_multiple(target, f, source, p):
+    """target += f * source in place, zeros dropped; returns the keys it brings in."""
+    new = []
+    for r, a in source.items():
+        b = target.get(r)
+        if b is None:
+            target[r] = f * a % p if p else f * a
+            new.append(r)
             continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = F.inv(rows[r][c])
-        if inv != F.one:
-            rows[r] = [F.mul(inv, a) for a in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != F.zero:
-                factor = rows[i][c]
-                rows[i] = [F.sub(a, F.mul(factor, b)) for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return Matrix(F, rows, n), pivots
+        b = (b + f * a) % p if p else b + f * a
+        if b:
+            target[r] = b
+        else:
+            del target[r]
+    return new
+
+
+def dense_vector(field, n, v):
+    """The sparse vector {position: scalar} as a list of length n."""
+    return [v.get(c, field.zero) for c in range(n)]
+
+
+def triplet_columns(field, ncols, entries):
+    """The columns of a triplet array (see as_triplets) as {row: nonzero scalar} dicts."""
+    columns = [{} for _ in range(ncols)]
+    for r, c, a in entries.tolist():  # repeated positions are summed
+        columns[c][r] = field.add(columns[c].get(r, field.zero), a)
+    return [col if all(col.values()) else {r: a for r, a in col.items() if a}
+            for col in columns]
 
 
 # ------------------------------------------------------------------- public
@@ -363,63 +394,35 @@ def rref(M):
 
     Returns (R, pivots) with R row-equivalent to M, pivots strictly
     increasing, rank = len(pivots).  The form is unique, so the int64
-    path (large matrices over F_p) and the generic loop agree.
+    path (large matrices over F_p) and the one read off eliminate agree:
+    row r has 1 at pivots[r] and -v_f[pivots[r]] at each free column f.
     """
     _check_field(M)
-    if _int64_path(M.field, M.nrows, M.ncols):
+    F = M.field
+    if _int64_path(F, M.nrows, M.ncols):
         a = _int64_rows(M)
-        pivots = _fp_eliminate(a, M.field.p, reduced=True)
-        return Matrix(M.field, a.tolist(), M.ncols), pivots
-    return _generic_rref(M)
+        pivots = _fp_eliminate(a, F.p, reduced=True)
+        return Matrix(F, a.tolist(), M.ncols), pivots
+    pivots, kernel = eliminate(F, _matrix_columns(M))
+    free = iter(kernel)  # -e_c stands in for a pivot column c: 1 in its own row
+    vectors = [{c: F.neg(F.one)} if c in pivots else next(free) for c in range(M.ncols)]
+    rows = [[F.neg(v.get(r, F.zero)) for v in vectors] for r in pivots]
+    return Matrix(F, rows + [[F.zero] * M.ncols] * (M.nrows - len(pivots)), M.ncols), pivots
 
 
 def rank(M):
-    """Rank of M: a (non-reduced) int64 echelon over large F_p matrices, rref otherwise."""
+    """Rank of M: a (non-reduced) int64 echelon over large F_p matrices, eliminate otherwise."""
     _check_field(M)
     if _int64_path(M.field, M.nrows, M.ncols):
         return len(_fp_eliminate(_int64_rows(M), M.field.p))
-    return len(_generic_rref(M)[1])
+    return len(eliminate(M.field, _matrix_columns(M))[0])
 
 
 def kernel_basis(M):
-    """Canonical basis of {v : Mv = 0}; see kernel_basis_of_triplets."""
+    """Canonical basis of {v : Mv = 0}: the kernel of eliminate, as lists."""
     _check_field(M)
-    entries = [(i, j, a) for i, row in enumerate(M.rows) for j, a in enumerate(row)
-               if a != M.field.zero]
-    return kernel_basis_of_triplets(
-        M.field, M.nrows, M.ncols, as_triplets(M.field, entries))[0]
-
-
-def kernel_basis_of_triplets(field, nrows, ncols, entries):
-    """(kernel basis, rref pivots) of the nrows x ncols matrix with these triplets.
-
-    The basis is derived from rref: one vector per free column f (in
-    increasing order), with v[f] = 1 and v[pivot_r] = -R[r][f].  entries
-    is a triplet array (see as_triplets); repeated positions are summed.
-    Past the int64 rule of rref and rank the elimination array is filled
-    straight from it and the basis read off the reduced array at once;
-    below it and over Q the generic loop runs on its .tolist().
-    """
-    if _int64_path(field, nrows, ncols):
-        p = field.p
-        a = np.zeros((nrows, ncols), dtype=np.int64)
-        np.add.at(a, (entries[:, 0], entries[:, 1]), entries[:, 2])
-        a %= p
-        pivots = _fp_eliminate(a, p, reduced=True)
-        free = np.setdiff1d(np.arange(ncols), pivots)
-        out = np.zeros((free.size, ncols), dtype=np.int64)
-        out[np.arange(free.size), free] = 1
-        out[:, pivots] = (p - a[:len(pivots), free].T) % p
-        return out.tolist(), pivots
-    R, pivots = _generic_rref(Matrix.from_triplets(field, nrows, ncols, entries.tolist()))
-    basis = []
-    for f in sorted(set(range(ncols)).difference(pivots)):
-        v = [field.zero] * ncols
-        v[f] = field.one
-        for r, c in enumerate(pivots):
-            v[c] = field.neg(R.rows[r][f])
-        basis.append(v)
-    return basis, pivots
+    return [dense_vector(M.field, M.ncols, v)
+            for v in eliminate(M.field, _matrix_columns(M))[1]]
 
 
 def coords_in_span(v, basis, field):
@@ -495,7 +498,7 @@ def sparse_rank(field, nrows, ncols, entries, blocks=None):
     position is not a singleton, so repeats cost pivots, never
     correctness.  The surviving core sums its entries into a dense
     matrix: _fp_eliminate over every F_p, F_2 included, at any size (its
-    rank is all it reads), the generic loop over Q.
+    rank is all it reads), eliminate over Q.
 
     blocks, if given, are row-block bounds 0 = b_0 <= ... <= b_k = nrows
     of a block-diagonal matrix (no column has entries in two blocks),

@@ -16,12 +16,13 @@ stack the same way into one block-diagonal array.
 Homology is computed in one pass over internal degrees that builds every
 H_i at once (a caller that reads only H_1 can build H_0 and H_1 from the
 strands of d_1 and d_2 alone).  In degree d it walks i from n down to 0
-and assembles the triplet array of each d_i once: its rref gives the
-kernel of H_i, and one step later its columns at the rref's pivots span
-the boundaries of H_{i-1}.  In the coordinates of the free columns of
-d_i, one more rref gives the classes and the functionals of class_of
-(see _homology_pass), which checks d_i z = 0 against the strand's own
-triplets.  Strand layouts (block offsets) are kept per (i, d).
+and assembles the triplet array of each d_i once: one sparse
+elimination (exactalg.eliminate) gives the kernel vectors of H_i, and
+one step later its columns at the pivots span the boundaries of H_{i-1}.
+In the coordinates of the free columns of d_i, a second elimination
+gives the classes and the functionals of class_of (see _homology_pass),
+which checks d_i z = 0 against the strand's own triplets.  Strand
+layouts (block offsets) are kept per (i, d).
 
 Betti tables read off rank H_i(K)_{i+j}; a rank-only path serves
 tables far beyond the sizes where kernel bases fit in memory.  It takes
@@ -178,9 +179,7 @@ class _DegreeData:
 
     def boundary_columns(self, field, total):
         """The boundary columns as vectors: a basis of B_{i,d} (spanning past top)."""
-        b = _columns_at(*self._boundary)
-        return Matrix.from_triplets(
-            field, len(self._boundary[1]), total, b[:, [1, 0, 2]].tolist()).rows
+        return [exactalg.dense_vector(field, total, c) for c in self._boundary]
 
     def rep_coords(self, field, vec):
         """Coordinates of vec on rep_vectors modulo boundaries; None if vec is no cycle."""
@@ -508,20 +507,20 @@ def _homology_pass(K, top):
     """H_0..H_top, one internal degree at a time, each d_i assembled once.
 
     In degree d, i runs from min(top + 1, n) down to 0.  The columns of
-    d_{i+1} at its rref pivots are independent boundary columns of the
-    strand (i, d); past top all columns go.  With F the free columns of
-    the rref of d_i, a cycle z is the combination of the canonical kernel
-    vectors v_f with coefficients z[f], so z -> z[F] maps Z_{i,d} onto
-    k^F and B_{i,d} onto the span of C, the boundary columns restricted
-    to the rows F.  v_f is a class iff f is not the last nonzero
-    position of a vector of span(C), a pivot of the rref of C^T with its
+    d_{i+1} at its pivots (exactalg.eliminate) are independent boundary
+    columns of the strand (i, d); past top all columns go.  With F the
+    free columns of d_i, a cycle z is the combination of the canonical
+    kernel vectors v_f with coefficients z[f], so z -> z[F] maps Z_{i,d}
+    onto k^F and B_{i,d} onto the span of C, the boundary columns
+    restricted to the rows F.  v_f is a class iff f is not the last
+    nonzero position of a vector of span(C), a pivot of C^T with its
     columns reversed: exactly the kernel vectors that a search adding
     the boundaries, then each v_f in turn, keeps.  That C^T has one
     kernel vector u per class, and u . z[F] (F reversed) is the
     coordinate of z on the class modulo boundaries.  If the boundary
     columns are independent and as many as the cycles, B = Z: nothing is
-    eliminated.  A dense strand past SIZE_LIMIT entries raises
-    MemoryError before any work.
+    eliminated.  A strand past SIZE_LIMIT dense entries raises
+    MemoryError before any work; only class representatives are dense.
     """
     F = K.field
     dims = [[K.strand_dim(i, d) for d in range(K.truncation + 1)] for i in range(K.n + 1)]
@@ -532,24 +531,24 @@ def _homology_pass(K, top):
     classes = [[] for _ in range(top + 1)]
     degree_data = [{} for _ in range(top + 1)]
     for d in range(K.truncation + 1):
-        # triplets of d_{i+1}, its boundary columns and its number of columns
-        boundary = (K._no_entries, [], 0)
+        boundary = []  # the boundary columns of d_{i+1}, {row: scalar} dicts
         for i in range(min(top + 1, K.n), -1, -1):
             total = dims[i][d]
             if total == 0:
-                boundary = (K._no_entries, [], 0)
+                boundary = []
                 continue
             triplets = K.diff_triplets(i, d) if i else K._no_entries
+            columns = exactalg.triplet_columns(F, total, triplets)
             if i > top:
-                boundary = (triplets, list(range(total)), total)
+                boundary = columns
                 continue
             # d_0 = 0: a matrix with no rows, whose kernel is every unit vector
             rows = dims[i - 1][d] if i else 0
-            kernel, pivots = exactalg.kernel_basis_of_triplets(F, rows, total, triplets)
+            pivots, kernel = exactalg.eliminate(F, columns)
             if kernel:
                 positions, functionals = _classes_in_free_columns(
                     F, total, pivots, boundary, i < top)
-                reps = [kernel[t] for t in positions]
+                reps = [exactalg.dense_vector(F, total, kernel[t]) for t in positions]
                 indices = list(range(len(classes[i]), len(classes[i]) + len(reps)))
                 classes[i] += [HomologyClass(idx, d, K.vector_to_element(i, d, v),
                                              "h%d.%d" % (i, idx + 1))
@@ -560,42 +559,26 @@ def _homology_pass(K, top):
                     raise TruncationError(
                         "nonzero H_%d in degree %d inside the vanishing window"
                         % (i, d))
-            boundary = (triplets, pivots, total)
+            boundary = [columns[c] for c in pivots]
     return [HomologyBasis(K, i, classes[i], degree_data[i])
             for i in range(top + 1)]
 
 
-def _columns_at(triplets, columns, ncols):
-    """Triplets in the given columns (of ncols), renumbered by position among them."""
-    number = np.full(ncols, -1)
-    number[columns] = np.arange(len(columns))
-    c = number[triplets[:, 1].astype(np.int64)]
-    out = triplets[c >= 0]
-    out[:, 1] = c[c >= 0]
-    return out
-
-
 def _classes_in_free_columns(F, total, pivots, boundary, independent):
     """(positions of the classes among the kernel vectors, functionals); see _homology_pass."""
-    count = len(boundary[1])
-    if independent and count == total - len(pivots):  # B = Z
+    if independent and len(boundary) == total - len(pivots):  # B = Z
         return [], exactalg.as_triplets(F)
-    free = np.ones(total, dtype=bool)
-    free[pivots] = False
-    rev = np.flatnonzero(free)[::-1]
-    slot = np.full(total, -1)  # row r of C is the reversed free column slot[r]
-    slot[rev] = np.arange(rev.size)
-    columns = _columns_at(*boundary)
-    r = slot[columns[:, 0].astype(np.int64)]
-    c_rev = np.column_stack((columns[r >= 0, 1], r[r >= 0], columns[r >= 0, 2]))
-    duals, trailing = exactalg.kernel_basis_of_triplets(
-        F, count, rev.size, exactalg.as_triplets(F, c_rev))
-    classes = np.ones(rev.size, dtype=bool)
-    classes[trailing] = False
-    functionals = [(t, int(rev[q]), a) for t, u in enumerate(reversed(duals))
-                   for q, a in enumerate(u) if a]
-    return ((rev.size - 1 - np.flatnonzero(classes)[::-1]).tolist(),
-            exactalg.as_triplets(F, functionals))
+    rev = sorted(set(range(total)).difference(pivots), reverse=True)  # F reversed
+    slot = {f: q for q, f in enumerate(rev)}  # row f of C is column slot[f] of C^T
+    columns = [{} for _ in rev]
+    for t, column in enumerate(boundary):
+        for r, a in column.items():
+            if r in slot:
+                columns[slot[r]][t] = a
+    trailing, duals = exactalg.eliminate(F, columns)
+    classes = sorted(set(range(len(rev))).difference(trailing), reverse=True)
+    functionals = [(t, rev[q], a) for t, u in enumerate(reversed(duals)) for q, a in u.items()]
+    return [len(rev) - 1 - q for q in classes], exactalg.as_triplets(F, functionals)
 
 
 def class_of(K, i, z):

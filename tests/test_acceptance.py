@@ -375,10 +375,9 @@ def test_criterion_10_f199_vanishing(big_suite):
     assert level <= 199
 
 
-@pytest.mark.slow
-def test_criterion_10_suite_peak_memory():
-    # one `suite --slow` call in a fresh interpreter, which reports its own
-    # peak resident set size (ru_maxrss, in KiB on Linux)
+def _fresh_cli(*args, timeout):
+    """One CLI call in a fresh interpreter, which reports its own peak
+    resident set size (ru_maxrss, in KiB on Linux) as the last word of stderr."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -387,12 +386,35 @@ def test_criterion_10_suite_peak_memory():
             "status = cli.main(sys.argv[1:])\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
             "sys.exit(status)\n")
-    run = subprocess.run(
-        [sys.executable, "-c", code, "suite", "--ring", fixture_path("f2_big_x98.json"),
-         "--slow", "--json"],
-        env=env, capture_output=True, text=True, timeout=1800)
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.slow
+def test_criterion_10_suite_peak_memory():
+    run = _fresh_cli("suite", "--ring", fixture_path("f2_big_x98.json"), "--slow", "--json",
+                     timeout=1800)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout)["order"] == 98
     peak_mb = int(run.stderr.split()[-1]) / 1024
     assert peak_mb <= 300, peak_mb
     print("criterion 10 memory: PASS (suite --slow peak RSS %.0f MB)" % peak_mb)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field, a", [("F2", 32), ("Q", 16)])
+def test_full_betti_equals_rank_only_on_the_criterion_10_family(field, a, tmp_path):
+    # x^a, y^(a+1), z^(a+2), (x^h + y^h) z^(h+1), h = a/2: the full path
+    # eliminates every strand of this family in a second or so, where a
+    # dense elimination took 10-36 s
+    h = a // 2
+    spec = tmp_path / "family.json"
+    spec.write_text(json.dumps({"field": field, "presentation": {
+        "type": "quotient", "variables": ["x", "y", "z"],
+        "ideal": ["x^%d" % a, "y^%d" % (a + 1), "z^%d" % (a + 2),
+                  "x^%d*z^%d + y^%d*z^%d" % (h, h + 1, h, h + 1)]}}))
+    full, slow = (_fresh_cli("betti", "--ring", str(spec), "--json", *flag, timeout=600)
+                  for flag in ((), ("--slow",)))
+    assert full.returncode == slow.returncode == 0, (full.stderr, slow.stderr)
+    assert full.stdout == slow.stdout
+    print("criterion 10 family, %s a=%d: full betti equals betti --slow" % (field, a))

@@ -25,6 +25,7 @@ from koszulalg.cli import load_ring_spec
 from koszulalg.dgmap import elementary_lift, induced_map
 from koszulalg.analyze import (
     check_identity_all,
+    class_levels,
     elementary_differences,
     filtration_dim,
     filtration_level,
@@ -314,6 +315,27 @@ def test_standard_graded_branch_matches_general_table(name, monkeypatch):
     general = _filtration_answers(
         KoszulComplex(load_ring_spec(spec)), random.Random(name))
     assert branch == general
+
+
+# No fixture has a strand whose filtration table holds forms of two
+# levels; each of these rings has one.
+_MIXED_LEVEL_RINGS = {
+    "semigroup_5_6_8_9_F3": lambda: make_semigroup_ring(exactalg.PrimeField(3), [5, 6, 8, 9]),
+    "semigroup_5_7_8_11_F2": lambda: make_semigroup_ring(GF2, [5, 7, 8, 11]),
+    "weighted_1_2_Q": lambda: make_artinian_quotient(
+        PolyContext(QQ, ["x", "y"], [1, 2]), ["x^4", "y^3", "x^2*y"]),
+}
+
+
+@pytest.mark.parametrize("name", _weighted_and_semigroup_fixtures() + sorted(_MIXED_LEVEL_RINGS))
+def test_class_levels_match_filtration_level_of_unit_vectors(name):
+    make = _MIXED_LEVEL_RINGS.get(name)
+    K = KoszulComplex(make() if make else load_ring_spec(conftest.fixture_path(name)))
+    for i in range(K.n + 1):
+        dim = homology_basis(K, i).dim
+        assert class_levels(K, i) == [
+            filtration_level(K, i, exactalg.unit_vector(K.field, dim, idx))
+            for idx in range(dim)], i
 
 
 @pytest.mark.parametrize("name", _weighted_and_semigroup_fixtures())

@@ -72,8 +72,11 @@ def test_kernel_canonical_form():
 def test_kernel_gf2_matches_definition():
     m = Matrix(GF2, [[1, 1, 0], [0, 1, 1]], 3)
     for v in kernel_basis(m):
-        out = m.mul_vec(v)
-        assert all(a == 0 for a in out)
+        assert m.mul(_column_matrix(m.field, v)).is_zero()
+
+
+def _column_matrix(field, v):
+    return Matrix(field, [[a] for a in v], 1)
 
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -114,7 +117,7 @@ def test_rref_idempotent(m):
 @settings(max_examples=40, deadline=None)
 def test_kernel_vectors_annihilate(m):
     for v in kernel_basis(m):
-        assert all(a == 0 for a in m.mul_vec(v))
+        assert m.mul(_column_matrix(m.field, v)).is_zero()
 
 
 def test_coords_in_span_roundtrip():
@@ -202,9 +205,10 @@ def test_sparse_rank_of_no_entries(field):
 
 @pytest.mark.parametrize("p", [2, 3, 32003])
 def test_kernel_of_triplets_sums_repeats_on_the_int64_path(p):
-    # 70 x 80 is past the 4096-entry rule, 40 x 50 below it; every third
-    # entry comes twice, half of those pairs cancelling.  Both paths
-    # return the kernel and pivots of the generic loop's rref.
+    # 70 x 80 is past the 4096-entry rule of rref and rank, 40 x 50 below
+    # it; every third entry comes twice, half of those pairs cancelling.
+    # The columns read off the triplets sum them, and eliminate returns
+    # the pivots and kernel of the reference loop's rref.
     F = PrimeField(p)
     rng = random.Random(5)
     for nrows, ncols, large in ((70, 80, True), (40, 50, False)):
@@ -217,10 +221,12 @@ def test_kernel_of_triplets_sums_repeats_on_the_int64_path(p):
         m = Matrix.from_triplets(F, nrows, ncols, entries)
         assert exactalg._int64_path(F, nrows, ncols) == large
         array = exactalg.as_triplets(F, entries)
-        expected = (_generic_kernel(m), exactalg._generic_rref(m)[1])
-        assert exactalg.kernel_basis_of_triplets(F, nrows, ncols, array) == expected
-        assert kernel_basis(m) == expected[0]
-        assert exactalg.sparse_rank(F, nrows, ncols, array) == rank(m)
+        columns = exactalg.triplet_columns(F, ncols, array)
+        assert columns == _columns(m)
+        pivots, kernel = exactalg.eliminate(F, columns)
+        assert (pivots, _dense(F, ncols, kernel)) == (_generic_rref(m)[1], _generic_kernel(m))
+        assert kernel_basis(m) == _generic_kernel(m)
+        assert exactalg.sparse_rank(F, nrows, ncols, array) == rank(m) == len(pivots)
 
 
 def test_sparse_rank_f32003_peels_and_eliminates():
@@ -364,14 +370,7 @@ def test_gf2_int64_path_agrees_with_reference():
     assert r2 == _rank_mod2_reference(rows)
     kernel = kernel_basis(m2)
     assert len(kernel) == 80 - r2
-    assert all(not any(m2.mul_vec(v)) for v in kernel)
-
-
-def _fp_entry(rng, p, density):
-    """Zero with probability 1 - density, else often p - 1 or 1."""
-    if rng.random() >= density:
-        return 0
-    return rng.choice([1, p - 1, rng.randrange(1, p)])
+    assert all(m2.mul(_column_matrix(GF2, v)).is_zero() for v in kernel)
 
 
 def _triplets(m):
@@ -379,67 +378,140 @@ def _triplets(m):
             for j, a in enumerate(row) if a]
 
 
+def _generic_rref(M):
+    """rref by the per-scalar loop over any field: the reference for every path."""
+    F = M.field
+    rows = [list(r) for r in M.rows]
+    m, n = M.nrows, M.ncols
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if rows[i][c] != F.zero), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = F.inv(rows[r][c])
+        if inv != F.one:
+            rows[r] = [F.mul(inv, a) for a in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != F.zero:
+                factor = rows[i][c]
+                rows[i] = [F.sub(a, F.mul(factor, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return Matrix(F, rows, n), pivots
+
+
 def _generic_kernel(m):
-    """kernel_basis read off the generic loop's rref, as the pre-int64 code did."""
-    R, pivots = exactalg._generic_rref(m)
+    """The canonical kernel basis read off the reference loop's rref."""
+    R, pivots = _generic_rref(m)
     basis = []
     for f in (j for j in range(m.ncols) if j not in pivots):
-        v = [0] * m.ncols
-        v[f] = 1
+        v = [m.field.zero] * m.ncols
+        v[f] = m.field.one
         for r, c in enumerate(pivots):
             v[c] = m.field.neg(R.rows[r][f])
         basis.append(v)
     return basis
 
 
+def _dense(F, n, kernel):
+    return [exactalg.dense_vector(F, n, v) for v in kernel]
+
+
+def _columns(m):
+    return [{i: a for i, a in enumerate(column) if a} for column in zip(*m.rows)]
+
+
+def _random_entry(rng, F, density):
+    """Zero with probability 1 - density, else often -1 or 1."""
+    if rng.random() >= density:
+        return F.zero
+    if isinstance(F, PrimeField):
+        return rng.choice([1, F.p - 1, rng.randrange(1, F.p)])
+    return rng.choice([F.one, -F.one, Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))])
+
+
+def _assert_every_path_matches_reference(m):
+    F, ncols = m.field, m.ncols
+    R, pivots = _generic_rref(m)
+    assert rref(m) == (R, pivots)
+    assert rank(m) == len(pivots)
+    kernel = _generic_kernel(m)
+    assert kernel_basis(m) == kernel
+    found, vectors = exactalg.eliminate(F, _columns(m))
+    assert found == pivots
+    assert _dense(F, ncols, vectors) == kernel
+    # each vector is sparse: its free column and pivots, no stored zeros
+    for v, f in zip(vectors, (j for j in range(ncols) if j not in pivots)):
+        assert v[f] == F.one
+        assert all(a for a in v.values()) and set(v) <= set(pivots) | {f}
+    assert exactalg.sparse_rank(F, m.nrows, ncols, _triplets(m)) == len(pivots)
+
+
 @given(st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_int64_rank_matches_generic_rref(data):
-    # p = 2^31 - 1 is the largest prime the int64 kernel accepts.  Half
-    # the shapes reach the 4096-entry rule, past which rref, rank and
-    # kernel_basis run _fp_eliminate; sparse_rank runs it at every size.
-    p = data.draw(st.sampled_from([2, 3, 5, 32003, 2147483647]))
+    # p = 2^31 - 1 is the largest prime the int64 kernel accepts.  Over
+    # F_p half the shapes reach the 4096-entry rule, past which rref and
+    # rank run _fp_eliminate; below it they read eliminate, which
+    # kernel_basis reads at every size.  Q always runs eliminate; its
+    # shapes stay small, where the reference loop's Fractions stay short.
+    F = data.draw(st.sampled_from(
+        [PrimeField(p) for p in (2, 3, 5, 32003, 2147483647)] + [QQ]))
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32)))
-    F = PrimeField(p)
-    large = data.draw(st.booleans())
+    prime = isinstance(F, PrimeField)
+    large = prime and data.draw(st.booleans())
     if large:
         nrows = data.draw(st.integers(min_value=52, max_value=80))
         ncols = data.draw(st.integers(min_value=-(-4096 // nrows), max_value=80))
     else:
-        nrows = data.draw(st.integers(min_value=1, max_value=40))
-        ncols = data.draw(st.integers(min_value=1, max_value=40))
+        bound = 40 if prime else 12
+        nrows = data.draw(st.integers(min_value=1, max_value=bound))
+        ncols = data.draw(st.integers(min_value=1, max_value=bound))
     density = data.draw(st.sampled_from([0.1, 0.5, 1.0]))
     if data.draw(st.booleans()):
         # Random square matrices are almost always of full rank; a
-        # product of thin factors is not.
+        # product of thin factors is not, and fills in most.
         k = data.draw(st.integers(min_value=0, max_value=min(nrows, ncols) - 1))
-        A = Matrix(F, [[_fp_entry(rng, p, density) for _ in range(k)]
+        A = Matrix(F, [[_random_entry(rng, F, density) for _ in range(k)]
                        for _ in range(nrows)], k)
-        B = Matrix(F, [[_fp_entry(rng, p, density) for _ in range(ncols)]
+        B = Matrix(F, [[_random_entry(rng, F, density) for _ in range(ncols)]
                        for _ in range(k)], ncols)
         m = A.mul(B)
     else:
-        m = Matrix(F, [[_fp_entry(rng, p, density) for _ in range(ncols)]
+        m = Matrix(F, [[_random_entry(rng, F, density) for _ in range(ncols)]
                        for _ in range(nrows)], ncols)
     for i in data.draw(st.sets(st.integers(0, nrows - 1), max_size=3)):
-        m.rows[i] = [0] * ncols
+        m.rows[i] = [F.zero] * ncols
     for j in data.draw(st.sets(st.integers(0, ncols - 1), max_size=3)):
         for row in m.rows:
-            row[j] = 0
-    assert exactalg._int64_path(m.field, m.nrows, m.ncols) == large
-    R, pivots = exactalg._generic_rref(m)
-    assert rref(m) == (R, pivots)
-    assert rank(m) == len(pivots)
-    assert kernel_basis(m) == _generic_kernel(m)
-    assert exactalg.kernel_basis_of_triplets(
-        F, nrows, ncols, exactalg.as_triplets(F, _triplets(m))) == (
-            _generic_kernel(m), pivots)
+            row[j] = F.zero
+    assert exactalg._int64_path(F, m.nrows, m.ncols) == large
+    _assert_every_path_matches_reference(m)
     # columns reversed, as the homology pass reads its boundaries
-    flipped = Matrix(F, [row[::-1] for row in m.rows], ncols)
-    assert exactalg.kernel_basis_of_triplets(
-        F, nrows, ncols, exactalg.as_triplets(F, _triplets(flipped))) == (
-            _generic_kernel(flipped), exactalg._generic_rref(flipped)[1])
-    assert exactalg.sparse_rank(F, nrows, ncols, _triplets(m)) == len(pivots)
+    _assert_every_path_matches_reference(Matrix(F, [row[::-1] for row in m.rows], ncols))
+
+
+@pytest.mark.parametrize("field", [GF2, PrimeField(3), PrimeField(32003), QQ])
+def test_eliminate_on_thin_strands_matches_reference(field):
+    # two entries a column, as in the strands of the Koszul differential:
+    # a 90 x 100 matrix (past the 4096-entry rule) and its reverse
+    rng = random.Random(13)
+    entries = [(rng.randrange(90), j, field.from_int(rng.choice([1, -1, 2])))
+               for j in range(100) for _ in range(2)]
+    m = Matrix.from_triplets(field, 90, 100, entries)
+    _assert_every_path_matches_reference(m)
+    _assert_every_path_matches_reference(Matrix(field, [row[::-1] for row in m.rows], 100))
+
+
+def test_eliminate_with_no_rows_or_no_columns():
+    assert exactalg.eliminate(QQ, []) == ([], [])
+    assert exactalg.eliminate(GF2, [{}, {}]) == ([], [{0: 1}, {1: 1}])
+    assert exactalg.eliminate(QQ, [{}, {2: Fraction(3)}, {2: Fraction(1)}]) == (
+        [1], [{0: Fraction(1)}, {1: Fraction(-1, 3), 2: Fraction(1)}])
 
 
 @pytest.mark.parametrize("p", [32003, 2147483647])
