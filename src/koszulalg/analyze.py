@@ -7,7 +7,11 @@ this set generates the image of the lift action up to homotopy; over
 Q it still suffices because induced maps are unipotent with respect
 to the filtration by internal degree, the lift action is a group
 homomorphism, and a torsion unipotent matrix in characteristic zero
-is the identity (fuzz-tested rather than trusted).
+is the identity.  Multiplying out phi(e_S) = ∏_{s in S} (e_s + z_s)
+gives, for the lift phi = id + {t: z_t},
+H_i(phi) = Σ_{T ⊆ supp} L_[z_t1 ∧ ... ∧ z_tk] ι_tk^H ... ι_t1^H
+(t1 < ... < tk, L_u left multiplication by u on H), which the tests pin
+against induced_map.
 
 No elementary lift is ever applied.  For phi = (e_g -> e_g + z),
 phi - id = z ∧ ι_g on all of K, where ι_g is contraction by e_g^*, so
@@ -20,7 +24,9 @@ The m-adic filtration F^l K_i = m^(l-i) K_i induces F^l H_i; levels,
 graded quotients, products on gr, the ring order formula
 ord(R) = sup{l : F^l H_1 = H_1}, and the Poincare pairing of a
 Gorenstein ring are all computed exactly.  run_suite bundles every
-in-scope check into one machine-readable report.
+in-scope check into one machine-readable report; its group law,
+abelianness and exponent p are decided over every pair of elementary
+lifts from products of their difference matrices.
 
 Filtration queries are answered in class coordinates.  Since B ⊂ Z, a
 cycle lies in (Z ∩ F^l) + B exactly when it lies in F^l + B.  So each
@@ -40,7 +46,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
+
+import numpy as np
 
 from koszulalg import exactalg
 from koszulalg.exactalg import Matrix
@@ -50,19 +57,14 @@ from koszulalg.koszul import (
     betti_table,
     class_of,
     contract,
-    differential,
+    differential,  # noqa: F401 -- bench/tracing.py wraps this binding
     h1_from_relations,
     homology_basis,
     homology_product,
     product_vanishing,
     wedge,
 )
-from koszulalg.dgmap import (
-    compose_induced,
-    elementary_lift,
-    induced_map,
-    lift_from_delta,
-)
+from koszulalg.dgmap import induced_map  # noqa: F401 -- bench/tracing.py wraps this binding
 
 
 class IdentityVerdict:
@@ -398,69 +400,6 @@ def poincare_pairing(K, i):
     return {"matrix": m, "is_perfect": perfect, "dim_top": 1}
 
 
-# -------------------------------------------------------------------- fuzzing
-
-def random_h1_cycle(K, rng):
-    """Random combination of H_1 representatives (possibly zero)."""
-    h1 = homology_basis(K, 1)
-    F = K.field
-    z = K.zero_element()
-    for cls in h1.classes:
-        c = _random_scalar(F, rng)
-        if c != F.zero:
-            z = z + cls.element.scale(c)
-    return z
-
-
-def random_boundary(K, i, rng, max_tries=8):
-    """d of a random element of K_{i+1} drawn from recorded strata."""
-    basis = homology_basis(K, i + 1) if i + 1 <= K.n else None
-    if basis is None:
-        return K.zero_element()
-    degrees = sorted(basis.degree_data)
-    w = K.zero_element()
-    for _ in range(max_tries):
-        if not degrees:
-            break
-        d = rng.choice(degrees)
-        elems = K.strand_basis_elements(i + 1, d)
-        if not elems:
-            continue
-        u = rng.choice(elems)
-        c = _random_scalar(K.field, rng)
-        if c != K.field.zero:
-            w = w + u.scale(c)
-    return differential(w)
-
-
-def _random_scalar(field, rng):
-    if field.characteristic == 0:
-        return field.from_int(rng.randint(-3, 3))
-    return field.from_int(rng.randrange(field.characteristic))
-
-
-def random_elementary_lift(K, rng, with_boundary=False):
-    """Elementary lift at a random index by a random H_1 cycle."""
-    i = rng.randrange(K.n)
-    z = random_h1_cycle(K, rng)
-    if with_boundary:
-        z = z + random_boundary(K, 1, rng)
-    return elementary_lift(K, i, z), i, z
-
-
-def random_lift(K, rng, with_boundary=True):
-    """General lift: identity plus random cycle perturbations of several columns."""
-    delta = {}
-    for i in range(K.n):
-        if rng.random() < 0.6:
-            z = random_h1_cycle(K, rng)
-            if with_boundary and rng.random() < 0.5:
-                z = z + random_boundary(K, 1, rng)
-            if not z.is_zero():
-                delta[i] = z
-    return lift_from_delta(K, delta)
-
-
 # ---------------------------------------------------------------------- suite
 
 def _detect_complete_intersection(K):
@@ -488,10 +427,87 @@ def _detect_complete_intersection(K):
     return True
 
 
-def run_suite(K, seed=0, samples=12):
-    """Machine-readable report of every in-scope theorem check."""
-    rng = random.Random(seed)
-    F = K.field
+def _coordinates(K, i, images, shape):
+    """class_of(K, i, x) of each image x, as an array of this shape, coordinates last."""
+    rows = [class_of(K, i, x) for x in images] if shape[-1] else []
+    return np.array(rows, dtype=exactalg.triplet_dtype(K.field)).reshape(shape)
+
+
+def _lift_pair_decisions(K, differences):
+    """run_suite's group_law, abelian and exponent_p, from the columns of
+    H_i(phi) - id that check_identity_all decided on.
+
+    The products of the nonzero M_(g,c) are taken in one batch per degree;
+    every other product is zero.  They are compared with the cross terms
+    L_[w_c ∧ w_c'] ι_h ι_g: in full over the generators G of the nonzero
+    M, and off G x G, where the cross terms must vanish, through the pairs
+    S whose rows of A (the coordinates of the [w_c ∧ w_c']) span all rows.
+    """
+    F, n, c = K.field, K.n, K.ring.codepth
+
+    def reps(i):
+        return [cls.element for cls in homology_basis(K, i).classes] if 0 <= i <= c else []
+
+    def iota(i):  # (n, dim H_(i-1), dim H_i)
+        r = reps(i)
+        return _coordinates(K, i - 1, [contract(x, g) for g in range(n) for x in r],
+                            (n, len(r), len(reps(i - 1)))).swapaxes(1, 2)
+
+    h1, h2 = reps(1), reps(2)
+    k, u = len(h1), len(h2)
+    A = _coordinates(K, 2, [wedge(x, y) for x in h1 for y in h1], (k * k, u))
+    S = exactalg.rref(Matrix(F, A.T.tolist(), k * k))[1]
+    contractions = {i: iota(i) for i in range(-1, c + 1)}
+    group_law = abelian = exponent_p = True
+    for i in range(c + 1):
+        low = reps(i - 2)
+        d, d2 = len(reps(i)), len(low)
+        M = np.array([diff[i] for diff in differences], dtype=exactalg.triplet_dtype(F))
+        M = M.reshape(n * k, d, d).swapaxes(1, 2)
+        nz = np.flatnonzero((M != 0).any(axis=(1, 2)))
+        P = exactalg.matmul(F, M[nz, None], M[None, nz])  # P[s, t] = M_nz[s] M_nz[t]
+        abelian = abelian and np.array_equal(P, P.swapaxes(0, 1))
+        one_g = nz[:, None] // k == nz // k
+        exponent_p = exponent_p and np.array_equal(
+            P[one_g], exactalg.negate(F, P.swapaxes(0, 1)[one_g])) and not (
+                P.diagonal(axis1=0, axis2=1) != 0).any()
+        L = _coordinates(K, i, [wedge(z, y) for z in h2 for y in low], (u, d2, d))
+        AL = exactalg.matmul(F, A, L.swapaxes(1, 2).reshape(u, d * d2)).reshape(k, k, d, d2)
+        # T[g, h] = ι_h ι_g; cross[x, c, y, c'] is the cross term of (G_x, c), (G_y, c')
+        T = exactalg.matmul(F, contractions[i - 1][None], contractions[i][:, None])
+        G, pos = np.unique(nz // k, return_inverse=True)
+        cross = exactalg.matmul(F, AL[None, :, None], T[np.ix_(G, G)][:, None, :, None])
+        at = (pos[:, None], nz[:, None] % k, pos, nz % k)
+        group_law = group_law and np.array_equal(cross[at], P)
+        cross[at] = 0
+        Y = exactalg.matmul(F, AL.reshape(k * k, d, d2)[S][:, None, None], T[None])
+        Y[:, G[:, None], G] = 0
+        group_law = group_law and not (cross != 0).any() and not (Y != 0).any()
+    return group_law, abelian, exponent_p if F.characteristic else None
+
+
+def run_suite(K):
+    """Machine-readable report of every in-scope theorem check.
+
+    identity: H(phi) = id for every lift phi, per degree.  With M_(g,c)
+    the matrix of H_i(phi) - id for the elementary lift phi = (e_g -> e_g
+    + w_c), w_c a basis representative of H_1, ι_g contraction by e_g^*
+    and L_u left multiplication by u, on H, in every degree:
+    - group_law: M_(g,c) M_(h,c') = L_[w_c ∧ w_c'] ι_h ι_g (ι_g first),
+      the cross term of e_g -> e_g + w_c, e_h -> e_h + w_c'; for g = h it
+      is zero, as the sum lift is e_g -> e_g + w_c + w_c';
+    - abelian: the M commute pairwise;
+    - exponent_p: M_(g,c)^2 = 0 and M_(g,c) M_(g,c') = -M_(g,c') M_(g,c),
+      that is (H(phi) - id)^2 = 0, so H(phi)^p = id, for every elementary
+      phi (None over Q).
+    Each is bilinear in the H_1 classes of two lifts (quadratic for
+    exponent_p), and a boundary added to w_c changes no M, so the basis
+    pairs decide it for every pair of elementary lifts.
+    duality_propagation, for a Poincare duality algebra H (else None):
+    the identity in the top degree c.  Then every H(phi), multiplicative
+    and the identity on H_c, preserves the perfect pairing, so
+    H_i(phi) = id iff H_(c-i)(phi) = id.
+    """
     c = K.ring.codepth
     report = {}
     report["ring"] = repr(K.ring)
@@ -508,36 +524,8 @@ def run_suite(K, seed=0, samples=12):
 
     verdict = check_identity_all(K)
     report["identity"] = verdict.to_json()
-
-    # group law / abelian / exponent p on sampled elementary pairs
-    group_law = True
-    abelian = True
-    exponent_p = True if F.characteristic > 0 else None
-    degrees = list(range(c + 1))
-    for _ in range(samples):
-        phi1, i1, z1 = random_elementary_lift(K, rng)
-        phi2, i2, z2 = random_elementary_lift(K, rng)
-        if i1 == i2:
-            sum_lift = lift_from_delta(K, {i1: z1 + z2})
-        else:
-            sum_lift = lift_from_delta(K, {i1: z1, i2: z2})
-        for i in degrees:
-            a = induced_map(phi1, i)
-            b = induced_map(phi2, i)
-            sm = induced_map(sum_lift, i)
-            if compose_induced(a, b).matrix != sm.matrix:
-                group_law = False
-            if compose_induced(a, b).matrix != compose_induced(b, a).matrix:
-                abelian = False
-            if F.characteristic > 0 and not a.is_identity:
-                power = a
-                for _ in range(F.characteristic - 1):
-                    power = compose_induced(power, a)
-                if not power.is_identity:
-                    exponent_p = False
-    report["group_law"] = group_law
-    report["abelian"] = abelian
-    report["exponent_p"] = exponent_p
+    report["group_law"], report["abelian"], report["exponent_p"] = (
+        _lift_pair_decisions(K, verdict.differences))
 
     report["gr_identity"] = all(
         gr_induced_identity(K, differences)[0]
@@ -550,18 +538,8 @@ def run_suite(K, seed=0, samples=12):
         if not info["is_perfect"]:
             pairing_perfect = False
     report["gorenstein"] = {"is_pd_algebra": pairing_perfect and top_dim == 1}
-
-    if report["gorenstein"]["is_pd_algebra"]:
-        duality = True
-        for _ in range(max(4, samples // 3)):
-            phi = random_lift(K, rng)
-            flags = {i: induced_map(phi, i).is_identity for i in degrees}
-            for i in degrees:
-                if flags[i] != flags[c - i]:
-                    duality = False
-        report["duality_propagation"] = duality
-    else:
-        report["duality_propagation"] = None
+    report["duality_propagation"] = (
+        verdict.per_degree[c] if report["gorenstein"]["is_pd_algebra"] else None)
 
     order = ring_order(K)
     report["order"] = "infinity" if order == math.inf else order
@@ -575,7 +553,7 @@ def run_suite(K, seed=0, samples=12):
     return report
 
 
-def slow_suite(K, threads=None):
+def slow_suite(K):
     """Dims-only report for rings too large to materialize homology bases.
 
     Everything is read off strand ranks: for a standard graded ring the
@@ -585,11 +563,10 @@ def slow_suite(K, threads=None):
     uses the level-shift bound: H(phi) - id raises filtration level by
     ord(R) - 1, so if min_degree + ord(R) - 1 > max_degree the difference
     lands in a vanishing filtration step and H_i(phi) = id for every lift.
-    threads is passed on to betti_table, which runs serially.
     """
     if not _is_standard_graded(K):
         raise ValueError("the scaled suite requires a standard graded quotient ring")
-    bt = betti_table(K, rank_only=True, threads=threads)
+    bt = betti_table(K, rank_only=True)
     report = {"ring": repr(K.ring), "betti": bt.to_json()}
     col_degrees = {}
     for (i, j), _ in bt.entries.items():

@@ -413,11 +413,11 @@ def cmd_gr(K, args):
 def cmd_suite(K, args):
     if args.slow:
         try:
-            report = analyze.slow_suite(K, threads=args.threads)
+            report = analyze.slow_suite(K)
         except ValueError as e:
             raise SpecError(str(e))
     else:
-        report = analyze.run_suite(K, seed=args.seed)
+        report = analyze.run_suite(K)
     if args.json:
         _emit_json(report)
     else:
@@ -459,14 +459,13 @@ _COMMAND_FLAGS = {
     "lift-action": ("--lift", "--degrees"),
     "order": (),
     "gr": (),
-    "suite": ("--slow", "--seed"),
+    "suite": ("--slow",),
 }
 
 _FLAG_OPTIONS = {
     "--lift": dict(metavar="FILE", help="lift file"),
     "--degrees": dict(metavar="LIST", help="comma-separated homological degrees"),
     "--slow": dict(action="store_true", help="rank-only large-scale path"),
-    "--seed": dict(type=int, default=0, help="seed for randomized suite checks"),
 }
 
 

@@ -481,6 +481,19 @@ def negate(field, values):
     return -values
 
 
+def matmul(field, a, b):
+    """a @ b over field, for arrays of triplet_dtype(field), stacks broadcast.
+
+    Over F_p, b is split into 16-bit halves: an entry times a half stays
+    below 2^31 * 2^16, so a dot product of fewer than 2^15 terms stays
+    below 2^63.
+    """
+    if not isinstance(field, PrimeField):
+        return a @ b
+    p = field.p
+    return ((a @ (b >> 16) % p << 16) + a @ (b & 0xFFFF)) % p
+
+
 def sparse_rank(field, nrows, ncols, entries, blocks=None):
     """Rank of a sparse matrix given as a triplet array (see as_triplets).
 

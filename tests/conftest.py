@@ -5,7 +5,8 @@ import pytest
 from koszulalg.exactalg import GF2, QQ, Matrix, PrimeField, kernel_basis, rref
 from koszulalg.polyring import PolyContext
 from koszulalg.gring import make_artinian_quotient, make_semigroup_ring
-from koszulalg.koszul import KoszulComplex
+from koszulalg.koszul import KoszulComplex, differential, homology_basis
+from koszulalg.dgmap import elementary_lift, lift_from_delta
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -69,6 +70,69 @@ def semigroup_6101415(field=GF2):
 
 def semigroup_910111317():
     return make_semigroup_ring(GF2, [9, 10, 11, 13, 17])
+
+
+# --------------------------------------------------------------- random lifts
+
+def random_h1_cycle(K, rng):
+    """Random combination of H_1 representatives (possibly zero)."""
+    h1 = homology_basis(K, 1)
+    F = K.field
+    z = K.zero_element()
+    for cls in h1.classes:
+        c = _random_scalar(F, rng)
+        if c != F.zero:
+            z = z + cls.element.scale(c)
+    return z
+
+
+def random_boundary(K, i, rng, max_tries=8):
+    """d of a random element of K_{i+1} drawn from recorded strata."""
+    basis = homology_basis(K, i + 1) if i + 1 <= K.n else None
+    if basis is None:
+        return K.zero_element()
+    degrees = sorted(basis.degree_data)
+    w = K.zero_element()
+    for _ in range(max_tries):
+        if not degrees:
+            break
+        d = rng.choice(degrees)
+        elems = K.strand_basis_elements(i + 1, d)
+        if not elems:
+            continue
+        u = rng.choice(elems)
+        c = _random_scalar(K.field, rng)
+        if c != K.field.zero:
+            w = w + u.scale(c)
+    return differential(w)
+
+
+def _random_scalar(field, rng):
+    if field.characteristic == 0:
+        return field.from_int(rng.randint(-3, 3))
+    return field.from_int(rng.randrange(field.characteristic))
+
+
+def random_elementary_lift(K, rng, with_boundary=False):
+    """Elementary lift at a random index by a random H_1 cycle."""
+    i = rng.randrange(K.n)
+    z = random_h1_cycle(K, rng)
+    if with_boundary:
+        z = z + random_boundary(K, 1, rng)
+    return elementary_lift(K, i, z), i, z
+
+
+def random_lift(K, rng, with_boundary=True):
+    """General lift: identity plus random cycle perturbations of several columns."""
+    delta = {}
+    for i in range(K.n):
+        if rng.random() < 0.6:
+            z = random_h1_cycle(K, rng)
+            if with_boundary and rng.random() < 0.5:
+                z = z + random_boundary(K, 1, rng)
+            if not z.is_zero():
+                delta[i] = z
+    return lift_from_delta(K, delta)
 
 
 _complex_cache = {}

@@ -41,15 +41,13 @@ from koszulalg.analyze import (
     filtration_dim,
     gr_homology,
     poincare_pairing,
-    random_boundary,
-    random_elementary_lift,
     ring_order,
     slow_suite,
 )
 from koszulalg.cli import load_lift_spec, load_ring_spec, parse_chain
 
 import conftest
-from conftest import fixture_path
+from conftest import fixture_path, random_boundary, random_elementary_lift
 
 
 def _ring(name):
@@ -324,9 +322,8 @@ def test_criterion_09_filtration_and_order():
 @pytest.fixture(scope="module")
 def big_suite():
     K = KoszulComplex(_ring("f2_big_x98.json"))
-    threads = min(4, os.cpu_count() or 1)
     t0 = time.perf_counter()
-    report = slow_suite(K, threads=threads)
+    report = slow_suite(K)
     report["_elapsed"] = time.perf_counter() - t0
     return report
 

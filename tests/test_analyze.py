@@ -19,10 +19,16 @@ from koszulalg.koszul import (
     homology_basis,
     homology_product,
     representative,
+    wedge,
 )
 from koszulalg import analyze, dgmap, exactalg, gring, polyring
 from koszulalg.cli import load_ring_spec
-from koszulalg.dgmap import elementary_lift, induced_map
+from koszulalg.dgmap import (
+    compose_induced,
+    elementary_lift,
+    induced_map,
+    lift_from_delta,
+)
 from koszulalg.analyze import (
     check_identity_all,
     class_levels,
@@ -32,13 +38,13 @@ from koszulalg.analyze import (
     gr_homology,
     gr_induced_identity,
     poincare_pairing,
-    random_lift,
     ring_order,
     run_suite,
     slow_suite,
 )
 
 import conftest
+from conftest import random_elementary_lift, random_lift
 from test_gring import _quotient_fixtures
 from test_koszul import _boundary_rows, _scalar, small_rings
 
@@ -566,6 +572,208 @@ def test_identity_decisions_apply_no_lift(name, monkeypatch):
             assert ok is True
 
 
+# ------------------------------------------------ exact suite decisions
+
+
+def _iota_matrix(K, i, g):
+    """ι_g^H: H_i -> H_(i-1), the class of the contraction of each representative."""
+    return exactalg.Matrix.from_columns(K.field, [
+        class_of(K, i - 1, analyze.contract(cls.element, g))
+        for cls in homology_basis(K, i).classes], homology_basis(K, i - 1).dim)
+
+
+def _left_matrix(K, i, u, j):
+    """L_[u]: H_j -> H_i, left multiplication by the cycle u of degree i - j."""
+    return exactalg.Matrix.from_columns(K.field, [
+        class_of(K, i, wedge(u, cls.element))
+        for cls in homology_basis(K, j).classes], homology_basis(K, i).dim)
+
+
+def _matrix_sum(A, B):
+    F = A.field
+    return exactalg.Matrix(F, [[F.add(a, b) for a, b in zip(r, s)]
+                               for r, s in zip(A.rows, B.rows)], A.ncols)
+
+
+def _subset_formula(K, delta, i):
+    """H_i(phi) for phi = identity + delta, as the sum over T ⊆ supp delta of
+    L_[z_t1 ∧ ... ∧ z_tk] ι_tk ... ι_t1 (t1 < ... < tk, ι_t1 applied first)."""
+    F = K.field
+    dim = homology_basis(K, i).dim
+    total = exactalg.Matrix.zeros(F, dim, dim)
+    for size in range(min(len(delta), i) + 1):
+        for T in itertools.combinations(sorted(delta), size):
+            chain = exactalg.Matrix.identity(F, dim)
+            z = K.element({(): K.ring.one()})
+            for j, t in enumerate(T):
+                chain = _iota_matrix(K, i - j, t).mul(chain)
+                z = wedge(z, delta[t])
+            total = _matrix_sum(total, _left_matrix(K, i, z, i - size).mul(chain))
+    return total
+
+
+@pytest.mark.parametrize("name", _FIXTURES_BUT_X98)
+def test_induced_map_is_the_subset_formula(name):
+    K = KoszulComplex(load_ring_spec(conftest.fixture_path(name)))
+    rng = random.Random(name)
+    for _ in range(4):
+        delta = {}
+        for g in rng.sample(range(K.n), min(4, K.n)):
+            z = conftest.random_h1_cycle(K, rng) + conftest.random_boundary(K, 1, rng)
+            if not z.is_zero():
+                delta[g] = z
+        phi = lift_from_delta(K, delta)
+        for i in range(K.n + 1):
+            assert induced_map(phi, i).matrix == _subset_formula(K, delta, i), (delta, i)
+
+
+def _sampled_suite_fields(K, is_pd_algebra, seed=0, samples=12):
+    """The suite's former sampled checks, the reference of the exact ones.
+
+    group_law, abelian and exponent_p on `samples` random pairs of
+    elementary lifts, then duality_propagation on max(4, samples // 3)
+    random general lifts, all through Lift.apply and induced_map.
+    """
+    rng = random.Random(seed)
+    F = K.field
+    c = K.ring.codepth
+    group_law = abelian = True
+    exponent_p = True if F.characteristic > 0 else None
+    degrees = list(range(c + 1))
+    for _ in range(samples):
+        phi1, i1, z1 = random_elementary_lift(K, rng)
+        phi2, i2, z2 = random_elementary_lift(K, rng)
+        if i1 == i2:
+            sum_lift = lift_from_delta(K, {i1: z1 + z2})
+        else:
+            sum_lift = lift_from_delta(K, {i1: z1, i2: z2})
+        for i in degrees:
+            a = induced_map(phi1, i)
+            b = induced_map(phi2, i)
+            sm = induced_map(sum_lift, i)
+            if compose_induced(a, b).matrix != sm.matrix:
+                group_law = False
+            if compose_induced(a, b).matrix != compose_induced(b, a).matrix:
+                abelian = False
+            if F.characteristic > 0 and not a.is_identity:
+                power = a
+                for _ in range(F.characteristic - 1):
+                    power = compose_induced(power, a)
+                if not power.is_identity:
+                    exponent_p = False
+    duality = None
+    if is_pd_algebra:
+        duality = True
+        for _ in range(max(4, samples // 3)):
+            phi = random_lift(K, rng)
+            flags = {i: induced_map(phi, i).is_identity for i in degrees}
+            for i in degrees:
+                if flags[i] != flags[c - i]:
+                    duality = False
+    return {"group_law": group_law, "abelian": abelian, "exponent_p": exponent_p,
+            "duality_propagation": duality}
+
+
+@pytest.mark.parametrize("name", _FIXTURES_BUT_X98)
+def test_exact_suite_fields_match_the_sampled_checks(name, monkeypatch):
+    def refuse(self, u):
+        raise RuntimeError("Lift.apply was called")
+
+    K = KoszulComplex(load_ring_spec(conftest.fixture_path(name)))
+    with monkeypatch.context() as patch:
+        # run_suite applies no lift; the sampled reference does
+        patch.setattr(dgmap.Lift, "apply", refuse)
+        report = run_suite(K)
+    sampled = _sampled_suite_fields(K, report["gorenstein"]["is_pd_algebra"])
+    assert {field: report[field] for field in sampled} == sampled
+
+
+def _pair_decisions_by_definition(K, differences):
+    """group_law, abelian and exponent_p read off one Matrix product per pair of M."""
+    F = K.field
+    h1 = homology_basis(K, 1).classes
+    k = len(h1)
+    group_law = abelian = exponent_p = True
+    for i in range(K.ring.codepth + 1):
+        dim = homology_basis(K, i).dim
+        M = [exactalg.Matrix.from_columns(F, diff[i], dim) for diff in differences]
+        for a, b in itertools.product(range(len(M)), repeat=2):
+            (g, c), (h, c2) = divmod(a, k), divmod(b, k)
+            ab, ba = M[a].mul(M[b]), M[b].mul(M[a])
+            cross = exactalg.Matrix.zeros(F, dim, dim)
+            if i >= 2:
+                u = wedge(h1[c].element, h1[c2].element)
+                cross = _left_matrix(K, i, u, i - 2).mul(
+                    _iota_matrix(K, i - 1, h).mul(_iota_matrix(K, i, g)))
+            group_law = group_law and ab == cross
+            abelian = abelian and ab == ba
+            if g == h:
+                exponent_p = exponent_p and (ab.is_zero() if a == b else ab.rows == [
+                    [F.neg(x) for x in row] for row in ba.rows])
+    return group_law, abelian, exponent_p if F.characteristic else None
+
+
+def _corrupted(K, differences, entries):
+    """differences where, in the first degree with dim H_i >= 2, each M_a named in
+    entries is the 0/1 matrix with ones at its (row, col) positions."""
+    i = next(i for i in range(K.ring.codepth + 1) if homology_basis(K, i).dim >= 2)
+    dim = homology_basis(K, i).dim
+    out = [dict(diff) for diff in differences]
+    for a, positions in entries.items():
+        columns = [[K.field.zero] * dim for _ in range(dim)]
+        for row, col in positions:
+            columns[col][row] = K.field.one
+        out[a][i] = columns
+    return out
+
+
+_SMALL_FIXTURES = ["f2_ci_x2_y2.json", "f2_golod_m2.json", "f2_products_row1.json",
+                   "f2_semigroup_3_4_5.json", "f2_semigroup_6_10_14_15.json",
+                   "f2_weighted_2_3.json", "q_x2_xy_y2_z2.json"]
+
+
+def _stand_in_contraction(K):
+    """Sends the t-th representative of H_i to the (t + g)-th of H_(i-1) under e_g^*.
+
+    ι^H vanishes on every fixture, and with it every cross term; this
+    stand-in for contract makes them nonzero.
+    """
+    reps = {i: [cls.element for cls in homology_basis(K, i).classes]
+            for i in range(K.ring.codepth + 1)}
+    index = {id(x): (i, t) for i, xs in reps.items() for t, x in enumerate(xs)}
+
+    def stand_in(x, g):
+        i, t = index[id(x)]
+        low = reps.get(i - 1)
+        return low[(t + g) % len(low)] if low else K.zero_element()
+    return stand_in
+
+
+@pytest.mark.parametrize("stand_in", [False, True], ids=["contract", "stand-in"])
+def test_pair_decisions_match_their_definition(stand_in, monkeypatch):
+    # the fixtures' differences, then corrupted ones: M^2 != 0, two M at one
+    # generator that do not commute, and two at different generators
+    seen = collections.Counter()
+    for name in _SMALL_FIXTURES:
+        K = KoszulComplex(load_ring_spec(conftest.fixture_path(name)))
+        k = homology_basis(K, 1).dim
+        differences = check_identity_all(K).differences
+        with monkeypatch.context() as patch:
+            if stand_in:
+                patch.setattr(analyze, "contract", _stand_in_contraction(K))
+            for entries in [{}, {0: [(0, 0), (1, 1)]}, {0: [(0, 1)], 1: [(1, 0)]},
+                            {0: [(0, 1)], k: [(1, 0)]}]:
+                diffs = _corrupted(K, differences, entries)
+                decided = analyze._lift_pair_decisions(K, diffs)
+                assert decided == _pair_decisions_by_definition(K, diffs), (name, entries)
+                seen.update(f for f, v in zip(("group_law", "abelian", "exponent_p"),
+                                              decided) if v is False)
+            if stand_in and name == "f2_ci_x2_y2.json":
+                # every M is zero, so the nonzero cross terms break the group law
+                assert analyze._lift_pair_decisions(K, differences)[0] is False
+    assert set(seen) == {"group_law", "abelian", "exponent_p"}
+
+
 # ---------------------------------------------------------------- pairings
 
 
@@ -594,7 +802,7 @@ def test_poincare_pairing_gorenstein(K_gorenstein):
 
 
 def test_run_suite_ci(K_ci):
-    rep = run_suite(K_ci, seed=3, samples=6)
+    rep = run_suite(K_ci)
     assert rep["complete_intersection"] is True
     assert rep["identity"]["overall"] is True
     assert rep["group_law"] is True
@@ -605,7 +813,7 @@ def test_run_suite_ci(K_ci):
     assert rep["duality_propagation"] is True
     assert rep["order"] == 2
     assert rep["h1_relations_consistent"] is True
-    assert rep == run_suite(K_ci, seed=3, samples=6)
+    assert rep == run_suite(K_ci)
 
 
 def test_run_suite_computes_each_difference_set_once(monkeypatch):
@@ -624,8 +832,8 @@ def test_run_suite_computes_each_difference_set_once(monkeypatch):
 
 
 def test_suite_products_make_no_normal_form_calls(monkeypatch):
-    # every product of the suite (identity columns, the group-law and
-    # duality fuzz, relations as cycles) reads the product table
+    # every product of the suite (identity columns, the cross terms of the
+    # group law, relations as cycles) reads the product table
     R = load_ring_spec(conftest.fixture_path("f2_destefani.json"))
     K = KoszulComplex(R)
     calls = {"normal_form": 0, "mul": 0}
@@ -648,7 +856,7 @@ def test_suite_products_make_no_normal_form_calls(monkeypatch):
 
 
 def test_run_suite_q(K_q):
-    rep = run_suite(K_q, seed=1, samples=4)
+    rep = run_suite(K_q)
     assert rep["identity"]["overall"] is False
     assert rep["exponent_p"] is None
     assert rep["complete_intersection"] is False
@@ -657,7 +865,7 @@ def test_run_suite_q(K_q):
 
 
 def test_run_suite_semigroup(K_aci):
-    rep = run_suite(K_aci, seed=0, samples=4)
+    rep = run_suite(K_aci)
     assert rep["identity"]["overall"] is False
     assert rep["group_law"] is True
     assert rep["abelian"] is True
@@ -693,6 +901,3 @@ def test_slow_suite_rejects_non_standard(K_aci, K_weighted):
     with pytest.raises(ValueError):
         slow_suite(K_weighted)
 
-
-def test_slow_suite_threads_deterministic(K_row3):
-    assert slow_suite(K_row3, threads=3) == slow_suite(K_row3)

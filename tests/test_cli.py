@@ -244,8 +244,7 @@ def test_products_witness(capsys):
 
 
 def test_suite_json_deterministic(capsys):
-    args = ["suite", "--ring", fixture_path("f2_ci_x2_y2.json"), "--json",
-            "--seed", "5"]
+    args = ["suite", "--ring", fixture_path("f2_ci_x2_y2.json"), "--json"]
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
@@ -545,7 +544,7 @@ _READS = {
     "lift-action": {"--lift", "--degrees"},
     "order": set(),
     "gr": set(),
-    "suite": {"--slow", "--seed"},
+    "suite": {"--slow"},
 }
 _FLAG_ARGS = {
     "--degrees": ["--degrees", "1"],
@@ -787,6 +786,37 @@ def test_order_exit_codes_on_fuzzed_ring_specs(spec):
     assert "Traceback" not in err.getvalue()
     if valid:
         assert code == 0, err.getvalue()
+        assert out.getvalue()
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+@pytest.mark.parametrize("command, exits", [("suite", {0}), ("check-identity", {0, 1})])
+@given(spec=ring_specs())
+@settings(max_examples=80, deadline=None)
+def test_decision_exit_codes_on_fuzzed_ring_specs(command, exits, spec):
+    # exit 3 is allowed only as a resource failure
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ring.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--ring", path])
+        try:
+            load_ring_spec(path)
+            valid = True
+        except ValueError:
+            valid = False
+    assert "Traceback" not in err.getvalue()
+    if code == 3:
+        assert valid and err.getvalue().startswith("error: resource limit"), err.getvalue()
+        assert out.getvalue() == ""
+    elif valid:
+        assert code in exits, err.getvalue()
         assert out.getvalue()
     else:
         assert code == 2

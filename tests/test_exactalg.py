@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -524,3 +525,26 @@ def test_int64_rank_on_120x100_of_rank_70(p):
     assert len(rref(m)[1]) == 70
     assert rank(m) == 70
     assert exactalg.sparse_rank(F, 120, 100, _triplets(m)) == 70
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2 ** 31 - 1])
+def test_matmul_matches_python_integers(p):
+    # stacks broadcast as in numpy; entries near p - 1 make every int64
+    # product of two entries overflow without the 16-bit split
+    F = field_by_name("F%d" % p)
+    rnd = random.Random(p)
+    a = [[[rnd.choice([p - 1, p - 2, rnd.randrange(p)]) for _ in range(40)]
+          for _ in range(3)] for _ in range(2)]
+    b = [[rnd.choice([p - 1, rnd.randrange(p)]) for _ in range(4)] for _ in range(40)]
+    out = exactalg.matmul(F, np.array(a, dtype=np.int64)[:, None],
+                          np.array(b, dtype=np.int64)[None, None])
+    assert out.shape == (2, 1, 3, 4)
+    assert out[:, 0].tolist() == [
+        [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in m]
+        for m in a]
+
+
+def test_matmul_over_q_keeps_fractions():
+    a = np.array([[Fraction(1, 2), Fraction(-3)]], dtype=object)
+    b = np.array([[Fraction(2, 3)], [Fraction(1, 7)]], dtype=object)
+    assert exactalg.matmul(QQ, a, b).tolist() == [[Fraction(1, 3) - Fraction(3, 7)]]
