@@ -241,15 +241,21 @@ def filtration_level(K, i, coords):
 
 
 def class_levels(K, i):
-    """filtration_level of each basis class of H_i: the least level of a form nonzero at it."""
+    """filtration_level of each basis class of H_i: the least level of a form nonzero at it.
+
+    Computed on the first query and kept on the basis; callers must not
+    write to the list.
+    """
     basis = homology_basis(K, i)
-    levels = [None] * basis.dim
-    for d, data in basis.degree_data.items():
-        table_levels, forms = _filtration_table(K, i, d, data)
-        for t, idx in enumerate(data.class_indices):
-            levels[idx] = next(lev for lev, form in zip(table_levels, forms.rows)
-                               if form[t] != K.field.zero)
-    return levels
+    if basis.levels is None:
+        levels = [None] * basis.dim
+        for d, data in basis.degree_data.items():
+            table_levels, forms = _filtration_table(K, i, d, data)
+            for t, idx in enumerate(data.class_indices):
+                levels[idx] = next(lev for lev, form in zip(table_levels, forms.rows)
+                                   if form[t] != K.field.zero)
+        basis.levels = levels
+    return basis.levels
 
 
 def ring_order(K):
@@ -364,7 +370,8 @@ def gr_induced_identity(K, differences):
     for i, columns in sorted(differences.items()):
         basis = homology_basis(K, i)
         for cls, level, diff in zip(basis.classes, class_levels(K, i), columns):
-            diff_level = filtration_level(K, i, diff)
+            # the zero class has level infinity
+            diff_level = filtration_level(K, i, diff) if any(diff) else math.inf
             shift = diff_level - level if diff_level != math.inf else math.inf
             report["per_class"].append({
                 "degree": i,

@@ -4,17 +4,21 @@ An ArtinianQuotient is k[x_1..x_n]/I for a weighted-homogeneous ideal
 I with Artinian quotient, presented by a reduced monic Groebner basis.
 Its basis is the standard monomials (those outside LT(I)), kept as the
 rows of one int64 exponent array, degree by degree in decreasing term
-order.  The array is built in one whole-array round per variable: a
-standard monomial on x_1..x_{i-1} extends by the powers of x_i below
-the least x_i-exponent of a leading monomial that blocks it.
+order, and as the leaves of a trie with one level per variable, built
+in one whole-array round per level: a standard monomial on the
+variables of the levels above extends by the powers of the next
+variable below the least exponent of a leading monomial that blocks
+it, its node's reach.  The trie is the ring's one exact index of the
+standard monomials: a monomial is standard iff each exponent is below
+its node's reach, and its row is found by descent.
 Multiplication by x_i is built without general division (the
 multiplication-matrix construction of FGLM: Faugere, Gianni, Lazard,
 Mora, J. Symb. Comp. 1993; border bases: Kehrein, Kreuzer, Robbiano),
-for every generator and degree at once: all products x_i*m of standard
-monomials are located among the standard monomials by one sorted search
-of hash keys, each hit checked against the exponent rows.  A product
-not found in degree <= top_degree lies on the border of the staircase;
-the normal forms of all of them come from whole-array rounds that
+for every generator and degree at once: x_i*m is the next child of m's
+node at the level of x_i, followed down the later levels with m's
+exponents, every node of a level at once.  A product not found in
+degree <= top_degree lies on the border of the staircase; the normal
+forms of all of them come from whole-array rounds that
 replace each pending term by the tail of its first dividing basis
 element, merge equal terms and keep those found among the standard
 monomials.
@@ -37,11 +41,11 @@ homology in degree 1.
 Construction validates minimality of the chosen generators of the
 maximal ideal (ker f inside mF): for quotients every variable must
 survive into R, for semigroups no generator may be representable by
-the others.  A quotient computes its exponent array, dimensions and
-generators once, and its multiplication table on the first request.
-The basis tuples and basis indices of a degree, slices of powers of m,
-the normal forms of monomials and the hash-key index of the basis are
-made on first request and kept; nothing is evicted.  The rank-only
+the others.  A quotient computes its exponent array, trie, dimensions
+and generators once, and its multiplication table on the first
+request.  The basis tuples and basis indices of a degree, slices of
+powers of m and the normal forms of monomials are made on first
+request and kept; nothing is evicted.  The rank-only
 paths never make a basis tuple.  A ring whose basis or degrees could pass
 SIZE_LIMIT is refused with MemoryError before any array is made.
 A semigroup ring decides membership in m^a from one table, grown in
@@ -300,10 +304,9 @@ class ArtinianQuotient(GradedRing):
         self._indices = {}
         self._products = {}
         self._mpower_cache = {}
-        self._key_index = None
         self._mult_table = None
 
-        self._exps, dims = self._staircase()
+        self._exps, dims, self._trie, self._row = self._staircase()
         self._dims = tuple(dims)
         self._starts = (0,) + tuple(itertools.accumulate(dims))
         self.top_degree = len(dims) - 1
@@ -314,40 +317,67 @@ class ArtinianQuotient(GradedRing):
         return self._dims[d] if 0 <= d <= self.top_degree else 0
 
     def _staircase(self):
-        """(exponent rows, dims): the standard monomials in basis order.
+        """(exponent rows, dims, trie, row): the standard monomials in basis order.
 
-        Built in one whole-array round per variable.  A standard monomial
-        m on x_1..x_{i-1} extends to m*x_i^e exactly for e < E(m), where
-        E(m) is the least x_i-exponent of the leading monomials whose
-        last variable is x_i and whose other exponents divide m: the
-        pure power of x_i is one of them, and one with an earlier last
-        variable never divides m, since m is standard.  The rows are then
-        ordered by degree, then decreasing term order; dims[d] counts
-        those of degree d.  A round that would pass SIZE_LIMIT rows raises
+        The standard monomials are the leaves of a trie with one level per
+        variable, walked x_n first for grevlex and x_1 first for lex.  A
+        node at level L is a standard monomial m on the first L variables
+        of the walk, with the children m*v^e, v the next variable, for
+        e < E(m), the least v-exponent of the leading monomials whose
+        last variable in the walk is v and whose other exponents divide
+        m: the pure power of v is one of them, and one with an earlier
+        last variable never divides m, since m is standard.  Each level
+        is one whole-array round, kept in trie as (v, start, reach): the
+        children of node p are start[p] ... start[p] + reach[p] - 1, and
+        a last, dead node of reach 0 stands for every monomial off the
+        staircase.  So a monomial is standard iff at each level its
+        exponent is below its node's reach (_locate descends).
+
+        Leaves come by increasing exponents read along the walk: that is
+        decreasing grevlex order within a degree and total degree, and,
+        reversed, decreasing lex order.  One stable sort by degree (then
+        decreasing total degree, for weighted grevlex) gives the basis
+        order: row[t] is the basis row of leaf t, and dims[d] counts the
+        rows of degree d.  A round that would pass SIZE_LIMIT rows raises
         MemoryError before the array is made.
         """
         n = self.ngens
-        lms = self._lms
+        grevlex = self.ctx.order == "grevlex"
+        step = -1 if grevlex else 1
+        walk = np.arange(n)[::step]
+        lms = self._lms[:, ::step]
         stair = np.zeros((1, n), dtype=np.int64)
         last = n - 1 - (lms[:, ::-1] > 0).argmax(axis=1)
         unbounded = np.iinfo(np.int64).max
+        trie = []
         for i in range(n):
             walls = lms[last == i]
             divides = (walls[:, :i] <= stair[:, None, :i]).all(axis=2)
-            # reach is at most the pure power of x_i, so the sum fits int64
+            # reach is at most the pure power of the level's variable, so
+            # the sum fits int64
             reach = np.where(divides, walls[:, i], unbounded).min(axis=1)
             if reach.sum() > SIZE_LIMIT:
                 raise MemoryError("quotient has over %d standard monomials" % SIZE_LIMIT)
+            start = reach.cumsum() - reach
             stair = stair.repeat(reach, axis=0)
-            stair[:, i] = np.arange(len(stair)) - (reach.cumsum() - reach).repeat(reach)
-        degree = stair @ np.array(self.weights)
-        if self.ctx.order == "grevlex":
-            # higher total degree first, then smaller exponents read from
-            # the last variable backwards
-            keys = (*stair.T, -stair.sum(axis=1), degree)
+            stair[:, i] = np.arange(len(stair)) - start.repeat(reach)
+            trie.append((walk[i], np.append(start, 0), np.append(reach, 0)))
+        weights = np.array(self.weights)[walk]
+        degree = stair @ weights
+        # lexsort of one key is a stable sort, so each degree keeps the
+        # order of the walk
+        if grevlex:
+            # total degree <= degree, so the key is degree * (D + 1) minus
+            # the total degree: by degree, then by decreasing total degree
+            leaf = np.lexsort((stair @ (weights * (degree.max() + 1) - 1),))
         else:
-            keys = (*(-stair[:, ::-1]).T, degree)
-        return stair[np.lexsort(keys)], np.bincount(degree).tolist()
+            leaf = len(stair) - 1 - np.lexsort((degree[::-1],))
+        dims = np.bincount(degree).tolist()
+        exps = stair.take(leaf, axis=0)[:, ::step]
+        del stair, degree
+        row = np.empty_like(leaf)
+        row[leaf] = np.arange(len(leaf))
+        return exps, dims, trie, row
 
     def _monomial_basis(self, d):
         """Standard monomials of degree d in decreasing term order, as tuples."""
@@ -381,101 +411,93 @@ class ArtinianQuotient(GradedRing):
         table, bounds = self._mult_table
         return table[bounds[i][d]:bounds[i][d + 1]]
 
-    def _hash_keys(self):
-        """(coeffs, order, sorted keys): the search index of the standard monomials.
-
-        A row's search key is a linear form in its exponents with odd
-        coefficients modulo 2^64, redrawn until the keys of the basis are
-        distinct; order sorts the rows by key.  Built on first use and kept.
-        """
-        if self._key_index is None:
-            n = self.ngens
-            for seed in itertools.count():
-                coeffs = np.array([_splitmix64(seed * n + t) | 1 for t in range(n)],
-                                  dtype=np.uint64)
-                keys = self._exps.astype(np.uint64) @ coeffs
-                order = keys.argsort()
-                sorted_keys = keys[order]
-                if (sorted_keys[1:] != sorted_keys[:-1]).all():
-                    break
-            self._key_index = coeffs, order, sorted_keys
-        return self._key_index
-
     def _locate(self, monos):
-        """(at, found): the exponent row each monomial row may equal, and if it does.
+        """(at, found): the basis row of each monomial row, and whether it is standard.
 
-        One searchsorted of the monomials' keys among the sorted keys of
-        the basis; a candidate counts only if its exponent row equals the
-        monomial, so a wrapped or colliding key never gives a wrong row.
+        One descent of the trie (_staircase) per level: a monomial leaves
+        the staircase for the dead node at the first level where its
+        exponent reaches its node's reach, and found is exact.  at is
+        meaningless where found is False.
         """
-        coeffs, order, sorted_keys = self._hash_keys()
-        at = order.take(sorted_keys.searchsorted(monos.astype(np.uint64) @ coeffs),
-                        mode="clip")
-        return at, (self._exps[at] == monos).all(axis=1)
+        node = np.zeros(len(monos), dtype=np.int64)
+        for v, start, reach in self._trie:
+            e = monos[:, v]
+            node = np.where(e < reach[node], start[node] + e, -1)
+        return self._row[node], node >= 0
 
     def _multiplication_table(self):
         """(triplet array, bounds): every x_i on every R_d, built at once.
 
         The rows of the exponent array are the standard monomials, degree
-        by degree in basis order.  x_i*m has the search key of m plus the
-        coefficient of x_i (_hash_keys), so every product is searched
-        among the sorted keys at once, and checked against the exponent
-        rows.  A product x_i*m found is the standard monomial it equals,
-        in degree deg(m) + w_i.  One not found lies past top_degree,
-        hence in I, or on the border of the staircase, where
+        by degree in basis order.  x_i*m is found from the trie nodes of
+        m (_staircase): at the level of x_i, the next child of the same
+        parent, if the reach allows it; at each later level, the child of
+        the image with m's exponent there.  Every node of a level moves
+        at once.  A product x_i*m found is the standard monomial it
+        equals, in degree deg(m) + w_i.  One not found lies past
+        top_degree, hence in I, or on the border of the staircase, where
         _border_forms gives its normal form.  Entries are ordered by
         generator, then source monomial, rows increasing within one, so
         table[bounds[i][d]:bounds[i][d + 1]] is x_i on R_d.
         """
         exps = self._exps
         N, n = exps.shape
-        coeffs, order, sorted_keys = self._hash_keys()
         starts = np.array(self._starts)
         degree = np.arange(len(self._dims)).repeat(self._dims)
         local = np.arange(N) - starts[degree]
 
-        # Flat product f = i*N + s is x_i times the s-th monomial.  Its key
-        # is searched in key order, where x_i only shifts the keys (mod
-        # 2^64), so the searches run nearly in order.
-        cand = np.empty((n, N), dtype=np.int64)
-        cand[:, order] = order.take(
-            sorted_keys.searchsorted(sorted_keys + coeffs[:, None]), mode="clip")
-        units = np.eye(n, dtype=np.int64)
-        hit = np.empty((n, N), dtype=bool)
-        for i in range(n):
-            hit[i] = (exps[cand[i]] - exps == units[i]).all(axis=1)
-        hit = hit.ravel()
+        # parent and exponent of every node of every level
+        parent = [np.arange(len(reach) - 1).repeat(reach[:-1])
+                  for _, _, reach in self._trie]
+        expo = [np.arange(len(up)) - start[up]
+                for up, (_, start, _) in zip(parent, self._trie)]
+        # prod[i, s]: the row of x_i times basis monomial s, within its
+        # degree; the dead leaf -1 reads the -1 appended to leaf_row
+        leaf_row = np.append(local[self._row], -1)
+        prod = np.empty((n, N), dtype=np.int64)
+        for level, (v, _, reach) in enumerate(self._trie):
+            image = np.where(expo[level] + 1 < reach[parent[level]],
+                             np.arange(1, len(parent[level]) + 1), -1)
+            for (_, start, reach), up, e in zip(
+                    self._trie[level + 1:], parent[level + 1:], expo[level + 1:]):
+                image = image[up]
+                image = np.where(e < reach[image], start[image] + e, -1)
+            prod[v, self._row] = leaf_row[image]
+        del parent, expo, image, leaf_row
+        hit = prod >= 0
         # a miss past top_degree lies in I, and so does every miss when I
         # is a monomial ideal
-        miss = (~hit).nonzero()[0] if self._tail_len.any() else np.empty(0, np.int64)
-        miss = miss[degree[miss % N] + np.array(self.weights)[miss // N]
-                    <= self.top_degree]
-        if miss.size:
+        gen, src = (~hit & self._tail_len.any()).nonzero()
+        keep = degree[src] + np.array(self.weights)[gen] <= self.top_degree
+        gen, src = gen[keep], src[keep]
+        if src.size:
             origin, rows, border = self._border_forms(
-                miss, exps[miss % N] + units[miss // N])
-            rows = local[rows]
+                np.arange(src.size), exps[src] + np.eye(n, dtype=np.int64)[gen])
         del degree
-        cand = local[cand]
 
-        # Product f holds entries start[f]..start[f+1]-1: one if it hit,
-        # its border normal form if it is on the border.
-        count = hit.astype(np.int64)
-        if miss.size:
-            np.add.at(count, origin, 1)
-        start = np.concatenate(([0], count.cumsum()))
-        del count
+        # Product i*N + s holds entries start[i*N + s] ... start[i*N + s +
+        # 1] - 1: one if it hit, its border normal form if on the border.
+        start = np.zeros(n * N + 1, dtype=np.int64)
+        start[1:] = hit.ravel()
+        flat = gen * N + src
+        if src.size:
+            # a miss counts no hit, so its count is set, not added
+            start[1 + flat] = np.bincount(origin, minlength=src.size)
+        start.cumsum(out=start)
         out = np.empty((start[-1], 3), dtype=exactalg.triplet_dtype(self.field))
-        src = hit.nonzero()[0]
-        at = start[src]
-        out[at, 0] = cand.ravel()[src]
-        del cand
-        out[at, 1] = local[src % N]
-        out[at, 2] = self.field.one
-        if miss.size:
+        # one generator at a time, so no temporary holds n*N entries
+        for i in range(n):
+            col = hit[i].nonzero()[0]
+            at = start[i * N + col]
+            out[at, 0] = prod[i, col]
+            out[at, 1] = local[col]
+            out[at, 2] = self.field.one
+        del prod, hit
+        if src.size:
             # origin is sorted: searchsorted finds the first entry of each
-            at = start[origin] + np.arange(origin.size) - origin.searchsorted(origin)
-            out[at, 0] = rows
-            out[at, 1] = local[origin % N]
+            at = start[flat[origin]] + np.arange(origin.size) - origin.searchsorted(origin)
+            out[at, 0] = local[rows]
+            out[at, 1] = local[src[origin]]
             out[at, 2] = border
         firsts = np.arange(0, n * N, N)[:, None] + starts
         return out, start[firsts].tolist()
@@ -485,19 +507,25 @@ class ArtinianQuotient(GradedRing):
 
         origin labels each of the monomial rows monos.  A round replaces
         every pending term c*u*lm, lm the first leading monomial dividing
-        it, by c times u times the tail of its monic basis element: a
-        multiple of a monomial of the basis drops out, and every new term
-        is smaller in the term order and of the same degree.  Equal
-        (origin, monomial) pairs are merged; a term that _locate finds
-        among the standard monomials is final.  Returns the final terms,
-        merged, as (origin, standard monomial row, coeff) sorted by both.
+        it (tested one variable at a time, for all terms and leading
+        monomials at once), by c times u times the tail of its monic
+        basis element: a multiple of a monomial of the basis drops out,
+        and every new term is smaller in the term order and of the same
+        degree.  Equal (origin, monomial) pairs are merged; a term that
+        the trie descent of _locate finds among the standard monomials is
+        final, and one it does not find is not standard.  Returns the
+        final terms, merged, as (origin, standard monomial row, coeff)
+        sorted by both.
         """
         F = self.field
         merge = (self._tail_len > 1).any()
         coef = np.full(len(origin), F.one, dtype=exactalg.triplet_dtype(F))
         done = []
         while origin.size:
-            g = (monos[:, None, :] >= self._lms).all(axis=2).argmax(axis=1)
+            divides = monos[:, :1] >= self._lms[:, 0]
+            for j in range(1, self.ngens):
+                divides &= monos[:, j:j + 1] >= self._lms[:, j]
+            g = divides.argmax(axis=1)
             size = self._tail_len[g]
             each = np.arange(g.size).repeat(size)
             term = (self._tail_start[g] - size.cumsum() + size)[each] + np.arange(each.size)
@@ -784,14 +812,6 @@ def _merge_terms(field, labels, coef):
     sums = _reduce_mod(field, np.add.reduceat(coef, first))
     keep = sums != 0
     return labels[first[keep]], sums[keep]
-
-
-def _splitmix64(x):
-    """The splitmix64 mix of x: a well-spread 64-bit word for each integer."""
-    x = (x + 0x9E3779B97F4A7C15) % 2 ** 64
-    x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 % 2 ** 64
-    x = (x ^ x >> 27) * 0x94D049BB133111EB % 2 ** 64
-    return x ^ x >> 31
 
 
 # ------------------------------------------------------------ contract names

@@ -208,7 +208,11 @@ class HomologyClass:
 
 
 class HomologyBasis:
-    """Basis of H_i with per-degree reduction data for class_of."""
+    """Basis of H_i with per-degree reduction data for class_of.
+
+    levels is None until analyze.class_levels computes the filtration
+    level of every class on the first query.
+    """
 
     def __init__(self, complex_, i, classes, degree_data):
         self.complex = complex_
@@ -216,6 +220,7 @@ class HomologyBasis:
         self.classes = classes
         self.degree_data = degree_data
         self.dim = len(classes)
+        self.levels = None
 
     def degrees(self):
         return sorted({c.degree for c in self.classes})

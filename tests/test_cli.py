@@ -794,7 +794,8 @@ def test_order_exit_codes_on_fuzzed_ring_specs(spec):
         assert err.getvalue().count("\n") == 1, err.getvalue()
 
 
-@pytest.mark.parametrize("command, exits", [("suite", {0}), ("check-identity", {0, 1})])
+@pytest.mark.parametrize("command, exits", [
+    ("suite", {0}), ("check-identity", {0, 1}), ("products", {0})])
 @given(spec=ring_specs())
 @settings(max_examples=80, deadline=None)
 def test_decision_exit_codes_on_fuzzed_ring_specs(command, exits, spec):
@@ -807,7 +808,7 @@ def test_decision_exit_codes_on_fuzzed_ring_specs(command, exits, spec):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, "--ring", path])
         try:
-            load_ring_spec(path)
+            R = load_ring_spec(path)
             valid = True
         except ValueError:
             valid = False
@@ -815,6 +816,14 @@ def test_decision_exit_codes_on_fuzzed_ring_specs(command, exits, spec):
     if code == 3:
         assert valid and err.getvalue().startswith("error: resource limit"), err.getvalue()
         assert out.getvalue() == ""
+    elif valid and command == "products":
+        # one line per pair 1 <= i <= j <= codepth with i + j <= edim, so
+        # none for k[t] (edim 1, codepth 0)
+        assert code in exits, err.getvalue()
+        c = R.codepth
+        pairs = sum(i + j <= R.ngens for i in range(1, c + 1) for j in range(i, c + 1))
+        lines = out.getvalue().splitlines()
+        assert sum(line.startswith("H(") for line in lines) == pairs, out.getvalue()
     elif valid:
         assert code in exits, err.getvalue()
         assert out.getvalue()

@@ -18,6 +18,7 @@ from koszulalg.exactalg import GF2, QQ, PrimeField
 from koszulalg.polyring import (
     PolyContext,
     Polynomial,
+    mono_divides,
     mono_mul,
     monomials_of_weight,
     normal_form,
@@ -244,6 +245,46 @@ def assert_matches_oracles(R, triplet_degrees=None, standard=None):
                     == _oracle_triplets(R, i, d, standard)), (i, d)
 
 
+def assert_locate_is_exact(R, rng, samples=40):
+    """_locate on rows inside, on the border of, past a reach of and past the staircase.
+
+    A row is found exactly when no leading monomial divides it, and then
+    at its position in the basis.  Past a reach: one exponent of a
+    standard monomial raised to the least value that leaves the
+    staircase, and beyond.  Past top_degree: one exponent raised past
+    top_degree, or to about 2^40.
+    """
+    n = R.ngens
+    lms = R.gb.leading_monomials()
+    basis = [m for d in range(R.top_degree + 1) for m in R._monomial_basis(d)]
+    position = {m: t for t, m in enumerate(basis)}
+    picked = rng.sample(basis, min(samples, len(basis)))
+    rows = list(picked)
+    for m in picked:
+        for v in range(n):
+            up = list(m)
+            up[v] += 1
+            rows.append(tuple(up))
+            while tuple(up) in position:
+                up[v] += 1
+            rows.append(tuple(up))
+            up[v] += rng.randint(1, 4)
+            rows.append(tuple(up))
+            up[v] = m[v] + R.top_degree + 1
+            rows.append(tuple(up))
+            up[v] = 2 ** 40 + rng.randint(0, 99)
+            rows.append(tuple(up))
+    at, found = R._locate(np.array(rows, dtype=np.int64))
+    for m, t, hit in zip(rows, at.tolist(), found.tolist()):
+        standard = not any(mono_divides(lm, m) for lm in lms)
+        assert hit == standard, m
+        assert hit == (m in position), m
+        if hit:
+            assert t == position[m], m
+    kinds = [m in position for m in rows]
+    assert any(kinds) and not all(kinds)
+
+
 def _quotient_fixtures():
     names = []
     for path in sorted(glob.glob(conftest.fixture_path("*.json"))):
@@ -257,7 +298,9 @@ def _quotient_fixtures():
 
 @pytest.mark.parametrize("name", _quotient_fixtures())
 def test_fixture_ring_matches_oracles(name):
-    assert_matches_oracles(load_ring_spec(conftest.fixture_path(name)))
+    R = load_ring_spec(conftest.fixture_path(name))
+    assert_matches_oracles(R)
+    assert_locate_is_exact(R, random.Random(0))
 
 
 @pytest.mark.slow
@@ -298,6 +341,7 @@ def test_exponent_box_past_int64_matches_oracles():
            for t in range(n)]
     assert math.prod(box) > 2 ** 63
     assert_matches_oracles(R, standard=standard)
+    assert_locate_is_exact(R, random.Random(0))
 
 
 @st.composite
@@ -307,13 +351,15 @@ def artinian_ideals(draw):
     Every extra generator has total degree >= 2, so each variable stays
     a minimal generator of the maximal ideal.  A trinomial gives its
     Groebner basis element a tail of two terms, so border normal forms
-    branch and their terms merge.
+    branch and their terms merge.  The term order is grevlex or lex,
+    which walk the staircase's variables in opposite directions.
     """
     n = draw(st.integers(min_value=2, max_value=3))
     weights = draw(st.lists(st.integers(min_value=1, max_value=3),
                             min_size=n, max_size=n))
     field = draw(st.sampled_from([GF2, PrimeField(3), QQ]))
-    ctx = PolyContext(field, "xyz"[:n], weights)
+    order = draw(st.sampled_from(["grevlex", "lex"]))
+    ctx = PolyContext(field, "xyz"[:n], weights, order=order)
     gens = []
     for i in range(n):
         gens.append(ctx.monomial(tuple(
@@ -338,11 +384,13 @@ def artinian_ideals(draw):
     return ctx, gens
 
 
-@given(artinian_ideals())
+@given(artinian_ideals(), st.integers(min_value=0, max_value=2 ** 16))
 @settings(max_examples=40, deadline=None)
-def test_random_artinian_ring_matches_oracles(ideal):
+def test_random_artinian_ring_matches_oracles(ideal, seed):
     ctx, gens = ideal
-    assert_matches_oracles(ArtinianQuotient(ctx, gens))
+    R = ArtinianQuotient(ctx, gens)
+    assert_matches_oracles(R)
+    assert_locate_is_exact(R, random.Random(seed))
 
 
 def _trinomial_ring(field):
