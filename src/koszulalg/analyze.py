@@ -130,14 +130,13 @@ def check_identity_all(K, degrees=None):
             differences = elementary_differences(K, gen, cls.element, degrees)
             all_differences.append(differences)
             for i in degrees:
-                for col, diff in enumerate(differences[i]):
+                for diff in differences[i]:
                     if any(a != K.field.zero for a in diff):
                         per_degree[i] = False
                         witnesses.append({
                             "generator": gen,
                             "class_label": cls.label,
                             "degree": i,
-                            "image_of": homology_basis(K, i).classes[col].label,
                             "difference": diff,
                         })
                         break

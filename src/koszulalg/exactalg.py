@@ -3,12 +3,12 @@
 Scalars are plain Python ints in [0, p) for prime fields and
 fractions.Fraction for the rationals; a Field descriptor supplies the
 arithmetic, so no rounding can ever occur.  Matrices are row-major
-lists of scalars.  Kernels, and the rref and rank of small or rational
-matrices, come from eliminate: one sparse column elimination over every
-field.  The rref and rank of matrices over F_p (F_2 included) of 4096
-entries or more, and the core of sparse_rank, run one row echelon form
-on a numpy int64 array (_fp_eliminate): with p < 2^31 every product of
-two scalars stays below 2^62, so no step can overflow.
+lists of scalars.  The rref, rank and kernel of every Matrix, over every
+field and at every size, come from eliminate: one sparse column
+elimination.  The one dense kernel is the core that sparse_rank's peeling
+leaves over F_p (F_2 included): one row echelon form on a numpy int64
+array (_fp_eliminate); with p < 2^31 every product of two scalars stays
+below 2^62, so no step can overflow.
 
 A sparse matrix (a strand of the Koszul differential) is one (nnz, 3)
 array of (row, col, coeff) triplets: int64 over F_p, dtype=object over
@@ -261,20 +261,16 @@ def unit_vector(field, n, a):
     return v
 
 
-def _check_field(M):
-    if not isinstance(M, Matrix):
-        raise TypeError("expected Matrix, got %r" % type(M).__name__)
-
-
 # ----------------------------------------------------------------- F_p int64
 
-def _fp_eliminate(a, p, reduced=False):
+def _fp_eliminate(a, p):
     """In-place row echelon of an int64 array over F_p; returns the pivot columns.
 
-    Entries must lie in [0, p) with p < 2^31, p = 2 included.  The pivot
-    is the first nonzero row at or below the cursor, scaled to 1; the
-    rows below it (with reduced, above it too: the reduced form) with a
-    nonzero entry in the pivot column are updated from that column on.
+    Its one caller, _core_rank, ranks the core that sparse_rank's peeling
+    leaves over F_p.  Entries must lie in [0, p) with p < 2^31, p = 2
+    included.  The pivot is the first nonzero row at or below the cursor,
+    scaled to 1; the rows below it with a nonzero entry in the pivot
+    column are updated from that column on.
     """
     m, n = a.shape
     pivots = []
@@ -290,8 +286,6 @@ def _fp_eliminate(a, p, reduced=False):
         prow = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
         a[r, c:] = prow
         hits = r + nz[1:]
-        if reduced:
-            hits = np.concatenate((a[:r, c].nonzero()[0], hits))
         if hits.size:
             # a - f*prow == a + (p - f)*prow (mod p); the product stays
             # below 2^62 and the sum below 2^63, so one reduction suffices.
@@ -305,20 +299,15 @@ def _fp_eliminate(a, p, reduced=False):
 _gf2_eliminate = _fp_eliminate
 
 
-def _int64_path(field, nrows, ncols):
-    """From 4096 entries on; below, numpy's per-call cost outweighs the loop's."""
-    return isinstance(field, PrimeField) and nrows * ncols >= 4096
-
-
-def _int64_rows(M):
-    return np.array(M.rows, dtype=np.int64) % M.field.p
-
-
 # ------------------------------------------------------- sparse elimination
 
-def _matrix_columns(M):
-    return [{i: row[j] for i, row in enumerate(M.rows) if row[j] != M.field.zero}
-            for j in range(M.ncols)]
+def _eliminate_matrix(M):
+    """eliminate on the columns of a Matrix."""
+    if not isinstance(M, Matrix):
+        raise TypeError("expected Matrix, got %r" % type(M).__name__)
+    return eliminate(M.field, [
+        {i: row[j] for i, row in enumerate(M.rows) if row[j] != M.field.zero}
+        for j in range(M.ncols)])
 
 
 def eliminate(field, columns):
@@ -390,20 +379,14 @@ def triplet_columns(field, ncols, entries):
 # ------------------------------------------------------------------- public
 
 def rref(M):
-    """Reduced row echelon form.
+    """Reduced row echelon form, read off eliminate.
 
     Returns (R, pivots) with R row-equivalent to M, pivots strictly
-    increasing, rank = len(pivots).  The form is unique, so the int64
-    path (large matrices over F_p) and the one read off eliminate agree:
-    row r has 1 at pivots[r] and -v_f[pivots[r]] at each free column f.
+    increasing, rank = len(pivots).  Row r has 1 at pivots[r] and
+    -v_f[pivots[r]] at each free column f, v_f its kernel vector.
     """
-    _check_field(M)
+    pivots, kernel = _eliminate_matrix(M)
     F = M.field
-    if _int64_path(F, M.nrows, M.ncols):
-        a = _int64_rows(M)
-        pivots = _fp_eliminate(a, F.p, reduced=True)
-        return Matrix(F, a.tolist(), M.ncols), pivots
-    pivots, kernel = eliminate(F, _matrix_columns(M))
     free = iter(kernel)  # -e_c stands in for a pivot column c: 1 in its own row
     vectors = [{c: F.neg(F.one)} if c in pivots else next(free) for c in range(M.ncols)]
     rows = [[F.neg(v.get(r, F.zero)) for v in vectors] for r in pivots]
@@ -411,18 +394,14 @@ def rref(M):
 
 
 def rank(M):
-    """Rank of M: a (non-reduced) int64 echelon over large F_p matrices, eliminate otherwise."""
-    _check_field(M)
-    if _int64_path(M.field, M.nrows, M.ncols):
-        return len(_fp_eliminate(_int64_rows(M), M.field.p))
-    return len(eliminate(M.field, _matrix_columns(M))[0])
+    """Rank of M: the number of pivots eliminate finds."""
+    return len(_eliminate_matrix(M)[0])
 
 
 def kernel_basis(M):
     """Canonical basis of {v : Mv = 0}: the kernel of eliminate, as lists."""
-    _check_field(M)
     return [dense_vector(M.field, M.ncols, v)
-            for v in eliminate(M.field, _matrix_columns(M))[1]]
+            for v in _eliminate_matrix(M)[1]]
 
 
 def coords_in_span(v, basis, field):
@@ -509,9 +488,9 @@ def sparse_rank(field, nrows, ncols, entries, blocks=None):
     argument transposed.  The pivot rows and columns are masked out, and
     rounds go on until none is found.  A row counted with a repeated
     position is not a singleton, so repeats cost pivots, never
-    correctness.  The surviving core sums its entries into a dense
-    matrix: _fp_eliminate over every F_p, F_2 included, at any size (its
-    rank is all it reads), eliminate over Q.
+    correctness.  The surviving core is ranked by _fp_eliminate as a
+    dense int64 array over every F_p, F_2 included, at any size, and by
+    eliminate on its triplet_columns over Q.
 
     blocks, if given, are row-block bounds 0 = b_0 <= ... <= b_k = nrows
     of a block-diagonal matrix (no column has entries in two blocks),
@@ -579,6 +558,5 @@ def _core_rank(field, r, c, vals):
         a = np.zeros((rows.size, cols.size), dtype=np.int64)
         np.add.at(a, (r, c), vals)
         return len(_fp_eliminate(a % field.p, field.p))
-    core = Matrix.from_triplets(field, rows.size, cols.size,
-                                zip(r.tolist(), c.tolist(), vals.tolist()))
-    return rank(core)
+    columns = triplet_columns(field, cols.size, np.column_stack((r, c, vals)))
+    return len(eliminate(field, columns)[0])

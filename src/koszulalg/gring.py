@@ -103,35 +103,38 @@ class RingElement:
             raise ValueError("ring mismatch")
 
     def is_zero(self):
-        return self.ring._is_zero(self.data)
+        return not self.data
 
     def __add__(self, other):
         self._check(other)
         return RingElement(self.ring, self.ring._add(self.data, other.data))
 
     def __sub__(self, other):
-        self._check(other)
-        return RingElement(self.ring, self.ring._sub(self.data, other.data))
+        return self + -other
 
     def __neg__(self):
-        return RingElement(self.ring, self.ring._neg(self.data))
+        neg = self.ring.field.neg
+        return RingElement(self.ring, {k: neg(c) for k, c in self.data.items()})
 
     def __mul__(self, other):
         self._check(other)
         return RingElement(self.ring, self.ring._mul(self.data, other.data))
 
     def scale(self, c):
-        return RingElement(self.ring, self.ring._scale(self.data, c))
+        F = self.ring.field
+        if c == F.zero:
+            return RingElement(self.ring, {})
+        return RingElement(self.ring, {k: F.mul(c, v) for k, v in self.data.items()})
 
     def __eq__(self, other):
         return (
             isinstance(other, RingElement)
             and self.ring is other.ring
-            and self.ring._eq(self.data, other.data)
+            and self.data == other.data
         )
 
     def __hash__(self):
-        return hash((id(self.ring), self.ring._hash_data(self.data)))
+        return hash((id(self.ring), frozenset(self.data.items())))
 
     def __str__(self):
         return self.ring._str_data(self.data)
@@ -211,28 +214,6 @@ class GradedRing:
 
     def _add(self, a, b):
         return self._sum(itertools.chain(a.items(), b.items()))
-
-    def _sub(self, a, b):
-        return self._add(a, self._neg(b))
-
-    def _neg(self, a):
-        neg = self.field.neg
-        return {k: neg(c) for k, c in a.items()}
-
-    def _scale(self, a, c):
-        if c == self.field.zero:
-            return {}
-        mul = self.field.mul
-        return {k: mul(c, v) for k, v in a.items()}
-
-    def _is_zero(self, a):
-        return not a
-
-    def _eq(self, a, b):
-        return a == b
-
-    def _hash_data(self, a):
-        return hash(frozenset(a.items()))
 
 
 class ArtinianQuotient(GradedRing):

@@ -344,26 +344,6 @@ def test_class_levels_match_filtration_level_of_unit_vectors(name):
             for idx in range(dim)], i
 
 
-@pytest.mark.parametrize("name", _weighted_and_semigroup_fixtures())
-def test_filtration_table_on_both_sides_of_the_int64_rule(name, monkeypatch):
-    # No fixture's filtration rref reaches the 4096 entries of the int64
-    # rule, so each run forces one side of it for every prime field rref.
-    spec = conftest.fixture_path(name)
-    runs = []
-    for int64 in (True, False):
-        monkeypatch.setattr(
-            exactalg, "_int64_path",
-            lambda field, nrows, ncols, int64=int64: (
-                int64 and isinstance(field, exactalg.PrimeField)))
-        K = KoszulComplex(load_ring_spec(spec))
-        runs.append((K, _filtration_answers(K, random.Random(name))))
-    assert runs[0][1] == runs[1][1]
-    # the tables are kept on the strands; the reference runs on the usual rule
-    monkeypatch.undo()
-    for K, _ in runs:
-        _assert_filtration_matches_reference(K, random.Random(name))
-
-
 def test_level_of_zero_class(K_ci):
     dim = homology_basis(K_ci, 1).dim
     assert filtration_level(K_ci, 1, [K_ci.field.zero] * dim) == math.inf
@@ -735,8 +715,10 @@ _SMALL_FIXTURES = ["f2_ci_x2_y2.json", "f2_golod_m2.json", "f2_products_row1.jso
 def _stand_in_contraction(K):
     """Sends the t-th representative of H_i to the (t + g)-th of H_(i-1) under e_g^*.
 
-    ι^H vanishes on every fixture, and with it every cross term; this
-    stand-in for contract makes them nonzero.
+    On every fixture each cross term L_[w_c ∧ w_c'] ι_h ι_g vanishes,
+    though neither ι^H nor ι_h ι_g does: on f2_identity_false both are
+    nonzero on H, and so is M_(g,c) = L_[w_c] ι_g^H.  This stand-in for
+    contract makes the cross terms nonzero.
     """
     reps = {i: [cls.element for cls in homology_basis(K, i).classes]
             for i in range(K.ring.codepth + 1)}

@@ -206,13 +206,13 @@ def test_sparse_rank_of_no_entries(field):
 
 @pytest.mark.parametrize("p", [2, 3, 32003])
 def test_kernel_of_triplets_sums_repeats_on_the_int64_path(p):
-    # 70 x 80 is past the 4096-entry rule of rref and rank, 40 x 50 below
-    # it; every third entry comes twice, half of those pairs cancelling.
-    # The columns read off the triplets sum them, and eliminate returns
-    # the pivots and kernel of the reference loop's rref.
+    # a 70 x 80 and a 40 x 50 matrix (sparse_rank's cores run _fp_eliminate
+    # on int64 arrays); every third entry comes twice, half of those pairs
+    # cancelling.  The columns read off the triplets sum them, and
+    # eliminate returns the pivots and kernel of the reference loop's rref.
     F = PrimeField(p)
     rng = random.Random(5)
-    for nrows, ncols, large in ((70, 80, True), (40, 50, False)):
+    for nrows, ncols in ((70, 80), (40, 50)):
         entries = []
         for t in range(12 * nrows):
             i, j, a = rng.randrange(nrows), rng.randrange(ncols), rng.randrange(1, p)
@@ -220,7 +220,6 @@ def test_kernel_of_triplets_sums_repeats_on_the_int64_path(p):
             if t % 3 == 0:
                 entries.append((i, j, F.neg(a) if t % 2 else rng.randrange(1, p)))
         m = Matrix.from_triplets(F, nrows, ncols, entries)
-        assert exactalg._int64_path(F, nrows, ncols) == large
         array = exactalg.as_triplets(F, entries)
         columns = exactalg.triplet_columns(F, ncols, array)
         assert columns == _columns(m)
@@ -362,11 +361,12 @@ def _rank_mod2_reference(rows):
 
 
 def test_gf2_int64_path_agrees_with_reference():
-    # 80x80 is past the 4096-entry rule, so this runs _fp_eliminate over F_2
+    # a dense 80 x 80 matrix over F_2: rank and kernel_basis run eliminate,
+    # sparse_rank peels nothing and runs _fp_eliminate on the whole of it
     rng = random.Random(7)
     rows = [[rng.randrange(2) for _ in range(80)] for _ in range(80)]
     m2 = Matrix(GF2, [list(r) for r in rows], 80)
-    assert exactalg._int64_path(m2.field, m2.nrows, m2.ncols)
+    assert exactalg.sparse_rank(GF2, 80, 80, _triplets(m2)) == _rank_mod2_reference(rows)
     r2 = rank(m2)
     assert r2 == _rank_mod2_reference(rows)
     kernel = kernel_basis(m2)
@@ -455,11 +455,11 @@ def _assert_every_path_matches_reference(m):
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_int64_rank_matches_generic_rref(data):
-    # p = 2^31 - 1 is the largest prime the int64 kernel accepts.  Over
-    # F_p half the shapes reach the 4096-entry rule, past which rref and
-    # rank run _fp_eliminate; below it they read eliminate, which
-    # kernel_basis reads at every size.  Q always runs eliminate; its
-    # shapes stay small, where the reference loop's Fractions stay short.
+    # p = 2^31 - 1 is the largest prime the int64 kernel accepts.  rref,
+    # rank and kernel_basis read eliminate at every size; sparse_rank runs
+    # _fp_eliminate on the core over F_p.  Over F_p half the shapes have
+    # 4096 entries or more; Q's stay small, where the reference loop's
+    # Fractions stay short.
     F = data.draw(st.sampled_from(
         [PrimeField(p) for p in (2, 3, 5, 32003, 2147483647)] + [QQ]))
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32)))
@@ -490,7 +490,6 @@ def test_int64_rank_matches_generic_rref(data):
     for j in data.draw(st.sets(st.integers(0, ncols - 1), max_size=3)):
         for row in m.rows:
             row[j] = F.zero
-    assert exactalg._int64_path(F, m.nrows, m.ncols) == large
     _assert_every_path_matches_reference(m)
     # columns reversed, as the homology pass reads its boundaries
     _assert_every_path_matches_reference(Matrix(F, [row[::-1] for row in m.rows], ncols))
@@ -499,7 +498,7 @@ def test_int64_rank_matches_generic_rref(data):
 @pytest.mark.parametrize("field", [GF2, PrimeField(3), PrimeField(32003), QQ])
 def test_eliminate_on_thin_strands_matches_reference(field):
     # two entries a column, as in the strands of the Koszul differential:
-    # a 90 x 100 matrix (past the 4096-entry rule) and its reverse
+    # a 90 x 100 matrix and its reverse
     rng = random.Random(13)
     entries = [(rng.randrange(90), j, field.from_int(rng.choice([1, -1, 2])))
                for j in range(100) for _ in range(2)]

@@ -409,6 +409,34 @@ def test_rank_only_semigroup_still_ranks_d2(monkeypatch):
     assert any(i == 2 for i, _ in ranked)
 
 
+# three generic cubics in x, y, z over F32003: a complete intersection
+GENERIC_CUBICS = [
+    "7*x^3 + 7*x^2*y + x^2*z + 5*x*y^2 + 9*x*y*z + 8*x*z^2 + 7*y^3 + 5*y^2*z + 8*y*z^2 + 6*z^3",
+    "4*x^3 + 9*x^2*y + 3*x^2*z + 5*x*y^2 + 3*x*y*z + 2*x*z^2 + 5*y^3 + 9*y^2*z + 3*y*z^2 + 5*z^3",
+    "2*x^3 + 2*x^2*y + 6*x^2*z + 8*x*y^2 + 9*x*y*z + 2*x*z^2 + 6*y^3 + 7*y^2*z + 6*y*z^2 + 4*z^3",
+]
+
+
+def test_rank_only_generic_cubics_run_the_dense_core(monkeypatch):
+    # peeling leaves a core in three strands of d_3, each ranked by the
+    # dense int64 kernel; no other test sends an F32003 core through it
+    K = KoszulComplex(make_artinian_quotient(
+        PolyContext(PrimeField(32003), ["x", "y", "z"]), GENERIC_CUBICS))
+    cores = []
+    core_rank = exactalg._core_rank
+
+    def count(field, r, c, vals):
+        cores.append(r.size)
+        return core_rank(field, r, c, vals)
+
+    monkeypatch.setattr(exactalg, "_core_rank", count)
+    table = betti_table(K, rank_only=True)
+    assert len(cores) == 3 and all(cores)
+    assert table == betti_table(K)
+    assert table.rows() == {0: [1, 0, 0, 0], 2: [0, 3, 0, 0],
+                            4: [0, 0, 3, 0], 6: [0, 0, 0, 1]}
+
+
 def test_betti_threaded_matches_serial(K_q):
     assert betti_table(K_q, rank_only=True, threads=3) == betti_table(K_q)
 
