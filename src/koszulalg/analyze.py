@@ -154,8 +154,7 @@ def _strand_power_vectors(K, i, d, a):
         block = K.ring.max_ideal_power_vectors(a, d - wS)
         for v in block:
             w = [K.field.zero] * total
-            for t, val in enumerate(v):
-                w[offsets[pos] + t] = val
+            w[offsets[pos]:offsets[pos] + len(v)] = v
             vecs.append(w)
     return vecs
 

@@ -22,7 +22,8 @@ one step later its columns at the pivots span the boundaries of H_{i-1}.
 In the coordinates of the free columns of d_i, a second elimination
 gives the classes and the functionals of class_of (see _homology_pass),
 which checks d_i z = 0 against the strand's own triplets.  Strand
-layouts (block offsets) are kept per (i, d).
+layouts are one array of block bounds per i, built with the complex from
+the Hilbert function; past SIZE_LIMIT entries it raises MemoryError.
 
 Betti tables read off rank H_i(K)_{i+j}; a rank-only path serves
 tables far beyond the sizes where kernel bases fit in memory.  It takes
@@ -286,6 +287,9 @@ class KoszulComplex:
         else:
             self.exactness_floor = None
             self.truncation = ring.top_degree + sum(ring.weights)
+        if 2 ** self.n * (self.truncation + 1) > SIZE_LIMIT:
+            raise MemoryError("strand layout of %d subsets in %d degrees is past %d entries"
+                              % (2 ** self.n, self.truncation + 1, SIZE_LIMIT))
         self.subsets = [
             tuple(itertools.combinations(range(self.n), i))
             for i in range(self.n + 1)
@@ -301,7 +305,17 @@ class KoszulComplex:
             [[(l, j, self.subset_index[i - 1][S[:l] + S[l + 1:]])
               for l, j in enumerate(S)] for S in level]
             for i, level in enumerate(self.subsets)]
-        self._layouts = {}
+        # _bounds[i][d]: the block offsets of the strand (i, d), then its
+        # dimension; a block of S has size dim R_{d - w(S)}, row top + 1 is empty
+        top, reach = self.truncation, sum(self.weights)
+        h = np.zeros(reach + top + 1, np.int64)  # h[reach + a] = dim R_a
+        h[reach:] = [ring.dim(a) for a in range(top + 1)]
+        degrees = np.arange(reach, reach + top + 1)[:, None]
+        self._bounds = []
+        for weights in self.subset_weights:
+            bounds = np.zeros((top + 2, len(weights) + 1), np.int64)
+            np.cumsum(h[degrees - weights], axis=1, out=bounds[:-1, 1:])
+            self._bounds.append(bounds)
         self._homology = None
         self._no_entries = exactalg.as_triplets(self.field)
 
@@ -310,21 +324,30 @@ class KoszulComplex:
     def subset_weight(self, S):
         return sum(self.weights[j] for j in S)
 
+    def _layout(self, i, d, stop):
+        """Block bounds of the strands (i, d), ..., (i, stop - 1), one row each (see strand_offsets)."""
+        if not 0 <= i <= self.n:
+            return np.zeros((stop - d, 1), np.int64)
+        top = self.truncation
+        if 0 <= d and stop <= top + 1:
+            return self._bounds[i][d:stop]
+        last = top if self.exactness_floor is not None else top + 1
+        degrees = np.arange(d, stop)
+        return self._bounds[i][np.where(degrees < 0, top + 1, np.minimum(degrees, last))]
+
     def strand_offsets(self, i, d):
-        """(offset of each subset's block, total dimension) of the strand (i, d)."""
-        layout = self._layouts.get((i, d))
-        if layout is None:
-            offsets, total = [], 0
-            if 0 <= i <= self.n:
-                dim = self.ring.dim
-                for w in self.subset_weights[i]:
-                    offsets.append(total)
-                    total += dim(d - w)
-            layout = self._layouts[(i, d)] = (offsets, total)
-        return layout
+        """(offset of each subset's block, total dimension) of the strand (i, d).
+
+        For i outside 0..n the strand has no blocks.  For d < 0, and
+        past the truncation of a quotient, every block is empty; past the
+        truncation of a semigroup ring the strand has the layout of the
+        exactness floor (every R_{d - w(S)} is k).
+        """
+        *offsets, total = self._layout(i, d, d + 1)[0].tolist()
+        return offsets, total
 
     def strand_dim(self, i, d):
-        return self.strand_offsets(i, d)[1]
+        return int(self._layout(i, d, d + 1)[0, -1])
 
     def diff_triplets(self, i, d, stop=None):
         """Triplet array of d_{i,d}: strand (i, d) -> strand (i-1, d).
@@ -341,25 +364,24 @@ class KoszulComplex:
         strand's rows and columns start where the previous one's end.
         """
         ring = self.ring
+        stop = d + 1 if stop is None else stop
         tables, sizes, shifts, odd = [], [], [], []
         row_base = col_base = 0
-        for deg in range(d, d + 1 if stop is None else stop):
-            src_offsets, src_total = self.strand_offsets(i, deg)
-            dst_offsets, dst_total = self.strand_offsets(i - 1, deg)
-            for s_pos, w in enumerate(self.subset_weights[i]):
-                a = deg - w
-                if ring.dim(a) == 0:
+        layouts = zip(self._layout(i, d, stop).tolist(), self._layout(i - 1, d, stop).tolist())
+        for deg, (src, dst) in enumerate(layouts, d):
+            for s_pos in range(len(src) - 1):
+                if src[s_pos] == src[s_pos + 1]:
                     continue
+                a = deg - self.subset_weights[i][s_pos]
                 for l, j, t_pos in self.faces[i][s_pos]:
                     table = ring.mult_triplets(j, a)
                     if len(table):
                         tables.append(table)
                         sizes.append(len(table))
-                        shifts.append((row_base + dst_offsets[t_pos],
-                                       col_base + src_offsets[s_pos]))
+                        shifts.append((row_base + dst[t_pos], col_base + src[s_pos]))
                         odd.append(l % 2)
-            row_base += dst_total
-            col_base += src_total
+            row_base += dst[-1]
+            col_base += src[-1]
         if not tables:
             return self._no_entries
         out = np.concatenate(tables)
@@ -370,10 +392,8 @@ class KoszulComplex:
         return out
 
     def diff_matrix(self, i, d):
-        _, src = self.strand_offsets(i, d)
-        _, dst = self.strand_offsets(i - 1, d)
-        return Matrix.from_triplets(
-            self.field, dst, src, self.diff_triplets(i, d).tolist())
+        return Matrix.from_triplets(self.field, self.strand_dim(i - 1, d),
+                                    self.strand_dim(i, d), self.diff_triplets(i, d).tolist())
 
     def strand_vectors(self, i, u):
         """Strand coordinates of the homological-degree-i part of u, per internal degree.
@@ -399,20 +419,12 @@ class KoszulComplex:
         return {d: out[d][0] for d in sorted(out)}
 
     def vector_to_element(self, i, d, vec):
-        offsets, total = self.strand_offsets(i, d)
-        if len(vec) != total:
+        bounds = self._layout(i, d, d + 1)[0].tolist()
+        if len(vec) != bounds[-1]:
             raise ValueError("strand coordinate length mismatch")
-        data = {}
-        for s_pos, S in enumerate(self.subsets[i]):
-            a = d - self.subset_weights[i][s_pos]
-            b = self.ring.dim(a)
-            if b == 0:
-                continue
-            coords = vec[offsets[s_pos]:offsets[s_pos] + b]
-            r = self.ring.element_from_coords(a, coords)
-            if not r.is_zero():
-                data[S] = r
-        return KoszulElement(self, data)
+        blocks = zip(self.subsets[i], self.subset_weights[i], bounds, bounds[1:])
+        return KoszulElement(self, {S: self.ring.element_from_coords(d - w, vec[start:end])
+                                    for S, w, start, end in blocks if start < end})
 
     def strand_basis_elements(self, i, d):
         """All basis elements of the strand (i, d) as KoszulElements."""
@@ -528,17 +540,19 @@ def _homology_pass(K, top):
     MemoryError before any work; only class representatives are dense.
     """
     F = K.field
-    dims = [[K.strand_dim(i, d) for d in range(K.truncation + 1)] for i in range(K.n + 1)]
-    for i, d in itertools.product(range(1, min(top + 1, K.n) + 1), range(K.truncation + 1)):
-        if dims[i - 1][d] * dims[i][d] > SIZE_LIMIT:
-            raise MemoryError("strand of d_%d in degree %d is past %d dense entries"
-                              % (i, d, SIZE_LIMIT))
+    dims = np.array([bounds[:, -1] for bounds in K._bounds])  # dims[i, d] = dim K_{i,d}
+    dense = np.multiply(dims[:-1], dims[1:], dtype=float)[:min(top + 1, K.n)]  # float: no overflow
+    over = np.argwhere(dense > SIZE_LIMIT)
+    if len(over):
+        i, d = over[0].tolist()
+        raise MemoryError("strand of d_%d in degree %d is past %d dense entries"
+                          % (i + 1, d, SIZE_LIMIT))
     classes = [[] for _ in range(top + 1)]
     degree_data = [{} for _ in range(top + 1)]
     for d in range(K.truncation + 1):
         boundary = []  # the boundary columns of d_{i+1}, {row: scalar} dicts
         for i in range(min(top + 1, K.n), -1, -1):
-            total = dims[i][d]
+            total = int(dims[i, d])
             if total == 0:
                 boundary = []
                 continue
@@ -548,7 +562,7 @@ def _homology_pass(K, top):
                 boundary = columns
                 continue
             # d_0 = 0: a matrix with no rows, whose kernel is every unit vector
-            rows = dims[i - 1][d] if i else 0
+            rows = int(dims[i - 1, d]) if i else 0
             pivots, kernel = exactalg.eliminate(F, columns)
             if kernel:
                 positions, functionals = _classes_in_free_columns(
@@ -692,27 +706,26 @@ def strand_ranks(K):
     """
     mu = (K.ring.minimal_generator_counts()
           if isinstance(K.ring, ArtinianQuotient) else None)
-    degrees = range(K.truncation + 1)
-    dims = [[K.strand_dim(i, d) for d in degrees] for i in range(K.n + 1)]
     ranks = {}
     for i in range(1, K.n + 1):
-        src, dst = dims[i], dims[i - 1]
-        live = [d for d in degrees if src[d] and dst[d]]
+        src, dst = K._bounds[i][:, -1], K._bounds[i - 1][:, -1]
+        live = np.flatnonzero((src > 0) & (dst > 0))
         if i == 1 or (i == 2 and mu is not None):
-            for d in live:
-                ranks[(i, d)] = (dst[d] if i == 1 else
-                                 dst[d] - ranks.get((1, d), 0) - mu.get(d, 0))
+            for d, rows in zip(live.tolist(), dst[live].tolist()):
+                ranks[(i, d)] = (rows if i == 1 else
+                                 rows - ranks.get((1, d), 0) - mu.get(d, 0))
             continue
+        live, widths = live.tolist(), src[live].tolist()
         start = 0
         while start < len(live):
-            stop, cols = start + 1, src[live[start]]
-            while stop < len(live) and cols + src[live[stop]] <= BATCH_COLUMNS:
-                cols += src[live[stop]]
+            stop, cols = start + 1, widths[start]
+            while stop < len(live) and cols + widths[stop] <= BATCH_COLUMNS:
+                cols += widths[stop]
                 stop += 1
             first, last = live[start], live[stop - 1] + 1
-            bounds = np.cumsum([0] + dst[first:last])
+            bounds = np.concatenate(([0], np.cumsum(dst[first:last])))
             block_ranks = exactalg.sparse_rank(
-                K.field, int(bounds[-1]), sum(src[first:last]),
+                K.field, int(bounds[-1]), int(src[first:last].sum()),
                 K.diff_triplets(i, first, last), bounds)
             for d in live[start:stop]:
                 ranks[(i, d)] = block_ranks[d - first]
@@ -733,11 +746,9 @@ def betti_table(K, rank_only=False, threads=None):
     entries = {}
     if rank_only:
         ranks = strand_ranks(K)
-        for i in range(K.n + 1):
-            for d in range(K.truncation + 1):
-                total = K.strand_dim(i, d)
-                if total == 0:
-                    continue
+        for i, bounds in enumerate(K._bounds):
+            live = np.flatnonzero(bounds[:, -1])
+            for d, total in zip(live.tolist(), bounds[live, -1].tolist()):
                 h = total - ranks.get((i, d), 0) - ranks.get((i + 1, d), 0)
                 if h:
                     entries[(i, d - i)] = h

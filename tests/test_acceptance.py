@@ -399,6 +399,22 @@ def test_criterion_10_suite_peak_memory():
 
 
 @pytest.mark.slow
+def test_rank_only_betti_on_a_large_conductor_peak_memory(tmp_path):
+    # k[t^1000, t^1001] has conductor 999000: its strand layouts span about
+    # 10^6 internal degrees, held as arrays of block bounds
+    spec = tmp_path / "semigroup.json"
+    spec.write_text(json.dumps({"field": "F2", "presentation": {
+        "type": "semigroup", "generators": [1000, 1001]}}))
+    run = _fresh_cli("betti", "--ring", str(spec), "--slow", timeout=600)
+    assert run.returncode == 0, run.stderr
+    rows = [line.split() for line in run.stdout.splitlines()[2:]]
+    assert rows == [["0:", "1", "-"], ["1000999:", "-", "1"]]
+    peak_mb = int(run.stderr.split()[-1]) / 1024
+    assert peak_mb < 600, peak_mb
+    print("large conductor memory: PASS (betti --slow peak RSS %.0f MB)" % peak_mb)
+
+
+@pytest.mark.slow
 @pytest.mark.parametrize("field, a", [("F2", 32), ("Q", 16)])
 def test_full_betti_equals_rank_only_on_the_criterion_10_family(field, a, tmp_path):
     # x^a, y^(a+1), z^(a+2), (x^h + y^h) z^(h+1), h = a/2: the full path

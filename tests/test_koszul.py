@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -493,18 +494,6 @@ def test_homology_basis_range_check(K_ci):
         homology_basis(K_ci, 5)
 
 
-def test_strand_dimension_formula(K_weighted):
-    # dim K_i in degree d = sum over i-subsets S of dim R_{d - w(S)}
-    R = K_weighted.ring
-    import itertools
-    for i in range(3):
-        for d in range(K_weighted.truncation + 1):
-            expect = 0
-            for S in itertools.combinations(range(2), i):
-                expect += R.dim(d - K_weighted.subset_weight(S))
-            assert K_weighted.strand_dim(i, d) == expect
-
-
 def test_element_vector_round_trip(K_weighted):
     for i in range(3):
         for d in range(K_weighted.truncation + 1):
@@ -693,6 +682,40 @@ def small_rings(draw):
         assume(False)
 
 
+def _assert_layout_is_subset_sums(K):
+    # block S of the strand (i, d) has size dim R_{d - w(S)}: past the
+    # truncation that is the floor's layout on a semigroup ring (every
+    # R_{d - w(S)} is k) and empty on a quotient
+    top = K.truncation
+    for i in range(-1, K.n + 2):
+        rows = []
+        for d in range(-1, top + 4):
+            offsets, total = [], 0
+            if 0 <= i <= K.n:
+                for S in itertools.combinations(range(K.n), i):
+                    offsets.append(total)
+                    total += K.ring.dim(d - K.subset_weight(S))
+            assert K.strand_offsets(i, d) == (offsets, total)
+            assert K.strand_dim(i, d) == total
+            if d > top:
+                assert (K.strand_offsets(i, K.exactness_floor) == (offsets, total)
+                        if K.exactness_floor is not None else total == 0)
+            rows.append(offsets + [total])
+        assert K._layout(i, -1, top + 4).tolist() == rows
+
+
+def test_strand_dimension_formula():
+    for name in _every_fixture_but_x98():
+        _assert_layout_is_subset_sums(
+            KoszulComplex(load_ring_spec(conftest.fixture_path(name))))
+
+
+@given(small_rings())
+@settings(max_examples=40, deadline=None)
+def test_strand_dimension_formula_on_random_rings(ring):
+    _assert_layout_is_subset_sums(KoszulComplex(ring))
+
+
 @given(small_rings(), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_strand_solver_matches_coords_in_span(ring, rnd):
@@ -787,6 +810,32 @@ def test_homology_pass_refuses_a_dense_strand_before_assembling(monkeypatch):
     monkeypatch.setattr(koszul, "SIZE_LIMIT", largest)
     assert _dims(K) == _dims(
         KoszulComplex(load_ring_spec(conftest.fixture_path("f2_destefani.json"))))
+
+
+def test_oversized_layout_exits_three_before_any_array(monkeypatch, capsys):
+    # the layout holds 2^n * (truncation + 1) block bounds; past SIZE_LIMIT
+    # the complex is refused before the Hilbert function is read
+    path = conftest.fixture_path("f2_destefani.json")
+    K = KoszulComplex(load_ring_spec(path))
+    entries = 2 ** K.n * (K.truncation + 1)
+    reads = []
+    dim = ArtinianQuotient.dim
+
+    def counted(self, d):
+        reads.append(d)
+        return dim(self, d)
+
+    monkeypatch.setattr(ArtinianQuotient, "dim", counted)
+    monkeypatch.setattr(koszul, "SIZE_LIMIT", entries - 1)
+    with pytest.raises(MemoryError, match="past %d entries" % (entries - 1)):
+        KoszulComplex(K.ring)
+    assert reads == []
+    assert main(["betti", "--ring", path, "--slow"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "resource limit" in err and "Traceback" not in err
+    monkeypatch.setattr(koszul, "SIZE_LIMIT", entries)
+    assert main(["betti", "--ring", path, "--slow"]) == 0
+    assert capsys.readouterr().out == str(betti_table(K, rank_only=True)) + "\n"
 
 
 def _random_chain(K, i, rnd):
