@@ -328,6 +328,9 @@ def cmd_products(K, args):
     if args.json:
         _emit_json(out)
         return 0
+    if not table:
+        print("no products: no pair 1 <= i <= j <= codepth %d with i + j <= edim %d"
+              % (c, K.n))
     for key in sorted(table):
         print("H%s product vanishes: %s" % (key, str(table[key]).lower()))
     for w in witnesses:

@@ -10,11 +10,14 @@ leaves over F_p (F_2 included): one row echelon form on a numpy int64
 array (_fp_eliminate); with p < 2^31 every product of two scalars stays
 below 2^62, so no step can overflow.
 
-A sparse matrix (a strand of the Koszul differential) is one (nnz, 3)
-array of (row, col, coeff) triplets: int64 over F_p, dtype=object over
-Q, so its .tolist() holds Python ints and Fractions only.  sparse_rank
-peels it in whole-array rounds, and ranks the blocks of a block-diagonal
-array in one peel; triplet_columns reads its columns for eliminate.
+A sparse matrix that is only ranked (a batch of strands of the Koszul
+differential) is one (nnz, 3) array of (row, col, coeff) triplets: int64
+over F_p, dtype=object over Q, so its .tolist() holds Python ints and
+Fractions only.  sparse_rank peels it in whole-array rounds, and ranks
+the blocks of a block-diagonal array in one peel; over Q
+triplet_columns reads the columns of the core that peeling leaves for
+eliminate.  Everything else eliminate reduces arrives as {row: scalar}
+columns.
 
 Every operation here is pure: it returns new values and leaves its
 arguments unchanged.  Only the private _fp_eliminate works in place, on
@@ -368,7 +371,10 @@ def dense_vector(field, n, v):
 
 
 def triplet_columns(field, ncols, entries):
-    """The columns of a triplet array (see as_triplets) as {row: nonzero scalar} dicts."""
+    """The columns of a triplet array (see as_triplets) as {row: nonzero scalar} dicts.
+
+    Its one caller is _core_rank, on the core that peeling leaves over Q.
+    """
     columns = [{} for _ in range(ncols)]
     for r, c, a in entries.tolist():  # repeated positions are summed
         columns[c][r] = field.add(columns[c].get(r, field.zero), a)

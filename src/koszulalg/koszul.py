@@ -7,23 +7,27 @@ degree, so every computation happens strand by strand: the strand
 (i, d) has one basis element per pair (subset S of size i, basis
 element of R_{d - w(S)}).
 
-The strand of d_i in degree d is one triplet array (exactalg.as_triplets:
-int64 over F_p, dtype=object over Q), the multiplication tables of the
-ring concatenated block by block with the block offsets and signs
-applied to whole columns; the strands of several consecutive degrees
-stack the same way into one block-diagonal array.
+The full path holds a strand of d_i as its columns, {row: scalar} dicts
+read straight off the multiplication tables of the ring (diff_columns);
+the rank-only path holds it as one triplet array (exactalg.as_triplets:
+int64 over F_p, dtype=object over Q), the same tables concatenated block
+by block with the block offsets and signs applied to whole columns; the
+strands of several consecutive degrees stack the same way into one
+block-diagonal array (diff_triplets).
 
 Homology is computed in one pass over internal degrees that builds every
 H_i at once (a caller that reads only H_1 can build H_0 and H_1 from the
 strands of d_1 and d_2 alone).  In degree d it walks i from n down to 0
-and assembles the triplet array of each d_i once: one sparse
-elimination (exactalg.eliminate) gives the kernel vectors of H_i, and
-one step later its columns at the pivots span the boundaries of H_{i-1}.
-In the coordinates of the free columns of d_i, a second elimination
-gives the classes and the functionals of class_of (see _homology_pass),
-which checks d_i z = 0 against the strand's own triplets.  Strand
-layouts are one array of block bounds per i, built with the complex from
-the Hilbert function; past SIZE_LIMIT entries it raises MemoryError.
+and assembles the columns of each d_i once: one sparse elimination
+(exactalg.eliminate) gives the kernel vectors of H_i, and one step later
+its columns at the pivots span the boundaries of H_{i-1}.  In the
+coordinates of the free columns of d_i, a second elimination gives the
+classes and the functionals of class_of (see _homology_pass).  Only a
+strand that holds a class keeps a record; class_of checks d_i z = 0
+there against the record's columns, and in a classless strand against
+its columns assembled on the first such query.  Strand layouts are one
+array of block bounds per i, built with the complex from the Hilbert
+function; past SIZE_LIMIT entries it raises MemoryError.
 
 Betti tables read off rank H_i(K)_{i+j}; a rank-only path serves
 tables far beyond the sizes where kernel bases fit in memory.  It takes
@@ -158,25 +162,25 @@ def _merge_sign(S, T):
 
 
 class _DegreeData:
-    """Reduction data of one homology strand (i, d), in free-column coordinates.
+    """Reduction data of one homology strand (i, d) that holds a class.
 
     rep_vectors are the kernel vectors of d_i that are classes (see
-    _homology_pass).  rep_coords applies the map z -> (coordinates on
-    rep_vectors modulo boundaries, d_i z), whose entries are the class
-    functionals and the triplets of d_i, gathered on the first query.
-    filtration is None until analyze builds its table on the first query.
+    _homology_pass).  rep_coords checks d_i z = 0 against the columns
+    of d_i and applies the class functionals, kept as {free column:
+    [(class, scalar)]}.  filtration is None until analyze builds its
+    table on the first query.
     """
 
     __slots__ = ("rep_vectors", "class_indices", "filtration",
-                 "_boundary", "_parts", "_map")
+                 "_boundary", "_functionals", "_columns")
 
-    def __init__(self, boundary, rep_vectors, class_indices, functionals, diff, rows):
+    def __init__(self, boundary, rep_vectors, class_indices, functionals, columns):
         self.rep_vectors = rep_vectors
         self.class_indices = class_indices
         self.filtration = None
         self._boundary = boundary
-        self._parts = (functionals, diff, rows)
-        self._map = None
+        self._functionals = functionals
+        self._columns = columns
 
     def boundary_columns(self, field, total):
         """The boundary columns as vectors: a basis of B_{i,d} (spanning past top)."""
@@ -184,18 +188,27 @@ class _DegreeData:
 
     def rep_coords(self, field, vec):
         """Coordinates of vec on rep_vectors modulo boundaries; None if vec is no cycle."""
-        k = len(self.rep_vectors)
-        if self._map is None:
-            functionals, diff, rows = self._parts
-            entries = np.concatenate((functionals, diff + (k, 0, 0)))
-            self._map = (*entries[:, :2].T.astype(np.int64), entries[:, 2], k + rows)
-        r, c, vals, size = self._map
+        if not _is_cycle(field, self._columns, vec):
+            return None
         p = field.characteristic
-        terms = vals * np.array(vec, dtype=vals.dtype)[c]
-        out = np.full(size, field.zero, dtype=vals.dtype)
-        np.add.at(out, r, terms % p if p else terms)
-        out = (out % p if p else out).tolist()
-        return None if any(out[k:]) else out[:k]
+        out = [field.zero] * len(self.rep_vectors)
+        for f, terms in self._functionals.items():
+            b = vec[f]
+            if b:
+                for t, a in terms:
+                    out[t] += a * b
+        return [a % p for a in out] if p else out
+
+
+def _is_cycle(field, columns, vec):
+    """True iff the matrix with these {row: scalar} columns kills vec."""
+    p = field.characteristic
+    image = {}
+    for column, b in zip(columns, vec):
+        if b:
+            for r, a in column.items():
+                image[r] = image.get(r, 0) + a * b
+    return not any(a % p if p else a for a in image.values())
 
 
 class HomologyClass:
@@ -209,7 +222,7 @@ class HomologyClass:
 
 
 class HomologyBasis:
-    """Basis of H_i with per-degree reduction data for class_of.
+    """Basis of H_i with reduction data for class_of in each degree that holds a class.
 
     levels is None until analyze.class_levels computes the filtration
     level of every class on the first query.
@@ -317,6 +330,7 @@ class KoszulComplex:
             np.cumsum(h[degrees - weights], axis=1, out=bounds[:-1, 1:])
             self._bounds.append(bounds)
         self._homology = None
+        self._cycle_columns = {}  # (i, d): columns of a classless d_i, for class_of
         self._no_entries = exactalg.as_triplets(self.field)
 
     # ------------------------------------------------------------ structure
@@ -391,9 +405,35 @@ class KoszulComplex:
             out[neg, 2] = exactalg.negate(self.field, out[neg, 2])
         return out
 
-    def diff_matrix(self, i, d):
-        return Matrix.from_triplets(self.field, self.strand_dim(i - 1, d),
-                                    self.strand_dim(i, d), self.diff_triplets(i, d).tolist())
+    def diff_columns(self, i, d):
+        """The columns of d_{i,d}, one {row: nonzero scalar} dict per basis element of (i, d).
+
+        The same blocks, offsets and signs as diff_triplets (-1 = 1 over
+        F_2), read straight off the multiplication tables: the column of
+        the c-th basis element of R_{d-w(S)} e_S holds, at the block of
+        S minus its l-th element j, column c of the table of x_j with
+        sign (-1)^l.  The blocks of one column lie in distinct row
+        blocks, so no position repeats.
+        """
+        p = self.field.characteristic
+        src = self._layout(i, d, d + 1)[0].tolist()
+        dst = self._layout(i - 1, d, d + 1)[0].tolist()
+        columns = [{} for _ in range(src[-1])]
+        for s_pos in range(len(src) - 1):
+            base = src[s_pos]
+            if base == src[s_pos + 1]:
+                continue
+            a = d - self.subset_weights[i][s_pos]
+            for l, j, t_pos in self.faces[i][s_pos]:
+                row = dst[t_pos]
+                table = self.ring.mult_triplets(j, a).tolist()
+                if l % 2 and p != 2:
+                    for r, c, v in table:
+                        columns[base + c][row + r] = p - v if p else -v
+                else:
+                    for r, c, v in table:
+                        columns[base + c][row + r] = v
+        return columns
 
     def strand_vectors(self, i, u):
         """Strand coordinates of the homological-degree-i part of u, per internal degree.
@@ -523,21 +563,24 @@ def _homology_through(K, top):
 def _homology_pass(K, top):
     """H_0..H_top, one internal degree at a time, each d_i assembled once.
 
-    In degree d, i runs from min(top + 1, n) down to 0.  The columns of
-    d_{i+1} at its pivots (exactalg.eliminate) are independent boundary
-    columns of the strand (i, d); past top all columns go.  With F the
-    free columns of d_i, a cycle z is the combination of the canonical
-    kernel vectors v_f with coefficients z[f], so z -> z[F] maps Z_{i,d}
-    onto k^F and B_{i,d} onto the span of C, the boundary columns
-    restricted to the rows F.  v_f is a class iff f is not the last
-    nonzero position of a vector of span(C), a pivot of C^T with its
-    columns reversed: exactly the kernel vectors that a search adding
-    the boundaries, then each v_f in turn, keeps.  That C^T has one
-    kernel vector u per class, and u . z[F] (F reversed) is the
-    coordinate of z on the class modulo boundaries.  If the boundary
-    columns are independent and as many as the cycles, B = Z: nothing is
-    eliminated.  A strand past SIZE_LIMIT dense entries raises
-    MemoryError before any work; only class representatives are dense.
+    In degree d, i runs from min(top + 1, n) down to 0, over the columns
+    of each d_i (K.diff_columns).  The columns of d_{i+1} at its pivots
+    (exactalg.eliminate) are independent boundary columns of the strand
+    (i, d); past top all columns go.  With F the free columns of d_i, a
+    cycle z is the combination of the canonical kernel vectors v_f with
+    coefficients z[f], so z -> z[F] maps Z_{i,d} onto k^F and B_{i,d}
+    onto the span of C, the boundary columns restricted to the rows F.
+    v_f is a class iff f is not the last nonzero position of a vector of
+    span(C), a pivot of C^T with its columns reversed: exactly the kernel
+    vectors that a search adding the boundaries, then each v_f in turn,
+    keeps.  That C^T has one kernel vector u per class, and u . z[F] (F
+    reversed) is the coordinate of z on the class modulo boundaries.  If
+    the boundary columns are independent and as many as the cycles, B =
+    Z: nothing is eliminated.  Only a strand with a class keeps a record
+    (_DegreeData: its boundary columns, representatives, functionals and
+    the columns of d_i); the pass keeps nothing of a classless strand.  A
+    strand past SIZE_LIMIT dense entries raises MemoryError before any
+    work; only class representatives are dense.
     """
     F = K.field
     dims = np.array([bounds[:, -1] for bounds in K._bounds])  # dims[i, d] = dim K_{i,d}
@@ -556,37 +599,39 @@ def _homology_pass(K, top):
             if total == 0:
                 boundary = []
                 continue
-            triplets = K.diff_triplets(i, d) if i else K._no_entries
-            columns = exactalg.triplet_columns(F, total, triplets)
+            # d_0 = 0: a matrix with no rows, whose kernel is every unit vector
+            columns = K.diff_columns(i, d) if i else [{} for _ in range(total)]
             if i > top:
                 boundary = columns
                 continue
-            # d_0 = 0: a matrix with no rows, whose kernel is every unit vector
-            rows = int(dims[i - 1, d]) if i else 0
             pivots, kernel = exactalg.eliminate(F, columns)
             if kernel:
                 positions, functionals = _classes_in_free_columns(
                     F, total, pivots, boundary, i < top)
-                reps = [exactalg.dense_vector(F, total, kernel[t]) for t in positions]
-                indices = list(range(len(classes[i]), len(classes[i]) + len(reps)))
-                classes[i] += [HomologyClass(idx, d, K.vector_to_element(i, d, v),
-                                             "h%d.%d" % (i, idx + 1))
-                               for idx, v in zip(indices, reps)]
-                degree_data[i][d] = _DegreeData(
-                    boundary, reps, indices, functionals, triplets, rows)
-                if K.exactness_floor is not None and d >= K.exactness_floor and reps:
-                    raise TruncationError(
-                        "nonzero H_%d in degree %d inside the vanishing window"
-                        % (i, d))
+                if positions:
+                    reps = [exactalg.dense_vector(F, total, kernel[t]) for t in positions]
+                    indices = list(range(len(classes[i]), len(classes[i]) + len(reps)))
+                    classes[i] += [HomologyClass(idx, d, K.vector_to_element(i, d, v),
+                                                 "h%d.%d" % (i, idx + 1))
+                                   for idx, v in zip(indices, reps)]
+                    degree_data[i][d] = _DegreeData(
+                        boundary, reps, indices, functionals, columns)
+                    if K.exactness_floor is not None and d >= K.exactness_floor:
+                        raise TruncationError(
+                            "nonzero H_%d in degree %d inside the vanishing window"
+                            % (i, d))
             boundary = [columns[c] for c in pivots]
     return [HomologyBasis(K, i, classes[i], degree_data[i])
             for i in range(top + 1)]
 
 
 def _classes_in_free_columns(F, total, pivots, boundary, independent):
-    """(positions of the classes among the kernel vectors, functionals); see _homology_pass."""
+    """(positions of the classes among the kernel vectors, functionals); see _homology_pass.
+
+    The functionals are {free column: [(class, scalar)]}.
+    """
     if independent and len(boundary) == total - len(pivots):  # B = Z
-        return [], exactalg.as_triplets(F)
+        return [], {}
     rev = sorted(set(range(total)).difference(pivots), reverse=True)  # F reversed
     slot = {f: q for q, f in enumerate(rev)}  # row f of C is column slot[f] of C^T
     columns = [{} for _ in rev]
@@ -596,20 +641,25 @@ def _classes_in_free_columns(F, total, pivots, boundary, independent):
                 columns[slot[r]][t] = a
     trailing, duals = exactalg.eliminate(F, columns)
     classes = sorted(set(range(len(rev))).difference(trailing), reverse=True)
-    functionals = [(t, rev[q], a) for t, u in enumerate(reversed(duals)) for q, a in u.items()]
-    return [len(rev) - 1 - q for q in classes], exactalg.as_triplets(F, functionals)
+    functionals = {}
+    for t, u in enumerate(reversed(duals)):
+        for q, a in u.items():
+            functionals.setdefault(rev[q], []).append((t, a))
+    return [len(rev) - 1 - q for q in classes], functionals
 
 
 def class_of(K, i, z):
     """Coordinates of the cycle z in the basis of H_i; verifies d(z) = 0.
 
     d preserves internal degree, so z is a cycle iff each internal
-    component is.  Up to the truncation a component is checked against
-    its strand's d_i and mapped by the strand's functionals (zero where
-    no data is recorded: Z_{i,d} = 0).  Past the truncation (semigroup
-    rings only) every block is k t^a and x_j t^a = t^(a+g_j), so the
-    strand has the layout and the d_i of the exactness floor, whose data
-    checks the component and holds no classes.
+    component is.  Up to the truncation a component in a strand with
+    classes is checked and mapped by the strand's record.  In a strand
+    without one, a cycle is a boundary and adds nothing: for i > 0 the
+    component is checked against the columns of d_i, assembled on the
+    first such query and kept on K by (i, d).  Past the truncation
+    (semigroup rings only) every block is k t^a and x_j t^a = t^(a+g_j),
+    so the strand has the layout and the d_i of the exactness floor,
+    which holds no classes.
     """
     deg = z.homological_degree()
     if not z.is_zero() and deg != i:
@@ -626,9 +676,12 @@ def class_of(K, i, z):
             d = K.exactness_floor
         data = basis.degree_data.get(d)
         if data is None:
-            # no data recorded: Z_{i,d} = 0
-            if any(a != F.zero for a in vec):
-                raise NotACycleError("class_of received a non-cycle")
+            if i:
+                columns = K._cycle_columns.get((i, d))
+                if columns is None:
+                    columns = K._cycle_columns[(i, d)] = K.diff_columns(i, d)
+                if not _is_cycle(F, columns, vec):
+                    raise NotACycleError("class_of received a non-cycle")
             continue
         sol = data.rep_coords(F, vec)
         if sol is None:

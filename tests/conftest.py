@@ -1,11 +1,13 @@
+import collections
 import os
 
 import pytest
 
+from koszulalg import koszul
 from koszulalg.exactalg import GF2, QQ, Matrix, PrimeField, kernel_basis, rref
 from koszulalg.polyring import PolyContext
 from koszulalg.gring import make_artinian_quotient, make_semigroup_ring
-from koszulalg.koszul import KoszulComplex, differential, homology_basis
+from koszulalg.koszul import KoszulComplex, differential, homology_basis, strand_ranks
 from koszulalg.dgmap import elementary_lift, lift_from_delta
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -35,6 +37,56 @@ def subspace_intersect(U, V, field, ambient):
         return []
     R, pivots = rref(Matrix(field, vecs, ambient))
     return R.rows[:len(pivots)]
+
+
+def diff_matrix(K, i, d):
+    """d_{i,d} as a dense exact Matrix, filled from K.diff_columns(i, d)."""
+    columns = K.diff_columns(i, d)
+    m = Matrix.zeros(K.field, K.strand_dim(i - 1, d), len(columns))
+    for c, column in enumerate(columns):
+        for r, a in column.items():
+            m.rows[r][c] = a
+    return m
+
+
+def count_assemblies(monkeypatch):
+    """(in_pass, on_demand): Counters of K.diff_columns calls per (i, d) from now on.
+
+    in_pass counts the calls that _homology_pass makes, on_demand the
+    others (class_of in a strand without a class).
+    """
+    in_pass, on_demand = collections.Counter(), collections.Counter()
+    assemble, homology_pass = KoszulComplex.diff_columns, koszul._homology_pass
+    passes = []
+
+    def counted(self, i, d):
+        (in_pass if passes else on_demand)[(i, d)] += 1
+        return assemble(self, i, d)
+
+    def flagged(K, top):
+        passes.append(top)
+        try:
+            return homology_pass(K, top)
+        finally:
+            passes.pop()
+
+    monkeypatch.setattr(KoszulComplex, "diff_columns", counted)
+    monkeypatch.setattr(koszul, "_homology_pass", flagged)
+    return in_pass, on_demand
+
+
+def assert_on_demand_only_where_classless(K, on_demand):
+    """Each strand class_of assembled holds no class, and was assembled once."""
+    for (i, d), count in on_demand.items():
+        assert count == 1, (i, d)
+        assert all(cls.degree != d for cls in homology_basis(K, i).classes), (i, d)
+
+
+def cycle_degrees(K, i):
+    """The internal degrees d <= truncation with Z_{i,d} != 0, read off strand_ranks."""
+    ranks = strand_ranks(K)
+    return [d for d in range(K.truncation + 1)
+            if K.strand_dim(i, d) > ranks.get((i, d), 0)]
 
 
 def ci_f2():
@@ -87,11 +139,10 @@ def random_h1_cycle(K, rng):
 
 
 def random_boundary(K, i, rng, max_tries=8):
-    """d of a random element of K_{i+1} drawn from recorded strata."""
-    basis = homology_basis(K, i + 1) if i + 1 <= K.n else None
-    if basis is None:
+    """d of a random element of K_{i+1} drawn from the strata where Z_{i+1} != 0."""
+    if i + 1 > K.n:
         return K.zero_element()
-    degrees = sorted(basis.degree_data)
+    degrees = cycle_degrees(K, i + 1)
     w = K.zero_element()
     for _ in range(max_tries):
         if not degrees:

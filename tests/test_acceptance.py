@@ -415,6 +415,21 @@ def test_rank_only_betti_on_a_large_conductor_peak_memory(tmp_path):
 
 
 @pytest.mark.slow
+def test_order_on_a_large_conductor_peak_memory(tmp_path):
+    # the full path keeps a record only where H_1 has a class: of the
+    # ~10^6 internal degrees of k[t^1000, t^1001], one
+    spec = tmp_path / "semigroup.json"
+    spec.write_text(json.dumps({"field": "F2", "presentation": {
+        "type": "semigroup", "generators": [1000, 1001]}}))
+    run = _fresh_cli("order", "--ring", str(spec), timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "order: 1000\n"
+    peak_mb = int(run.stderr.split()[-1]) / 1024
+    assert peak_mb < 300, peak_mb
+    print("large conductor memory: PASS (order peak RSS %.0f MB)" % peak_mb)
+
+
+@pytest.mark.slow
 @pytest.mark.parametrize("field, a", [("F2", 32), ("Q", 16)])
 def test_full_betti_equals_rank_only_on_the_criterion_10_family(field, a, tmp_path):
     # x^a, y^(a+1), z^(a+2), (x^h + y^h) z^(h+1), h = a/2: the full path

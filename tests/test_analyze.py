@@ -157,7 +157,7 @@ def _reference_filtration_span(K, i, d, l):
     if i == 0:
         cycles = [exactalg.unit_vector(K.field, total, s) for s in range(total)]
     else:
-        cycles = exactalg.kernel_basis(K.diff_matrix(i, d))
+        cycles = exactalg.kernel_basis(conftest.diff_matrix(K, i, d))
     power = analyze._strand_power_vectors(K, i, d, l - i)
     boundary = _boundary_rows(K, i, d)
     inter = conftest.subspace_intersect(cycles, power, K.field, total)
@@ -219,33 +219,21 @@ def _weighted_and_semigroup_fixtures():
     return names
 
 
-def _count_assemblies(monkeypatch):
-    """Counter of diff_triplets calls per (i, d) from now on."""
-    calls = collections.Counter()
-    assemble = KoszulComplex.diff_triplets
-
-    def counted(self, i, d):
-        calls[(i, d)] += 1
-        return assemble(self, i, d)
-
-    monkeypatch.setattr(KoszulComplex, "diff_triplets", counted)
-    return calls
-
-
 @pytest.mark.parametrize("name", _weighted_and_semigroup_fixtures())
 def test_order_assembles_only_d1_and_d2(name, monkeypatch):
     # F^l H_1 needs the kernel of d_1 and the boundaries of d_2 alone
     spec = conftest.fixture_path(name)
     K = KoszulComplex(load_ring_spec(spec))
-    calls = _count_assemblies(monkeypatch)
+    calls, on_demand = conftest.count_assemblies(monkeypatch)
     order = ring_order(K)
     assert calls and {i for i, _ in calls} <= {1, 2}
-    assert max(calls.values()) == 1
+    assert max(calls.values()) == 1 and not on_demand
     # a later call for H_n runs the full pass, rebuilding H_0 and H_1;
     # for n = 1 the first pass was the full one
     calls.clear()
     homology_basis(K, K.n)
     assert {i for i, _ in calls} == (set(range(1, K.n + 1)) if K.n > 1 else set())
+    assert not on_demand
     labels = [cls.label for cls in homology_basis(K, 1).classes]
     fresh = KoszulComplex(load_ring_spec(spec))
     assert labels == [cls.label for cls in homology_basis(fresh, 1).classes]
@@ -256,9 +244,11 @@ def test_order_assembles_only_d1_and_d2(name, monkeypatch):
 def test_suite_assembles_each_strand_once(name, monkeypatch):
     # run_suite calls ring_order after the full pass, which it reuses
     K = KoszulComplex(load_ring_spec(conftest.fixture_path(name)))
-    calls = _count_assemblies(monkeypatch)
+    calls, on_demand = conftest.count_assemblies(monkeypatch)
     run_suite(K)
     assert calls and max(calls.values()) == 1
+    # class_of assembles a strand at most once more, and only a classless one
+    conftest.assert_on_demand_only_where_classless(K, on_demand)
 
 
 @pytest.mark.parametrize("name", _weighted_and_semigroup_fixtures())

@@ -228,6 +228,24 @@ def test_gr_text(capsys):
     )
 
 
+@pytest.mark.parametrize("spec", ["semigroup_regular.json", None])
+def test_products_without_a_pair_say_so(capsys, tmp_path, spec):
+    # embedding dimension 1 (k[t], F2[x]/(x^3)): no pair (i, j) has i + j <= 1
+    if spec is None:
+        path = tmp_path / "x3.json"
+        path.write_text(json.dumps({"field": "F2", "presentation": {
+            "type": "quotient", "variables": ["x"], "ideal": ["x^3"]}}))
+        codepth = 1
+    else:
+        path, codepth = fixture_path(spec), 0
+    code, out, _ = run(capsys, "products", "--ring", str(path))
+    assert code == 0
+    assert out == ("no products: no pair 1 <= i <= j <= codepth %d with i + j <= edim 1\n"
+                   % codepth)
+    code, out, _ = run(capsys, "products", "--ring", str(path), "--json")
+    assert code == 0 and json.loads(out) == {"vanishing": {}, "witnesses": []}
+
+
 def test_products_golod(capsys):
     code, out, _ = run(capsys, "products", "--ring", fixture_path("f2_golod_m2.json"))
     assert code == 0
@@ -817,13 +835,17 @@ def test_decision_exit_codes_on_fuzzed_ring_specs(command, exits, spec):
         assert valid and err.getvalue().startswith("error: resource limit"), err.getvalue()
         assert out.getvalue() == ""
     elif valid and command == "products":
-        # one line per pair 1 <= i <= j <= codepth with i + j <= edim, so
-        # none for k[t] (edim 1, codepth 0)
+        # one line per pair 1 <= i <= j <= codepth with i + j <= edim; with
+        # none (k[t], k[x]/(x^a): edim 1) one line that says so
         assert code in exits, err.getvalue()
         c = R.codepth
         pairs = sum(i + j <= R.ngens for i in range(1, c + 1) for j in range(i, c + 1))
         lines = out.getvalue().splitlines()
         assert sum(line.startswith("H(") for line in lines) == pairs, out.getvalue()
+        if not pairs:
+            assert lines == [
+                "no products: no pair 1 <= i <= j <= codepth %d with i + j <= edim %d"
+                % (c, R.ngens)], out.getvalue()
     elif valid:
         assert code in exits, err.getvalue()
         assert out.getvalue()

@@ -1,6 +1,5 @@
 """Koszul complex: differential, products, homology, Betti numbers."""
 
-import collections
 import hashlib
 import itertools
 import json
@@ -523,10 +522,18 @@ def _boundary_rows(K, i, d):
     _, dst = K.strand_offsets(i, d)
     if src == 0 or dst == 0:
         return []
-    m = K.diff_matrix(i + 1, d)
+    m = conftest.diff_matrix(K, i + 1, d)
     cols = list(zip(*m.rows))
     red, pivots = exactalg.rref(exactalg.Matrix(K.field, cols, dst))
     return [red.rows[t] for t in range(len(pivots))]
+
+
+def _cycle_dim(K, i, d):
+    """dim Z_{i,d} = dim K_{i,d} - rank d_{i,d}, from the dense matrix of d_i."""
+    total = K.strand_dim(i, d)
+    if i == 0 or total == 0:
+        return total
+    return total - exactalg.rank(conftest.diff_matrix(K, i, d))
 
 
 def _assert_boundaries_match_rref(K):
@@ -537,9 +544,10 @@ def _assert_boundaries_match_rref(K):
             expected = _boundary_rows(K, i, d)
             data = basis.degree_data.get(d)
             if data is None:
-                # no strand data: Z_{i,d} = 0, so B_{i,d} = 0
-                assert expected == []
+                # no record: the strand holds no class, so B_{i,d} = Z_{i,d}
+                assert len(expected) == _cycle_dim(K, i, d)
                 continue
+            assert data.rep_vectors
             # the kept columns of d_{i+1} are a basis of B_{i,d}
             columns = data.boundary_columns(F, K.strand_dim(i, d))
             assert len(columns) == len(expected)
@@ -581,7 +589,7 @@ def _forward_search(K, i, d):
     if i == 0:
         kernel = [exactalg.unit_vector(F, total, s) for s in range(total)]
     else:
-        kernel = exactalg.kernel_basis(K.diff_matrix(i, d))
+        kernel = exactalg.kernel_basis(conftest.diff_matrix(K, i, d))
     if not kernel:
         return None
     boundary = _boundary_rows(K, i, d)
@@ -775,38 +783,38 @@ def test_classes_match_forward_echelon_search_on_random_rings(ring, rnd):
 
 @pytest.mark.parametrize("name", _every_fixture_but_x98())
 def test_homology_assembles_each_strand_once(name, monkeypatch):
-    # one pass over internal degrees: the triplets of d_i give the kernel
+    # one pass over internal degrees: the columns of d_i give the kernel
     # of H_i and the boundaries of H_{i-1}
     K = KoszulComplex(load_ring_spec(conftest.fixture_path(name)))
-    calls = collections.Counter()
-    assemble = KoszulComplex.diff_triplets
-
-    def counted(self, i, d):
-        calls[(i, d)] += 1
-        return assemble(self, i, d)
-
-    monkeypatch.setattr(KoszulComplex, "diff_triplets", counted)
+    calls, on_demand = conftest.count_assemblies(monkeypatch)
     for i in range(K.n + 1):
         homology_basis(K, i)
-    assert calls and max(calls.values()) == 1
+    assert calls and max(calls.values()) == 1 and not on_demand
+    # class_of on a boundary, twice in each strand: only a strand without
+    # a class is assembled again, and only on its first query
+    expected = set()
+    for i in range(1, K.n):
+        class_degrees = {cls.degree for cls in homology_basis(K, i).classes}
+        for d in range(K.truncation + 1):
+            for u in K.strand_basis_elements(i + 1, d)[:1] * 2:
+                b = differential(u)
+                assert not any(class_of(K, i, b))
+                if not b.is_zero() and d not in class_degrees:
+                    expected.add((i, d))
+    assert max(calls.values()) == 1
+    assert set(on_demand) == expected
+    conftest.assert_on_demand_only_where_classless(K, on_demand)
 
 
 def test_homology_pass_refuses_a_dense_strand_before_assembling(monkeypatch):
     K = KoszulComplex(load_ring_spec(conftest.fixture_path("f2_destefani.json")))
     largest = max(K.strand_dim(i - 1, d) * K.strand_dim(i, d)
                   for i in range(1, K.n + 1) for d in range(K.truncation + 1))
-    assemble = KoszulComplex.diff_triplets
-    calls = []
-
-    def counted(self, i, d):
-        calls.append((i, d))
-        return assemble(self, i, d)
-
-    monkeypatch.setattr(KoszulComplex, "diff_triplets", counted)
+    calls, on_demand = conftest.count_assemblies(monkeypatch)
     monkeypatch.setattr(koszul, "SIZE_LIMIT", largest - 1)
     with pytest.raises(MemoryError, match="past %d dense entries" % (largest - 1)):
         homology_basis(K, 0)
-    assert calls == [] and K._homology is None
+    assert not calls and not on_demand and K._homology is None
     monkeypatch.setattr(koszul, "SIZE_LIMIT", largest)
     assert _dims(K) == _dims(
         KoszulComplex(load_ring_spec(conftest.fixture_path("f2_destefani.json"))))
@@ -857,7 +865,8 @@ def test_class_of_rejects_non_cycle_in_recorded_degree(K_q):
 
 def test_class_of_rejects_component_where_no_cycles_exist(K_q):
     # strand (1, 1) is R_0 e_1 + R_0 e_2 + R_0 e_3 and injects into R_1
-    assert 1 not in homology_basis(K_q, 1).degree_data
+    assert strand_ranks(K_q)[(1, 1)] == K_q.strand_dim(1, 1) == 3
+    assert all(cls.degree != 1 for cls in homology_basis(K_q, 1).classes)
     with pytest.raises(NotACycleError, match="class_of received a non-cycle"):
         class_of(K_q, 1, K_q.generator_element(0))
 
@@ -881,6 +890,108 @@ def test_class_of_checks_components_past_truncation(K_aci):
     z = h1.classes[0].element + broken
     with pytest.raises(NotACycleError):
         class_of(K_aci, 1, z)
+
+
+def _assert_columns_match_triplets(K):
+    # the full path's columns equal the rank-only path's triplets, read
+    # column by column, in every strand around and past the truncation
+    for i in range(-1, K.n + 2):
+        for d in range(-1, K.truncation + 4):
+            columns = K.diff_columns(i, d)
+            assert len(columns) == K.strand_dim(i, d), (i, d)
+            assert columns == exactalg.triplet_columns(
+                K.field, len(columns), K.diff_triplets(i, d)), (i, d)
+
+
+@pytest.mark.parametrize("name", _every_fixture_but_x98())
+def test_diff_columns_match_diff_triplets(name):
+    _assert_columns_match_triplets(
+        KoszulComplex(load_ring_spec(conftest.fixture_path(name))))
+
+
+@given(small_rings())
+@settings(max_examples=40, deadline=None)
+def test_diff_columns_match_diff_triplets_on_random_rings(ring):
+    _assert_columns_match_triplets(KoszulComplex(ring))
+
+
+def _assert_rep_coords_match_reference(K, rnd):
+    # every record's rep_coords, on a random cycle, a random boundary and
+    # a random non-cycle, against a fresh solve by coords_in_span
+    F = K.field
+    for i in range(K.n + 1):
+        basis = homology_basis(K, i)
+        for d, data in sorted(basis.degree_data.items()):
+            total = K.strand_dim(i, d)
+            boundary = _boundary_rows(K, i, d)
+            span = boundary + data.rep_vectors
+            cycle = _combination(F, [_scalar(F, rnd) for _ in span], span, total)
+            bound = _combination(F, [_scalar(F, rnd) for _ in boundary], boundary, total)
+            samples = [cycle, bound]
+            if i > 0 and _cycle_dim(K, i, d) < total:
+                other = cycle
+                while exactalg.coords_in_span(other, span, F) is not None:
+                    other = [_scalar(F, rnd) for _ in range(total)]
+                samples.append(other)
+            for vec in samples:
+                expected = _outcome(_reference_class_of, K, i, K.vector_to_element(i, d, vec))
+                sol = data.rep_coords(F, vec)
+                if sol is None:
+                    assert expected is NotACycleError
+                    continue
+                assert _exact_scalars(sol)
+                coords = [F.zero] * basis.dim
+                for idx, c in zip(data.class_indices, sol):
+                    coords[idx] = c
+                assert coords == expected
+            assert not any(data.rep_coords(F, bound))
+
+
+@pytest.mark.parametrize("name", _every_fixture_but_x98())
+def test_rep_coords_match_reference_class_of(name):
+    _assert_rep_coords_match_reference(
+        KoszulComplex(load_ring_spec(conftest.fixture_path(name))), random.Random(name))
+
+
+@given(small_rings(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_rep_coords_match_reference_class_of_on_random_rings(ring, seed):
+    _assert_rep_coords_match_reference(KoszulComplex(ring), random.Random(seed))
+
+
+def _assert_classless_strands_check_cycles(K, rnd):
+    # a strand without a class keeps no record: there a boundary maps to
+    # zero, and a non-cycle is refused
+    F = K.field
+    for i in range(1, K.n + 1):
+        basis = homology_basis(K, i)
+        for d in range(K.truncation + 1):
+            total = K.strand_dim(i, d)
+            if not total or d in basis.degree_data:
+                continue
+            assert all(cls.degree != d for cls in basis.classes)
+            boundary = _boundary_rows(K, i, d)
+            assert len(boundary) == _cycle_dim(K, i, d)
+            vec = _combination(F, [_scalar(F, rnd) for _ in boundary], boundary, total)
+            assert class_of(K, i, K.vector_to_element(i, d, vec)) == [F.zero] * basis.dim
+            if len(boundary) < total:
+                vec = [_scalar(F, rnd) for _ in range(total)]
+                while exactalg.coords_in_span(vec, boundary, F) is not None:
+                    vec = [_scalar(F, rnd) for _ in range(total)]
+                with pytest.raises(NotACycleError):
+                    class_of(K, i, K.vector_to_element(i, d, vec))
+
+
+@pytest.mark.parametrize("name", _every_fixture_but_x98())
+def test_classless_strands_check_cycles(name):
+    _assert_classless_strands_check_cycles(
+        KoszulComplex(load_ring_spec(conftest.fixture_path(name))), random.Random(name))
+
+
+@given(small_rings(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_classless_strands_check_cycles_on_random_rings(ring, seed):
+    _assert_classless_strands_check_cycles(KoszulComplex(ring), random.Random(seed))
 
 
 @pytest.mark.parametrize("name", [
@@ -931,7 +1042,7 @@ def test_no_numpy_scalar_leaks(make):
         for d in range(K.truncation + 1):
             src, dst = K.strand_dim(i, d), K.strand_dim(i - 1, d)
             if i and src and dst:
-                m = K.diff_matrix(i, d)
+                m = conftest.diff_matrix(K, i, d)
                 assert _exact_scalars(a for row in m.rows for a in row), (i, d)
 
 
