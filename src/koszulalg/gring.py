@@ -31,12 +31,15 @@ for the monomials it is the first to meet.
 A SemigroupRing is k[t^{g_1},...,t^{g_n}] inside k[t], graded by
 t-degree, with dim R_d <= 1 decided by a coin-problem sieve.  Both
 expose per-degree bases, multiplication-by-generator matrices as triplet
-arrays (exactalg.as_triplets), and degree slices of powers of the
-maximal ideal.  A quotient also keeps the number of minimal generators
-of its ideal in each degree, which the one Buchberger run that gives
-its Groebner basis counts (graded Nakayama, see polyring.buchberger);
-the rank-only Betti path and ord(R) read them instead of Koszul
-homology in degree 1.
+arrays (exactalg.as_triplets), one degree at a time (mult_triplets) or
+for a range of degrees in one read with the entry count of each
+(mult_range: one slice of a quotient's table, a semigroup ring's unit
+entries counted from its sieve as one array), and degree slices of
+powers of the maximal ideal.  A quotient also keeps the number of
+minimal generators of its ideal in each degree, which the one
+Buchberger run that gives its Groebner basis counts (graded Nakayama,
+see polyring.buchberger); the rank-only Betti path and ord(R) read them
+instead of Koszul homology in degree 1.
 
 Construction validates minimality of the chosen generators of the
 maximal ideal (ker f inside mF): for quotients every variable must
@@ -163,6 +166,20 @@ class GradedRing:
         and by row within a column, zero coefficients omitted: column c
         holds the coordinates of x_i times the c-th basis element of R_d.
         The array is cached and shared; callers must not write to it.
+        """
+        raise NotImplementedError
+
+    def mult_range(self, i, a, b):
+        """Multiplication by generator i on R_a, ..., R_{b-1} in one read: (triplets, counts).
+
+        triplets is mult_triplets(i, a), ..., mult_triplets(i, b - 1)
+        concatenated in degree order, each table in its own rows and
+        columns (local to R_d and R_{d+w_i}), so the entries of one
+        degree are contiguous and ordered as mult_triplets orders them.
+        counts is an int64 array of length b - a: counts[d - a] entries
+        belong to degree d.  Any a <= b is allowed; a degree below 0 or
+        with no product counts 0.  triplets may be shared with the
+        ring's own table; callers must not write to it.
         """
         raise NotImplementedError
 
@@ -388,9 +405,27 @@ class ArtinianQuotient(GradedRing):
         if d < 0 or d + self.weights[i] > self.top_degree:
             return self._no_product
         if self._mult_table is None:
-            self._mult_table = self._multiplication_table()
-        table, bounds = self._mult_table
+            self._build_table()
+        table, bounds, _ = self._mult_table
         return table[bounds[i][d]:bounds[i][d + 1]]
+
+    def mult_range(self, i, a, b):
+        # past top_degree - w_i the table holds no entries: every product
+        # lands past top_degree, in I
+        counts = np.zeros(b - a, dtype=np.int64)
+        lo, hi = max(a, 0), min(b, self.top_degree + 1)
+        if lo >= hi:
+            return self._no_product, counts
+        if self._mult_table is None:
+            self._build_table()
+        table, _, bounds = self._mult_table
+        counts[lo - a:hi - a] = np.diff(bounds[i, lo:hi + 1])
+        return table[bounds[i, lo]:bounds[i, hi]], counts
+
+    def _build_table(self):
+        """Keep every x_i on every R_d: (triplet array, bounds as lists, bounds as an array)."""
+        table, bounds = self._multiplication_table()
+        self._mult_table = table, bounds.tolist(), bounds
 
     def _locate(self, monos):
         """(at, found): the basis row of each monomial row, and whether it is standard.
@@ -418,8 +453,9 @@ class ArtinianQuotient(GradedRing):
         equals, in degree deg(m) + w_i.  One not found lies past
         top_degree, hence in I, or on the border of the staircase, where
         _border_forms gives its normal form.  Entries are ordered by
-        generator, then source monomial, rows increasing within one, so
-        table[bounds[i][d]:bounds[i][d + 1]] is x_i on R_d.
+        generator, then source monomial, rows increasing within one, and
+        bounds is an (n, top_degree + 2) int64 array: the slice
+        table[bounds[i, a]:bounds[i, b]] is x_i on R_a, ..., R_{b-1}.
         """
         exps = self._exps
         N, n = exps.shape
@@ -481,7 +517,7 @@ class ArtinianQuotient(GradedRing):
             out[at, 1] = local[src[origin]]
             out[at, 2] = border
         firsts = np.arange(0, n * N, N)[:, None] + starts
-        return out, start[firsts].tolist()
+        return out, start[firsts]
 
     def _border_forms(self, origin, monos):
         """Normal forms of non-standard monomials, in whole-array rounds.
@@ -678,6 +714,8 @@ class SemigroupRing(GradedRing):
         self.frobenius = frobenius
         self.conductor = frobenius + 1
         self._member = member
+        # membership of 0..conductor as one array; every degree past it is a member
+        self._members = np.array(member[:frobenius + 2])
         self._tctx = PolyContext(field, ["t"], [1])
         self._gen_counts = [0]
         # t^a -> t^(a+g_i) is the 1 x 1 identity or, off the semigroup, nothing
@@ -714,6 +752,13 @@ class SemigroupRing(GradedRing):
         if self.dim(d) == 0 or self.dim(d + self.generators[i]) == 0:
             return self._no_product
         return self._unit_product
+
+    def mult_range(self, i, a, b):
+        # one unit entry in each degree d with t^d and t^(d + g_i) in R
+        d = np.arange(a, b + self.generators[i])
+        member = (d >= 0) & self._members[np.clip(d, 0, self.conductor)]
+        counts = (member[:b - a] & member[self.generators[i]:]).astype(np.int64)
+        return np.repeat(self._unit_product, counts.sum(), axis=0), counts
 
     def generator(self, i):
         return RingElement(self, {self.generators[i]: self.field.one})

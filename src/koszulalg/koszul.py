@@ -9,11 +9,12 @@ element of R_{d - w(S)}).
 
 The full path holds a strand of d_i as its columns, {row: scalar} dicts
 read straight off the multiplication tables of the ring (diff_columns);
-the rank-only path holds it as one triplet array (exactalg.as_triplets:
-int64 over F_p, dtype=object over Q), the same tables concatenated block
-by block with the block offsets and signs applied to whole columns; the
-strands of several consecutive degrees stack the same way into one
-block-diagonal array (diff_triplets).
+the rank-only path holds the strands of d_i in several consecutive
+degrees as one block-diagonal triplet array (exactalg.as_triplets: int64
+over F_p, dtype=object over Q; diff_triplets).  It reads each face of
+each subset once for the whole window, as one range of the ring's table
+(ring.mult_range), and places and signs the blocks of every degree in
+whole-array steps.
 
 Homology is computed in one pass over internal degrees that builds every
 H_i at once (a caller that reads only H_1 can build H_0 and H_1 from the
@@ -34,7 +35,8 @@ tables far beyond the sizes where kernel bases fit in memory.  It takes
 the ranks of d_1 and (for quotients) d_2 in closed form from dim R_d and
 the minimal generators of the ideal, and ranks the other strands of
 each d_i in batches of consecutive degrees: one block-diagonal triplet
-array per batch, peeled once in whole-array rounds, each strand's rank
+array per batch, gathered with one range read per (subset, face) and no
+Python per degree, peeled once in whole-array rounds, each strand's rank
 read from the block of its pivot rows plus dense elimination of its own
 part of the core.
 
@@ -367,42 +369,50 @@ class KoszulComplex:
         """Triplet array of d_{i,d}: strand (i, d) -> strand (i-1, d).
 
         The block from subset S to S minus its l-th element j (0-based)
-        is the table of x_j on R_{d-w(S)} with sign (-1)^l: the tables
-        are concatenated in subset order, and the block offsets and
-        signs applied to the whole array at once.  The result is an
-        (nnz, 3) array in exactalg.as_triplets form, len() its number of
-        nonzeros; a strand with no entries shares one empty array.
+        is the table of x_j on R_{d-w(S)} with sign (-1)^l.  The result
+        is an (nnz, 3) array in exactalg.as_triplets form, len() its
+        number of nonzeros; a strand with no entries shares one empty
+        array.
 
         With stop, the strands of d_i in the degrees d..stop-1 are
-        stacked block-diagonally in one array, in degree order: each
-        strand's rows and columns start where the previous one's end.
+        stacked block-diagonally in one array: each strand's rows and
+        columns start where the previous degree's end.  Each (S, face)
+        is one range read of the ring's table (ring.mult_range: x_j on
+        R_{d-w(S)}, ..., R_{stop-1-w(S)}, with its entry count per
+        degree).  Entries come face by face, each face's in degree order:
+        one np.repeat over the counts of every face and degree adds the
+        block offsets, and each odd face is negated as one slice.
         """
-        ring = self.ring
         stop = d + 1 if stop is None else stop
-        tables, sizes, shifts, odd = [], [], [], []
-        row_base = col_base = 0
-        layouts = zip(self._layout(i, d, stop).tolist(), self._layout(i - 1, d, stop).tolist())
-        for deg, (src, dst) in enumerate(layouts, d):
-            for s_pos in range(len(src) - 1):
-                if src[s_pos] == src[s_pos + 1]:
-                    continue
-                a = deg - self.subset_weights[i][s_pos]
-                for l, j, t_pos in self.faces[i][s_pos]:
-                    table = ring.mult_triplets(j, a)
-                    if len(table):
-                        tables.append(table)
-                        sizes.append(len(table))
-                        shifts.append((row_base + dst[t_pos], col_base + src[s_pos]))
-                        odd.append(l % 2)
-            row_base += dst[-1]
-            col_base += src[-1]
+        if not 1 <= i <= self.n:
+            return self._no_entries
+        tables, counts, source, target, odd = [], [], [], [], []
+        for s_pos, (w, faces) in enumerate(zip(self.subset_weights[i], self.faces[i])):
+            for l, j, t_pos in faces:
+                table, count = self.ring.mult_range(j, d - w, stop - w)
+                if len(table):
+                    tables.append(table)
+                    counts.append(count)
+                    source.append(s_pos)
+                    target.append(t_pos)
+                    odd.append(l % 2)
         if not tables:
             return self._no_entries
+        # the offset of a block in the stack: its degree's base plus its
+        # offset in that degree, one row per face in face order
+        src, dst = self._layout(i, d, stop), self._layout(i - 1, d, stop)
+        cols = src[:, source].T + (src[:, -1].cumsum() - src[:, -1])
+        rows = dst[:, target].T + (dst[:, -1].cumsum() - dst[:, -1])
+        counts = np.concatenate(counts)
         out = np.concatenate(tables)
-        out[:, :2] += np.repeat(np.array(shifts), sizes, axis=0)
+        # one column at a time: numpy adds an (nnz, 2) block row by row
+        out[:, 0] += np.repeat(rows.ravel(), counts)
+        out[:, 1] += np.repeat(cols.ravel(), counts)
         if self.field.characteristic != 2:  # -1 = 1 in characteristic 2
-            neg = np.repeat(np.array(odd, dtype=bool), sizes)
-            out[neg, 2] = exactalg.negate(self.field, out[neg, 2])
+            ends = list(itertools.accumulate(map(len, tables)))
+            for start, end, sign in zip([0] + ends, ends, odd):
+                if sign:
+                    out[start:end, 2] = exactalg.negate(self.field, out[start:end, 2])
         return out
 
     def diff_columns(self, i, d):

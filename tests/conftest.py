@@ -49,6 +49,37 @@ def diff_matrix(K, i, d):
     return m
 
 
+def reference_strand(K, i, d):
+    """d_{i,d} as [row, col, coeff] lists, one mult_triplets table per (subset, face).
+
+    The block from subset S to S minus its l-th element j is the table
+    of x_j on R_{d-w(S)} with sign (-1)^l, placed at the offsets of the
+    two blocks.  It reads neither ring.mult_range nor
+    KoszulComplex.diff_triplets, so the rank oracle and the batch tests
+    can check the rank-only assembly against it.
+    """
+    F = K.field
+    src, _ = K.strand_offsets(i, d)
+    dst, _ = K.strand_offsets(i - 1, d)
+    out = []
+    for s_pos, base in enumerate(src):
+        a = d - K.subset_weights[i][s_pos]
+        for l, j, t_pos in K.faces[i][s_pos]:
+            for r, c, v in K.ring.mult_triplets(j, a).tolist():
+                out.append([dst[t_pos] + r, base + c, F.neg(v) if l % 2 else v])
+    return out
+
+
+def reference_batch(K, i, d, stop, strand=reference_strand):
+    """strand(K, i, e) for e = d..stop-1, stacked block-diagonally in degree order."""
+    out, row, col = [], 0, 0
+    for e in range(d, stop):
+        out += [[r + row, c + col, v] for r, c, v in strand(K, i, e)]
+        row += K.strand_dim(i - 1, e)
+        col += K.strand_dim(i, e)
+    return out
+
+
 def count_assemblies(monkeypatch):
     """(in_pass, on_demand): Counters of K.diff_columns calls per (i, d) from now on.
 

@@ -393,6 +393,7 @@ def test_random_artinian_ring_matches_oracles(ideal, seed):
     assert_locate_is_exact(R, random.Random(seed))
 
 
+
 def _trinomial_ring(field):
     # x*y - x*z + y*z has a tail of two terms; in the border normal forms
     # two reduction paths reach one monomial with opposite coefficients
@@ -614,3 +615,49 @@ def _minimal_semigroup_generators(values):
 @settings(max_examples=40, deadline=None)
 def test_random_semigroup_mpower_matches_sumsets(generators):
     assert_mpower_matches_oracle(SemigroupRing(GF2, generators))
+
+
+def assert_range_reads_match_mult_triplets(R):
+    """mult_range(i, a, b) is mult_triplets(i, a..b-1) stacked, with its counts per degree.
+
+    Windows start below 0 and end past top_degree on a quotient, past
+    the conductor on a semigroup ring; each window of one, two and six
+    degrees, every window to the end and the empty one are read.
+    """
+    top = R.top_degree if R.top_degree is not None else R.conductor
+    lo, hi = -3, top + max(R.weights) + 3
+    for i in range(R.ngens):
+        tables = {d: R.mult_triplets(i, d).tolist() for d in range(lo, hi)}
+        for a in range(lo, hi):
+            for b in sorted({min(a + k, hi) for k in (0, 1, 2, 6)} | {hi}):
+                triplets, counts = R.mult_range(i, a, b)
+                assert triplets.dtype == exactalg.triplet_dtype(R.field), (i, a, b)
+                assert triplets.shape[1:] == (3,), (i, a, b)
+                assert counts.dtype == np.int64, (i, a, b)
+                assert counts.tolist() == [len(tables[d]) for d in range(a, b)], (i, a, b)
+                assert triplets.tolist() == [t for d in range(a, b) for t in tables[d]], (i, a, b)
+
+
+def _fixture_rings():
+    return sorted(os.path.basename(path)
+                  for path in glob.glob(conftest.fixture_path("*.json"))
+                  if not path.endswith("f2_big_x98.json"))
+
+
+@pytest.mark.parametrize("name", _fixture_rings())
+def test_range_reads_match_mult_triplets_on_fixtures(name):
+    assert_range_reads_match_mult_triplets(load_ring_spec(conftest.fixture_path(name)))
+
+
+@given(artinian_ideals())
+@settings(max_examples=40, deadline=None)
+def test_range_reads_match_mult_triplets_on_random_quotients(ideal):
+    assert_range_reads_match_mult_triplets(ArtinianQuotient(*ideal))
+
+
+@given(st.sampled_from([GF2, PrimeField(3), QQ]),
+       st.lists(st.integers(min_value=1, max_value=13), min_size=1,
+                max_size=4, unique=True).map(_minimal_semigroup_generators))
+@settings(max_examples=40, deadline=None)
+def test_range_reads_match_mult_triplets_on_random_semigroups(field, generators):
+    assert_range_reads_match_mult_triplets(SemigroupRing(field, generators))

@@ -1,5 +1,6 @@
 """Koszul complex: differential, products, homology, Betti numbers."""
 
+import collections
 import hashlib
 import itertools
 import json
@@ -236,14 +237,14 @@ def test_betti_rank_only_matches_full(K_ci, K_q, K_weighted, K_aci):
 
 
 def _strand_oracle(K):
-    """Every d_i ranked by sparse_rank on its assembled strand triplets."""
+    """Every d_i ranked by sparse_rank on its reference strand (conftest.reference_strand)."""
     out = {}
     for d in range(K.truncation + 1):
         for i in range(1, K.n + 1):
             src, dst = K.strand_dim(i, d), K.strand_dim(i - 1, d)
             if src and dst:
                 out[(i, d)] = exactalg.sparse_rank(
-                    K.field, dst, src, K.diff_triplets(i, d))
+                    K.field, dst, src, conftest.reference_strand(K, i, d))
     return out
 
 
@@ -1011,6 +1012,84 @@ def _family_fp():
     """x^6, y^7, z^8, (x^3 + y^3) z^4 over F32003: d_2 in degree 9 is 8928 entries."""
     ctx = PolyContext(PrimeField(32003), ["x", "y", "z"])
     return make_artinian_quotient(ctx, ["x^6", "y^7", "z^8", "x^3*z^4 + y^3*z^4"])
+
+
+def _assert_batches_stack_reference_strands(K):
+    # every batch of d_i is the block-diagonal stack of the reference
+    # strands, for i around 1..n and windows that start below 0 or end
+    # past the truncation (on a semigroup ring, past the exactness floor)
+    memo = {}
+
+    def strand(K, i, e):
+        if (i, e) not in memo:
+            memo[i, e] = conftest.reference_strand(K, i, e)
+        return memo[i, e]
+
+    top = K.truncation
+    for i in range(-1, K.n + 2):
+        for d in range(-2, top + 2):
+            for stop in sorted({d + 1, d + 2, d + 5, top + 3}):
+                assert (sorted(K.diff_triplets(i, d, stop).tolist())
+                        == sorted(conftest.reference_batch(K, i, d, stop, strand))), (i, d, stop)
+
+
+@pytest.mark.parametrize("name", _every_fixture_but_x98() + [
+    "semigroup_6101415_Q", "semigroup_6101415_F3"])
+def test_batches_stack_reference_strands(name):
+    _assert_batches_stack_reference_strands(KoszulComplex(dict(_batch_cap_rings())[name]))
+
+
+@given(small_rings())
+@settings(max_examples=40, deadline=None)
+def test_batches_stack_reference_strands_on_random_rings(ring):
+    _assert_batches_stack_reference_strands(KoszulComplex(ring))
+
+
+@pytest.mark.parametrize("cap", [None, 0, 40], ids=["default", "cap0", "cap40"])
+@pytest.mark.parametrize("make", [
+    conftest.q_ring, conftest.semigroup_6101415,
+    lambda: conftest.semigroup_6101415(PrimeField(3)), _family_fp,
+], ids=["quotient_Q", "semigroup_F2", "semigroup_F3", "family_F32003"])
+def test_strand_ranks_reads_one_range_per_face_per_batch(monkeypatch, make, cap):
+    # the rank-only path never reads a single table: each batch (i, d,
+    # stop) reads x_j on R_{d-w(S)}..R_{stop-1-w(S)} once per subset S of
+    # size i and element j of S
+    K = KoszulComplex(make())
+    ring_type = type(K.ring)
+    tables, reads, batches = [], collections.Counter(), []
+    table, read, assemble = (ring_type.mult_triplets, ring_type.mult_range,
+                             KoszulComplex.diff_triplets)
+
+    def counted_table(self, j, a):
+        tables.append((j, a))
+        return table(self, j, a)
+
+    def counted_read(self, j, a, b):
+        reads[(j, a, b)] += 1
+        return read(self, j, a, b)
+
+    def recorded(self, i, d, stop=None):
+        batches.append((i, d, stop))
+        return assemble(self, i, d, stop)
+
+    monkeypatch.setattr(ring_type, "mult_triplets", counted_table)
+    monkeypatch.setattr(ring_type, "mult_range", counted_read)
+    monkeypatch.setattr(KoszulComplex, "diff_triplets", recorded)
+    if cap is not None:
+        monkeypatch.setattr(koszul, "BATCH_COLUMNS", cap)
+    strand_ranks(K)
+    assert not tables
+    assert batches and all(stop is not None for _, _, stop in batches)
+    if cap == 0:  # one strand a batch, so some d_i takes several
+        assert all(stop == d + 1 for _, d, stop in batches)
+        assert len(batches) > len({i for i, _, _ in batches})
+    expected = collections.Counter()
+    for i, d, stop in batches:
+        for S in itertools.combinations(range(K.n), i):
+            w = sum(K.ring.weights[t] for t in S)
+            expected.update((j, d - w, stop - w) for j in S)
+    assert reads == expected
+
 
 
 def _exact_scalars(values):
