@@ -15,10 +15,15 @@ against induced_map.
 
 No elementary lift is ever applied.  For phi = (e_g -> e_g + z),
 phi - id = z ∧ ι_g on all of K, where ι_g is contraction by e_g^*, so
-H_i(phi) - id = [z] · ι_g^H: its column on a basis class [w] is the
-class of z ∧ ι_g(w).  elementary_differences computes each column
-from one contraction, one wedge and one class_of; the Lift path in
-dgmap stays the oracle the tests compare it against.
+H_i(phi) - id = L_[z] ι_g^H.  Both factors are read off the structure
+constants the complex keeps (koszul.StructureConstants): for z = w_c,
+the c-th basis representative of H_1, L_[w_c]: H_(i-1) -> H_i holds the
+products h_1.c * h_(i-1).a and ι_g^H: H_i -> H_(i-1) the classes of the
+contractions of the basis representatives.  So check_identity_all takes
+dim H_1 * Σ_(i>=1) dim H_(i-1) products and n * Σ_(i>=1) dim H_i
+contractions, not one product per lift and class, and forms every
+M_(g,c) = L_[w_c] ι_g^H of a degree in one matrix product.  The Lift
+path in dgmap stays the oracle the tests compare it against.
 
 The m-adic filtration F^l K_i = m^(l-i) K_i induces F^l H_i; levels,
 graded quotients, products on gr, the ring order formula
@@ -55,14 +60,12 @@ from koszulalg.gring import ArtinianQuotient
 from koszulalg.koszul import (
     _homology_through,
     betti_table,
-    class_of,
-    contract,
+    class_of,  # noqa: F401 -- bench/tracing.py wraps this binding
     differential,  # noqa: F401 -- bench/tracing.py wraps this binding
     h1_from_relations,
     homology_basis,
     homology_product,
     product_vanishing,
-    wedge,
 )
 from koszulalg.dgmap import induced_map  # noqa: F401 -- bench/tracing.py wraps this binding
 
@@ -103,35 +106,61 @@ def _is_standard_graded(K):
     return isinstance(K.ring, ArtinianQuotient) and all(w == 1 for w in K.weights)
 
 
-def elementary_differences(K, g, z, degrees):
-    """Columns of H_i(phi) - id for phi = (e_g -> e_g + z), per degree i.
+def _array(K, entries, shape):
+    """The coordinate lists entries as an array of this shape, coordinates last."""
+    return np.array(entries, dtype=exactalg.triplet_dtype(K.field)).reshape(shape)
 
-    The column on the j-th basis class [w] of H_i is the class of
-    z ∧ ι_g(w), since phi - id = z ∧ ι_g on K.
-    """
-    return {
-        i: [class_of(K, i, wedge(z, contract(cls.element, g)))
-            for cls in homology_basis(K, i).classes]
-        for i in degrees
-    }
+
+def _dim(K, i):
+    return homology_basis(K, i).dim if 0 <= i <= K.n else 0
+
+
+def _left(K, j, i):
+    """L[c] = L_[h_j.c]: H_(i-j) -> H_i for every c, as a (dim H_j, dim H_i, dim H_(i-j)) array."""
+    k, d, low = _dim(K, j), _dim(K, i), _dim(K, i - j)
+    table = K.structure
+    return _array(K, [table.product(j, c, i - j, a) for c in range(k) for a in range(low)]
+                  if d else [], (k, low, d)).swapaxes(1, 2)
+
+
+def _iota(K, i):
+    """ι_g^H: H_i -> H_(i-1) for every g, as an (n, dim H_(i-1), dim H_i) array."""
+    d, low = _dim(K, i), _dim(K, i - 1)
+    table = K.structure
+    return _array(K, [table.contraction(g, i, b) for g in range(K.n) for b in range(d)]
+                  if low else [], (K.n, d, low)).swapaxes(1, 2)
 
 
 def check_identity_all(K, degrees=None):
-    """Decide H(phi) = id for all lifts via n * dim H_1 elementary checks."""
-    c = K.ring.codepth
+    """Decide H(phi) = id for all lifts via n * dim H_1 elementary checks.
+
+    The matrix of H_i(phi) - id for phi = (e_g -> e_g + w_c) is
+    M_(g,c) = L_[w_c] ι_g^H (see the module docstring); every M of one
+    degree comes from one stacked matrix product.
+    """
+    F, n = K.field, K.n
     if degrees is None:
-        degrees = list(range(c + 1))
+        degrees = list(range(K.ring.codepth + 1))
     h1 = homology_basis(K, 1)
+    k = h1.dim
+    columns = {}
+    for i in degrees:
+        d = _dim(K, i)
+        if k and d and _dim(K, i - 1):
+            M = exactalg.matmul(F, _left(K, 1, i)[None], _iota(K, i)[:, None])
+        else:
+            M = np.full((n, k, d, d), F.zero, dtype=exactalg.triplet_dtype(F))
+        columns[i] = M.swapaxes(2, 3).tolist()  # columns[i][g][c]: the columns of M_(g,c)
     per_degree = {i: True for i in degrees}
     witnesses = []
     all_differences = []
-    for gen in range(K.n):
-        for cls in h1.classes:
-            differences = elementary_differences(K, gen, cls.element, degrees)
+    for gen in range(n):
+        for c, cls in enumerate(h1.classes):
+            differences = {i: columns[i][gen][c] for i in degrees}
             all_differences.append(differences)
             for i in degrees:
                 for diff in differences[i]:
-                    if any(a != K.field.zero for a in diff):
+                    if any(a != F.zero for a in diff):
                         per_degree[i] = False
                         witnesses.append({
                             "generator": gen,
@@ -394,8 +423,8 @@ def poincare_pairing(K, i):
     hj = homology_basis(K, c - i)
     if top.dim != 1:
         return {"matrix": None, "is_perfect": False, "dim_top": top.dim}
-    rows = [[class_of(K, c, wedge(x.element, y.element))[0] for y in hj.classes]
-            for x in hi.classes]
+    rows = [[K.structure.product(i, a, c - i, b)[0] for b in range(hj.dim)]
+            for a in range(hi.dim)]
     if hi.dim == 0 or hj.dim == 0:
         perfect = hi.dim == hj.dim
         return {"matrix": Matrix(K.field, [], 0) if not rows else None,
@@ -432,12 +461,6 @@ def _detect_complete_intersection(K):
     return True
 
 
-def _coordinates(K, i, images, shape):
-    """class_of(K, i, x) of each image x, as an array of this shape, coordinates last."""
-    rows = [class_of(K, i, x) for x in images] if shape[-1] else []
-    return np.array(rows, dtype=exactalg.triplet_dtype(K.field)).reshape(shape)
-
-
 def _lift_pair_decisions(K, differences):
     """run_suite's group_law, abelian and exponent_p, from the columns of
     H_i(phi) - id that check_identity_all decided on.
@@ -447,26 +470,16 @@ def _lift_pair_decisions(K, differences):
     L_[w_c ∧ w_c'] ι_h ι_g: in full over the generators G of the nonzero
     M, and off G x G, where the cross terms must vanish, through the pairs
     S whose rows of A (the coordinates of the [w_c ∧ w_c']) span all rows.
+    A, L and ι are read off the structure constants.
     """
     F, n, c = K.field, K.n, K.ring.codepth
-
-    def reps(i):
-        return [cls.element for cls in homology_basis(K, i).classes] if 0 <= i <= c else []
-
-    def iota(i):  # (n, dim H_(i-1), dim H_i)
-        r = reps(i)
-        return _coordinates(K, i - 1, [contract(x, g) for g in range(n) for x in r],
-                            (n, len(r), len(reps(i - 1)))).swapaxes(1, 2)
-
-    h1, h2 = reps(1), reps(2)
-    k, u = len(h1), len(h2)
-    A = _coordinates(K, 2, [wedge(x, y) for x in h1 for y in h1], (k * k, u))
+    k, u = _dim(K, 1), _dim(K, 2)
+    A = _left(K, 1, 2).swapaxes(1, 2).reshape(k * k, u)
     S = exactalg.rref(Matrix(F, A.T.tolist(), k * k))[1]
-    contractions = {i: iota(i) for i in range(-1, c + 1)}
+    contractions = {i: _iota(K, i) for i in range(-1, c + 1)}
     group_law = abelian = exponent_p = True
     for i in range(c + 1):
-        low = reps(i - 2)
-        d, d2 = len(reps(i)), len(low)
+        d, d2 = _dim(K, i), _dim(K, i - 2)
         M = np.array([diff[i] for diff in differences], dtype=exactalg.triplet_dtype(F))
         M = M.reshape(n * k, d, d).swapaxes(1, 2)
         nz = np.flatnonzero((M != 0).any(axis=(1, 2)))
@@ -476,8 +489,7 @@ def _lift_pair_decisions(K, differences):
         exponent_p = exponent_p and np.array_equal(
             P[one_g], exactalg.negate(F, P.swapaxes(0, 1)[one_g])) and not (
                 P.diagonal(axis1=0, axis2=1) != 0).any()
-        L = _coordinates(K, i, [wedge(z, y) for z in h2 for y in low], (u, d2, d))
-        AL = exactalg.matmul(F, A, L.swapaxes(1, 2).reshape(u, d * d2)).reshape(k, k, d, d2)
+        AL = exactalg.matmul(F, A, _left(K, 2, i).reshape(u, d * d2)).reshape(k, k, d, d2)
         # T[g, h] = ι_h ι_g; cross[x, c, y, c'] is the cross term of (G_x, c), (G_y, c')
         T = exactalg.matmul(F, contractions[i - 1][None], contractions[i][:, None])
         G, pos = np.unique(nz // k, return_inverse=True)

@@ -30,6 +30,14 @@ its columns assembled on the first such query.  Strand layouts are one
 array of block bounds per i, built with the complex from the Hilbert
 function; past SIZE_LIMIT entries it raises MemoryError.
 
+Products are read off the structure constants of H(K) that each complex
+keeps (StructureConstants): the class of the wedge of two basis
+representatives, and the class of the contraction of one by e_g^*, each
+computed by one class_of on its first query.  The product of two classes
+given by coordinates is the bilinear form on those entries
+(homology_product), so no caller builds a representative of a
+combination of classes.
+
 Betti tables read off rank H_i(K)_{i+j}; a rank-only path serves
 tables far beyond the sizes where kernel bases fit in memory.  It takes
 the ranks of d_1 and (for quotients) d_2 in closed form from dim R_d and
@@ -242,6 +250,47 @@ class HomologyBasis:
         return sorted({c.degree for c in self.classes})
 
 
+class StructureConstants:
+    """The structure constants of H(K) on the basis classes, each entry computed on its first query.
+
+    product(i, a, j, b), for i + j <= n, is class_of(K, i + j, h_i.a ∧
+    h_j.b): the coordinates of the product of two basis classes.
+    contraction(g, i, b), for i >= 1, is class_of(K, i - 1, ι_g(h_i.b)),
+    ι_g the contraction by e_g^*: column b of the map ι_g^H: H_i ->
+    H_(i-1).  That map is well defined, since contract anticommutes with
+    d and so maps cycles to cycles and boundaries to boundaries.  Every
+    entry is kept once filled, so no product or contraction of basis
+    classes is computed twice on one complex; callers must not write to
+    an entry.
+    """
+
+    __slots__ = ("complex", "products", "contractions")
+
+    def __init__(self, complex_):
+        self.complex = complex_
+        self.products = {}  # (i, a, j, b): coordinates in H_(i+j)
+        self.contractions = {}  # (g, i, b): coordinates in H_(i-1)
+
+    def product(self, i, a, j, b):
+        key = (i, a, j, b)
+        entry = self.products.get(key)
+        if entry is None:
+            K = self.complex
+            entry = self.products[key] = class_of(K, i + j, wedge(
+                homology_basis(K, i).classes[a].element,
+                homology_basis(K, j).classes[b].element))
+        return entry
+
+    def contraction(self, g, i, b):
+        key = (g, i, b)
+        entry = self.contractions.get(key)
+        if entry is None:
+            K = self.complex
+            entry = self.contractions[key] = class_of(
+                K, i - 1, contract(homology_basis(K, i).classes[b].element, g))
+        return entry
+
+
 class BettiTable:
     """Ranks of H_i(K)_{i+j} laid out column i, row j."""
 
@@ -333,6 +382,7 @@ class KoszulComplex:
             self._bounds.append(bounds)
         self._homology = None
         self._cycle_columns = {}  # (i, d): columns of a classless d_i, for class_of
+        self.structure = StructureConstants(self)
         self._no_entries = exactalg.as_triplets(self.field)
 
     # ------------------------------------------------------------ structure
@@ -702,37 +752,45 @@ def class_of(K, i, z):
     return coords
 
 
-def representative(K, i, coords):
-    """The linear combination of basis representatives with given coordinates."""
-    basis = homology_basis(K, i)
-    if len(coords) != basis.dim:
-        raise ValueError("coordinate length mismatch")
-    out = K.zero_element()
-    for c, cls in zip(coords, basis.classes):
-        if c != K.field.zero:
-            out = out + cls.element.scale(c)
-    return out
-
-
 def homology_product(K, i, a_coords, j, b_coords):
-    """Coordinates in H_{i+j} of the product of two classes."""
+    """Coordinates in H_{i+j} of the product of two classes, given by their coordinates.
+
+    The bilinear form on the structure constants: only the entries of
+    basis pairs where both coordinates are nonzero are read.
+    """
     if i + j > K.n:
         return []  # H_{i+j} = 0
-    za = representative(K, i, a_coords)
-    zb = representative(K, j, b_coords)
-    return class_of(K, i + j, wedge(za, zb))
+    if (len(a_coords) != homology_basis(K, i).dim
+            or len(b_coords) != homology_basis(K, j).dim):
+        raise ValueError("coordinate length mismatch")
+    F = K.field
+    p = F.characteristic
+    out = [F.zero] * homology_basis(K, i + j).dim
+    for a, x in enumerate(a_coords):
+        if x != F.zero:
+            for b, y in enumerate(b_coords):
+                if y != F.zero:
+                    s = x * y
+                    for t, c in enumerate(K.structure.product(i, a, j, b)):
+                        if c:
+                            out[t] += s * c
+    return [c % p for c in out] if p else out
 
 
 def product_witness(K, i, j):
-    """First (a, b, product) with h_i.a * h_j.b != 0, in basis order; None if all vanish."""
+    """First (a, b, product) with h_i.a * h_j.b != 0, in basis order; None if all vanish.
+
+    The product is the structure constants' entry; callers must not
+    write to it.
+    """
     hi = homology_basis(K, i)
     hj = homology_basis(K, j)
     if i + j > K.n:
         return None
     F = K.field
-    for a, x in enumerate(hi.classes):
-        for b, y in enumerate(hj.classes):
-            prod = class_of(K, i + j, wedge(x.element, y.element))
+    for a in range(hi.dim):
+        for b in range(hj.dim):
+            prod = K.structure.product(i, a, j, b)
             if any(c != F.zero for c in prod):
                 return a, b, prod
     return None

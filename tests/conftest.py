@@ -7,7 +7,15 @@ from koszulalg import koszul
 from koszulalg.exactalg import GF2, QQ, Matrix, PrimeField, kernel_basis, rref
 from koszulalg.polyring import PolyContext
 from koszulalg.gring import make_artinian_quotient, make_semigroup_ring
-from koszulalg.koszul import KoszulComplex, differential, homology_basis, strand_ranks
+from koszulalg.koszul import (
+    KoszulComplex,
+    class_of,
+    contract,
+    differential,
+    homology_basis,
+    strand_ranks,
+    wedge,
+)
 from koszulalg.dgmap import elementary_lift, lift_from_delta
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -111,6 +119,33 @@ def assert_on_demand_only_where_classless(K, on_demand):
     for (i, d), count in on_demand.items():
         assert count == 1, (i, d)
         assert all(cls.degree != d for cls in homology_basis(K, i).classes), (i, d)
+
+
+def representative(K, i, coords):
+    """The linear combination of the basis representatives of H_i with these coordinates."""
+    basis = homology_basis(K, i)
+    if len(coords) != basis.dim:
+        raise ValueError("coordinate length mismatch")
+    out = K.zero_element()
+    for c, cls in zip(coords, basis.classes):
+        if c != K.field.zero:
+            out = out + cls.element.scale(c)
+    return out
+
+
+def elementary_differences(K, g, z, degrees):
+    """Columns of H_i(phi) - id for phi = (e_g -> e_g + z), per degree i, one lift at a time.
+
+    The column on the j-th basis class [w] of H_i is the class of
+    z ∧ ι_g(w), since phi - id = z ∧ ι_g on K: one contraction, one
+    wedge and one class_of per column, the element path that
+    check_identity_all's structure constants replace.
+    """
+    return {
+        i: [class_of(K, i, wedge(z, contract(cls.element, g)))
+            for cls in homology_basis(K, i).classes]
+        for i in degrees
+    }
 
 
 def cycle_degrees(K, i):

@@ -18,10 +18,9 @@ from koszulalg.koszul import (
     class_of,
     homology_basis,
     homology_product,
-    representative,
     wedge,
 )
-from koszulalg import analyze, dgmap, exactalg, gring, polyring
+from koszulalg import analyze, dgmap, exactalg, gring, koszul, polyring
 from koszulalg.cli import load_ring_spec
 from koszulalg.dgmap import (
     compose_induced,
@@ -32,7 +31,6 @@ from koszulalg.dgmap import (
 from koszulalg.analyze import (
     check_identity_all,
     class_levels,
-    elementary_differences,
     filtration_dim,
     filtration_level,
     gr_homology,
@@ -44,7 +42,12 @@ from koszulalg.analyze import (
 )
 
 import conftest
-from conftest import random_elementary_lift, random_lift
+from conftest import (
+    elementary_differences,
+    random_elementary_lift,
+    random_lift,
+    representative,
+)
 from test_gring import _quotient_fixtures
 from test_koszul import _boundary_rows, _scalar, small_rings
 
@@ -534,12 +537,80 @@ def test_identity_decisions_apply_no_lift(name, monkeypatch):
     K = KoszulComplex(load_ring_spec(conftest.fixture_path(name)))
     verdict = check_identity_all(K)
     assert verdict.overall is False and verdict.witnesses
-    degrees = range(K.ring.codepth + 1)
+    for differences in verdict.differences:
+        ok, _ = gr_induced_identity(K, differences)
+        assert ok is True
+
+
+def _reference_verdict(K, degrees):
+    """(differences, witnesses) of check_identity_all, one elementary lift at a time."""
+    all_differences, witnesses = [], []
     for g in range(K.n):
         for cls in homology_basis(K, 1).classes:
-            ok, _ = gr_induced_identity(
-                K, elementary_differences(K, g, cls.element, degrees))
-            assert ok is True
+            differences = elementary_differences(K, g, cls.element, degrees)
+            all_differences.append(differences)
+            for i in degrees:
+                diff = next((diff for diff in differences[i] if any(diff)), None)
+                if diff is not None:
+                    witnesses.append({"generator": g, "class_label": cls.label,
+                                      "degree": i, "difference": diff})
+    return all_differences, witnesses
+
+
+def _assert_identity_matches_element_path(K):
+    for degrees in (None, range(K.n + 1)):
+        verdict = check_identity_all(K, degrees)
+        differences, witnesses = _reference_verdict(
+            K, range(K.ring.codepth + 1) if degrees is None else degrees)
+        assert verdict.differences == differences
+        assert verdict.witnesses == witnesses
+        # the same scalar types: Fractions over Q, Python ints over F_p
+        assert repr(verdict.differences) == repr(differences)
+        assert repr(verdict.witnesses) == repr(witnesses)
+        assert json.dumps(verdict.to_json()) == json.dumps(analyze.IdentityVerdict(
+            not witnesses, {i: all(w["degree"] != i for w in witnesses)
+                            for i in verdict.per_degree}, witnesses, differences).to_json())
+
+
+@pytest.mark.parametrize("name", _FIXTURES_BUT_X98)
+def test_identity_matches_element_path(name):
+    _assert_identity_matches_element_path(
+        KoszulComplex(load_ring_spec(conftest.fixture_path(name))))
+
+
+@given(small_rings())
+@settings(max_examples=40, deadline=None)
+def test_identity_matches_element_path_on_random_rings(ring):
+    _assert_identity_matches_element_path(KoszulComplex(ring))
+
+
+def _count_structure_work(monkeypatch):
+    """Counter of koszul.wedge, koszul.contract and koszul.class_of calls from now on."""
+    calls = collections.Counter()
+    for name in ("wedge", "contract", "class_of"):
+        monkeypatch.setattr(koszul, name, _counted(calls, name, getattr(koszul, name)))
+    return calls
+
+
+@pytest.mark.parametrize("name", _FIXTURES_BUT_X98)
+def test_identity_takes_one_product_per_left_factor(name, monkeypatch):
+    # dim H_1 * Σ_(i>=1) dim H_(i-1) wedges and n * Σ_(i>=1) dim H_i
+    # contractions, each with one class_of
+    K = KoszulComplex(load_ring_spec(conftest.fixture_path(name)))
+    h = [homology_basis(K, i).dim for i in range(K.ring.codepth + 1)]
+    calls = _count_structure_work(monkeypatch)
+    check_identity_all(K)
+    # a regular ring (codepth 0) or one with H_1 = 0 has no elementary lift
+    expected = {} if len(h) < 2 else {"wedge": h[1] * sum(h[:-1]),
+                                      "contract": K.n * sum(h[1:])}
+    expected["class_of"] = sum(expected.values())
+    assert +calls == +collections.Counter(expected)
+    if name == "f2_semigroup_9_10_11_13_17.json":
+        assert calls["wedge"] == 189 and calls["class_of"] == 324
+    # a second decision reads the table only
+    calls.clear()
+    check_identity_all(K)
+    assert not calls
 
 
 # ------------------------------------------------ exact suite decisions
@@ -548,7 +619,7 @@ def test_identity_decisions_apply_no_lift(name, monkeypatch):
 def _iota_matrix(K, i, g):
     """ι_g^H: H_i -> H_(i-1), the class of the contraction of each representative."""
     return exactalg.Matrix.from_columns(K.field, [
-        class_of(K, i - 1, analyze.contract(cls.element, g))
+        class_of(K, i - 1, koszul.contract(cls.element, g))
         for cls in homology_basis(K, i).classes], homology_basis(K, i - 1).dim)
 
 
@@ -732,7 +803,9 @@ def test_pair_decisions_match_their_definition(stand_in, monkeypatch):
         differences = check_identity_all(K).differences
         with monkeypatch.context() as patch:
             if stand_in:
-                patch.setattr(analyze, "contract", _stand_in_contraction(K))
+                # a fresh table, so that its contractions come from the stand-in
+                patch.setattr(koszul, "contract", _stand_in_contraction(K))
+                patch.setattr(K, "structure", koszul.StructureConstants(K))
             for entries in [{}, {0: [(0, 0), (1, 1)]}, {0: [(0, 1)], 1: [(1, 0)]},
                             {0: [(0, 1)], k: [(1, 0)]}]:
                 diffs = _corrupted(K, differences, entries)
@@ -789,18 +862,29 @@ def test_run_suite_ci(K_ci):
 
 
 def test_run_suite_computes_each_difference_set_once(monkeypatch):
+    # the difference sets come from the structure constants, and within one
+    # run_suite no table entry is filled twice: each fill is one wedge or
+    # one contract, and nothing else in the suite takes either
+    calls = _count_structure_work(monkeypatch)
+    for name in _FIXTURES_BUT_X98:
+        K = KoszulComplex(load_ring_spec(conftest.fixture_path(name)))
+        calls.clear()
+        run_suite(K)
+        assert calls["wedge"] == len(K.structure.products), name
+        assert calls["contract"] == len(K.structure.contractions), name
     K = KoszulComplex(conftest.ci_f2())
-    calls = []
-
-    def counted(K, g, z, degrees):
-        calls.append(g)
-        return elementary_differences(K, g, z, degrees)
-
-    monkeypatch.setattr(analyze, "elementary_differences", counted)
     report = run_suite(K)
-    assert len(calls) == K.n * homology_basis(K, 1).dim == 4
+    # n * (dim H_1 + dim H_2) contractions
+    assert len(K.structure.contractions) == K.n * (2 + 1) == 6
     assert report["identity"]["overall"] is True
     assert report["gr_identity"] is True
+
+
+def _counted(counter, name, fn):
+    def counted(*args):
+        counter[name] += 1
+        return fn(*args)
+    return counted
 
 
 def test_suite_products_make_no_normal_form_calls(monkeypatch):

@@ -33,7 +33,6 @@ from koszulalg.koszul import (
     homology_basis,
     homology_product,
     product_vanishing,
-    representative,
     strand_ranks,
     wedge,
 )
@@ -201,7 +200,7 @@ def test_class_of_rejects_non_cycles(K_q):
 def test_representative_round_trip(K_q):
     b = homology_basis(K_q, 2)
     coords = [K_q.field.from_int(k) for k in (1, 0, -2, 0, 3)]
-    z = representative(K_q, 2, coords)
+    z = conftest.representative(K_q, 2, coords)
     assert class_of(K_q, 2, z) == coords
 
 
@@ -723,6 +722,64 @@ def test_strand_dimension_formula():
 @settings(max_examples=40, deadline=None)
 def test_strand_dimension_formula_on_random_rings(ring):
     _assert_layout_is_subset_sums(KoszulComplex(ring))
+
+
+# ------------------------------------------ structure constants of H(K)
+
+
+def _assert_contraction_descends_to_homology(K, rng):
+    """ι_g^H is well defined: ι_g maps cycles to cycles and boundaries to boundaries."""
+    for i in range(1, K.n + 1):
+        low = homology_basis(K, i - 1).dim
+        for g in range(K.n):
+            for cls in homology_basis(K, i).classes:
+                image = contract(cls.element, g)
+                assert differential(image).is_zero(), (i, g, cls.label)
+                assert K.structure.contraction(g, i, cls.index) == class_of(K, i - 1, image)
+            b = conftest.random_boundary(K, i, rng)
+            assert class_of(K, i - 1, contract(b, g)) == [K.field.zero] * low, (i, g)
+
+
+@pytest.mark.parametrize("name", _every_fixture_but_x98())
+def test_contraction_descends_to_homology_on_fixtures(name):
+    _assert_contraction_descends_to_homology(
+        KoszulComplex(load_ring_spec(conftest.fixture_path(name))), random.Random(name))
+
+
+@given(small_rings(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_contraction_descends_to_homology_on_random_rings(ring, rnd):
+    _assert_contraction_descends_to_homology(KoszulComplex(ring), rnd)
+
+
+def _assert_products_match_representatives(K, rnd):
+    """homology_product on the table equals the class of the wedge of two representatives."""
+    F = K.field
+    for i in range(K.n + 1):
+        for j in range(K.n + 1 - i):
+            a = [_scalar(F, rnd) for _ in range(homology_basis(K, i).dim)]
+            b = [_scalar(F, rnd) for _ in range(homology_basis(K, j).dim)]
+            expected = class_of(K, i + j, wedge(conftest.representative(K, i, a),
+                                                conftest.representative(K, j, b)))
+            product = homology_product(K, i, a, j, b)
+            assert product == expected and str(product) == str(expected), (i, j)
+            with pytest.raises(ValueError):
+                homology_product(K, i, a + [F.one], j, b)
+            with pytest.raises(ValueError):
+                homology_product(K, i, a, j, b[:-1] if b else [F.one])
+        assert homology_product(K, i, [], K.n + 1 - i, []) == []
+
+
+@pytest.mark.parametrize("name", _every_fixture_but_x98())
+def test_products_match_representatives_on_fixtures(name):
+    _assert_products_match_representatives(
+        KoszulComplex(load_ring_spec(conftest.fixture_path(name))), random.Random(name))
+
+
+@given(small_rings(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_products_match_representatives_on_random_rings(ring, rnd):
+    _assert_products_match_representatives(KoszulComplex(ring), rnd)
 
 
 @given(small_rings(), st.randoms(use_true_random=False))
