@@ -5,11 +5,11 @@ degree first and breaks ties by graded reverse lexicographic order on
 the raw exponents (a "lex" tie-break variant exists so that order
 independence of dimension counts can be tested).  Includes a parser
 for the text grammar used everywhere (ring spec files, lift files,
-printed cycles), normal forms, enumeration of standard monomials by
-weighted degree, and Buchberger's algorithm with the coprime-pair
-criterion, run degree by degree so that the one run that gives the
-reduced Groebner basis also counts the minimal generators of the ideal
-in each degree.
+printed cycles), normal forms, and Buchberger's algorithm on
+{monomial: coefficient} dicts, with the Gebauer-Moeller pair criteria
+and one reducer shared with normal_form, run degree by degree so that
+the one run that gives the reduced Groebner basis also counts the
+minimal generators of the ideal in each degree.
 
 Only weighted-homogeneous ideals are supported; buchberger rejects
 anything else, because homology is computed strand by strand and
@@ -19,6 +19,8 @@ non-homogeneous ideals would break the grading.
 from __future__ import annotations
 
 import heapq
+import itertools
+import operator
 from fractions import Fraction
 
 from koszulalg.exactalg import Field
@@ -71,7 +73,7 @@ class PolyContext:
         self.var_index = {v: i for i, v in enumerate(variables)}
 
     def wdeg(self, mono):
-        return sum(w * e for w, e in zip(self.weights, mono))
+        return sum(map(operator.mul, self.weights, mono))
 
     def key(self, mono):
         """Sort key: bigger key = bigger monomial in the term order."""
@@ -79,19 +81,19 @@ class PolyContext:
             return (self.wdeg(mono), sum(mono), tuple(-e for e in reversed(mono)))
         return tuple(mono)
 
+    def rank(self, mono):
+        """Heap key: smaller rank = bigger monomial in the term order."""
+        if self.order == "grevlex":
+            return (-self.wdeg(mono), -sum(mono), mono[::-1])
+        return tuple(-e for e in mono)
+
     def monomial(self, mono, coeff=None):
         if coeff is None:
             coeff = self.field.one
         return Polynomial(self, [(tuple(mono), coeff)])
 
-    def constant(self, c):
-        return Polynomial(self, [((0,) * self.nvars, c)])
-
     def zero(self):
         return Polynomial(self, [])
-
-    def one(self):
-        return self.constant(self.field.one)
 
     def parse(self, text):
         return parse_poly(text, self)
@@ -114,21 +116,21 @@ class PolyContext:
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 def mono_divides(a, b):
     """True iff monomial a divides b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 def mono_div(a, b):
     """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 def mono_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    return not any(map(min, a, b))
 
 
 class Polynomial:
@@ -200,10 +202,6 @@ class Polynomial:
         return Polynomial(
             self.ctx, self.terms + tuple((m, F.neg(a)) for m, a in other.terms))
 
-    def __neg__(self):
-        F = self.ctx.field
-        return Polynomial(self.ctx, [(m, F.neg(a)) for m, a in self.terms])
-
     def __mul__(self, other):
         self._check(other)
         F = self.ctx.field
@@ -212,11 +210,6 @@ class Polynomial:
             for m2, a2 in other.terms:
                 out.append((mono_mul(m1, m2), F.mul(a1, a2)))
         return Polynomial(self.ctx, out)
-
-    def term_mul(self, mono, coeff):
-        F = self.ctx.field
-        return Polynomial(
-            self.ctx, [(mono_mul(m, mono), F.mul(a, coeff)) for m, a in self.terms])
 
     def _check(self, other):
         if self.ctx != other.ctx:
@@ -413,47 +406,58 @@ def parse_poly(text, ctx):
 
 # ----------------------------------------------------------------- division
 
+def _reduce(terms, basis, ctx):
+    """Remainder of terms ({monomial: coefficient}, consumed) by basis:
+    (lm, rest) pairs for monic lm - sum(b * m for m, b in rest), the first
+    lm that divides a term reducing it.  Returns the nonzero terms in
+    decreasing order.  A heap visits each monomial once, largest first;
+    coefficients add up with Python's exact + and * and enter the field
+    (F.add(c, zero)) when their monomial is reached.
+    """
+    rank, zero, canon = ctx.rank, ctx.field.zero, ctx.field.add
+    heap = [(rank(m), m) for m in terms]
+    heapq.heapify(heap)
+    out = []
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = canon(terms.pop(m), zero)
+        if c == zero:
+            continue
+        for lm, rest in basis:
+            if all(map(operator.le, lm, m)):
+                u = mono_div(m, lm)
+                for mt, b in rest:
+                    mt = tuple(map(operator.add, mt, u))
+                    if mt in terms:
+                        terms[mt] += c * b
+                    else:
+                        terms[mt] = c * b
+                        heapq.heappush(heap, (rank(mt), mt))
+                break
+        else:
+            out.append((m, c))
+    return out
+
+
+def _element(terms, F):
+    """(lm, rest) of the monic multiple of terms, given in decreasing order."""
+    lm, scale = terms[0][0], F.neg(F.inv(terms[0][1]))
+    return lm, [(m, F.mul(c, scale)) for m, c in terms[1:]]
+
+
 def normal_form(p, gb):
     """Complete multivariate division remainder of p modulo gb.
 
     No term of the result is divisible by any leading monomial of the
-    basis; the map is idempotent and k-linear.
+    basis; the map is idempotent and k-linear.  A term is divided by the
+    first generator, in order, whose leading monomial divides it.
     """
     if isinstance(gb, GroebnerBasis):
         if p.ctx != gb.ctx:
             raise ValueError("context mismatch")
-        gens = gb.gens
-    else:
-        gens = list(gb)
-    lms = [(g.leading_monomial(), g) for g in gens if not g.is_zero()]
-    ctx = p.ctx
-    F = ctx.field
-    remainder = []
-    work = p
-    while not work.is_zero():
-        mono, coeff = work.terms[0]
-        hit = None
-        for lm, g in lms:
-            if mono_divides(lm, mono):
-                hit = (lm, g)
-                break
-        if hit is None:
-            remainder.append((mono, coeff))
-            work = Polynomial(ctx, work.terms[1:])
-        else:
-            lm, g = hit
-            factor = F.div(coeff, g.leading_coeff())
-            work = work - g.term_mul(mono_div(mono, lm), factor)
-    return Polynomial(ctx, remainder)
-
-
-def s_polynomial(f, g):
-    lf, lg = f.leading_monomial(), g.leading_monomial()
-    lcm = mono_lcm(lf, lg)
-    F = f.ctx.field
-    a = f.term_mul(mono_div(lcm, lf), F.inv(f.leading_coeff()))
-    b = g.term_mul(mono_div(lcm, lg), F.inv(g.leading_coeff()))
-    return a - b
+        gb = gb.gens
+    basis = [_element(g.terms, p.ctx.field) for g in gb if not g.is_zero()]
+    return Polynomial(p.ctx, _reduce(dict(p.terms), basis, p.ctx))
 
 
 class GroebnerBasis:
@@ -484,23 +488,48 @@ class GroebnerBasis:
         return "GroebnerBasis[%s]" % "; ".join(str(g) for g in self.gens)
 
 
+def _update(basis, pairs, work, lm, monomial, ctx):
+    """Gebauer-Moeller UPDATE (Becker-Weispfenning) for a new element with
+    lead lm; pairs maps queued pairs to their lcm.  A queued pair goes if
+    lm divides its lcm and both lcms through lm differ from it (B).  A new
+    pair goes if another's lcm properly divides (M) or equals (F, one
+    kept) its lcm, then if the leads are coprime (product criterion).
+    Pairs of two monomials, whose S-polynomial is 0, never enter.
+    """
+    for (s, t), lcm in list(pairs.items()):
+        if (mono_divides(lm, lcm) and mono_lcm(basis[s][0], lm) != lcm
+                and mono_lcm(basis[t][0], lm) != lcm):
+            del pairs[s, t]
+    new = [(mono_lcm(lj, lm), j) for j, (lj, rest) in enumerate(basis)
+           if rest or not monomial]
+    kept = []
+    for i, (lcm, j) in enumerate(new):
+        if mono_coprime(basis[j][0], lm) or not any(
+                mono_divides(other, lcm)
+                for other, _ in itertools.chain(new[i + 1:], kept)):
+            kept.append((lcm, j))
+    n = len(basis)
+    for lcm, j in kept:
+        if not mono_coprime(basis[j][0], lm):
+            pairs[j, n] = lcm
+            heapq.heappush(work, (ctx.wdeg(lcm), 0, j, n))
+
+
 def buchberger(gens):
     """Reduced Groebner basis of the ideal I generated by gens, with mu_d(I).
 
-    Weighted-homogeneous generators only.  One heap orders the work by
-    weighted degree (normal strategy): in each degree the S-pairs, by
-    the degree of their lcm, come before the input generators, and
-    pairs with coprime leading monomials are skipped.  A nonzero
-    remainder joins the basis.  Its leading monomial is divisible by no
-    earlier one, so its own pairs lie in higher degrees.  Hence when
-    the generators of degree d are reduced, the basis spans the
-    degree-d part of the ideal J of the lower-degree generators, and
-    J_d = (mI)_d by graded Nakayama: the generators of degree d with a
-    nonzero remainder number mu_d(I), the minimal generators of I in
-    degree d (generator_counts).  For the same reason no leading
-    monomial of the basis divides another, so one pass of reduction by
-    the others, which keeps every leading monomial, gives the unique
-    reduced basis.
+    Weighted-homogeneous generators only.  The run works on dicts with
+    the reducer of normal_form; Polynomials are made for the result.  One
+    heap orders the work by weighted degree: in each degree the S-pairs,
+    by lcm degree, come before the input generators.  A pair _update
+    drops reduces to 0 through pairs of no higher degree, so no nonzero
+    remainder is lost.  A nonzero remainder joins the basis; its lead is
+    divisible by no earlier one, so its pairs lie in higher degrees.  So
+    when the generators of degree d are reduced, the basis spans J_d, J
+    the ideal of the lower-degree generators, and J_d = (mI)_d by graded
+    Nakayama: those with a nonzero remainder number mu_d(I)
+    (generator_counts).  Likewise no lead divides another, so reducing
+    each tail once gives the reduced basis.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -512,69 +541,38 @@ def buchberger(gens):
             raise ValueError("context mismatch among generators")
         if not g.is_homogeneous():
             raise ValueError("non-homogeneous generator: %s" % g)
+    F = ctx.field
 
     # (degree, 0, s, t) is the S-pair of basis[s] and basis[t],
     # (degree, 1, k, 0) the input generator gens[k]
     work = [(g.weighted_degree(), 1, k, 0) for k, g in enumerate(gens)]
     heapq.heapify(work)
-    basis, counts = [], {}
+    basis, counts, pairs = [], {}, {}
     while work:
         d, is_generator, s, t = heapq.heappop(work)
         if is_generator:
-            rem = normal_form(gens[s], basis)
-        else:
-            rem = normal_form(s_polynomial(basis[s], basis[t]), basis)
-        if rem.is_zero():
+            terms = dict(gens[s].terms)
+        elif (s, t) not in pairs:  # dropped by _update after it was queued
             continue
-        if is_generator:
-            counts[d] = counts.get(d, 0) + 1
-        lt = rem.leading_monomial()
-        for j, g in enumerate(basis):
-            lj = g.leading_monomial()
-            if not mono_coprime(lj, lt):
-                heapq.heappush(work, (ctx.wdeg(mono_lcm(lj, lt)), 0, j, len(basis)))
-        basis.append(rem.monic())
+        else:  # u * basis[t] - v * basis[s]: the leading terms cancel
+            (ls, rs), (lt, rt), lcm = basis[s], basis[t], pairs.pop((s, t))
+            u, v = mono_div(lcm, lt), mono_div(lcm, ls)
+            terms = {mono_mul(m, u): b for m, b in rt}
+            for m, b in rs:
+                m = mono_mul(m, v)
+                terms[m] = terms.get(m, 0) - b
+        rem = _reduce(terms, basis, ctx)
+        if rem:
+            if is_generator:
+                counts[d] = counts.get(d, 0) + 1
+            _update(basis, pairs, work, rem[0][0], len(rem) == 1, ctx)
+            basis.append(_element(rem, F))
 
-    reduced = [normal_form(g, basis[:k] + basis[k + 1:]).monic()
-               for k, g in enumerate(basis)]
+    reduced = []
+    for k, (lm, rest) in enumerate(basis):
+        if rest:  # a monomial has no tail to reduce
+            rest = _reduce(dict(rest), basis, ctx)
+            basis[k] = lm, rest
+        reduced.append(Polynomial(ctx, [(lm, F.one)] + [(m, F.neg(b)) for m, b in rest]))
     reduced.sort(key=lambda g: ctx.key(g.leading_monomial()))
     return GroebnerBasis(ctx, reduced, counts)
-
-
-def monomials_of_weight(ctx, d):
-    """All exponent tuples of weighted degree exactly d (unordered)."""
-    out = []
-    mono = [0] * ctx.nvars
-
-    def walk(i, rem):
-        if i == ctx.nvars - 1:
-            w = ctx.weights[i]
-            if rem % w == 0:
-                mono[i] = rem // w
-                out.append(tuple(mono))
-                mono[i] = 0
-            return
-        w = ctx.weights[i]
-        for e in range(rem // w + 1):
-            mono[i] = e
-            walk(i + 1, rem - e * w)
-        mono[i] = 0
-
-    if d >= 0:
-        walk(0, d)
-    return out
-
-
-def standard_monomials(gb, d):
-    """Monomials of weighted degree d outside LT(I), in decreasing term order.
-
-    These are a k-basis of (P/I)_d.
-    """
-    ctx = gb.ctx
-    lms = gb.leading_monomials()
-    out = []
-    for m in monomials_of_weight(ctx, d):
-        if not any(mono_divides(lm, m) for lm in lms):
-            out.append(m)
-    out.sort(key=ctx.key, reverse=True)
-    return out

@@ -5,7 +5,7 @@ import pytest
 
 from koszulalg import koszul
 from koszulalg.exactalg import GF2, QQ, Matrix, PrimeField, kernel_basis, rref
-from koszulalg.polyring import PolyContext
+from koszulalg.polyring import PolyContext, mono_divides
 from koszulalg.gring import make_artinian_quotient, make_semigroup_ring
 from koszulalg.koszul import (
     KoszulComplex,
@@ -45,6 +45,46 @@ def subspace_intersect(U, V, field, ambient):
         return []
     R, pivots = rref(Matrix(field, vecs, ambient))
     return R.rows[:len(pivots)]
+
+
+def monomials_of_weight(ctx, d):
+    """All exponent tuples of weighted degree exactly d (unordered)."""
+    out = []
+    mono = [0] * ctx.nvars
+
+    def walk(i, rem):
+        if i == ctx.nvars - 1:
+            w = ctx.weights[i]
+            if rem % w == 0:
+                mono[i] = rem // w
+                out.append(tuple(mono))
+                mono[i] = 0
+            return
+        w = ctx.weights[i]
+        for e in range(rem // w + 1):
+            mono[i] = e
+            walk(i + 1, rem - e * w)
+        mono[i] = 0
+
+    if d >= 0:
+        walk(0, d)
+    return out
+
+
+def standard_monomials(gb, d):
+    """Monomials of weighted degree d outside LT(I), in decreasing term order.
+
+    These are a k-basis of (P/I)_d: the reference the quotient ring's
+    staircase is tested against.
+    """
+    ctx = gb.ctx
+    lms = gb.leading_monomials()
+    out = []
+    for m in monomials_of_weight(ctx, d):
+        if not any(mono_divides(lm, m) for lm in lms):
+            out.append(m)
+    out.sort(key=ctx.key, reverse=True)
+    return out
 
 
 def diff_matrix(K, i, d):

@@ -20,10 +20,8 @@ from koszulalg.polyring import (
     Polynomial,
     mono_divides,
     mono_mul,
-    monomials_of_weight,
     normal_form,
     parse_poly,
-    standard_monomials,
 )
 from koszulalg.gring import (
     ArtinianQuotient,
@@ -36,6 +34,7 @@ from koszulalg.gring import (
 from koszulalg.koszul import KoszulComplex, betti_table
 
 import conftest
+from conftest import monomials_of_weight, standard_monomials
 
 
 def test_ci_dims():
@@ -229,7 +228,7 @@ def assert_matches_oracles(R, triplet_degrees=None, standard=None):
     """Bases and multiplication tables of R against the normal-form oracles.
 
     standard(d) lists the standard monomials of degree d in decreasing
-    term order; by default polyring.standard_monomials enumerates every
+    term order; by default conftest.standard_monomials enumerates every
     monomial of degree d and drops the multiples of leading monomials.
     """
     if standard is None:

@@ -1,13 +1,14 @@
 """Polynomial layer: grammar, term orders, Groebner bases."""
 
 import itertools
+import random
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from koszulalg import exactalg
+from koszulalg import exactalg, polyring
 from koszulalg.exactalg import GF2, QQ, Matrix, PrimeField
 from koszulalg.polyring import (
     PolyContext,
@@ -16,14 +17,14 @@ from koszulalg.polyring import (
     _split_word,
     buchberger,
     mono_coprime,
+    mono_div,
     mono_divides,
     mono_lcm,
-    monomials_of_weight,
     normal_form,
     parse_poly,
-    s_polynomial,
-    standard_monomials,
 )
+
+from conftest import monomials_of_weight, standard_monomials
 
 
 CTX2 = PolyContext(GF2, ["x", "y"])
@@ -185,6 +186,38 @@ def test_buchberger_rejects_inhomogeneous():
         buchberger([parse_poly("x^2 + y", CTXQ)])
 
 
+# Textbook references on Polynomial arithmetic, sharing no code with the
+# build's dict reducer: the oracles of _reference_buchberger below.
+
+def s_polynomial(f, g):
+    lf, lg = f.leading_monomial(), g.leading_monomial()
+    lcm = mono_lcm(lf, lg)
+    F = f.ctx.field
+    a = f.ctx.monomial(mono_div(lcm, lf), F.inv(f.leading_coeff())) * f
+    b = g.ctx.monomial(mono_div(lcm, lg), F.inv(g.leading_coeff())) * g
+    return a - b
+
+
+def _reference_normal_form(p, gens):
+    """Division by Polynomial subtraction: the leading term of what is
+    left is divided by the first generator whose leading monomial
+    divides it, or else moves to the remainder.
+    """
+    ctx, F = p.ctx, p.ctx.field
+    gens = [g for g in gens if not g.is_zero()]
+    remainder, work = [], p
+    while not work.is_zero():
+        mono, coeff = work.terms[0]
+        g = next((g for g in gens if mono_divides(g.leading_monomial(), mono)), None)
+        if g is None:
+            remainder.append((mono, coeff))
+            work = Polynomial(ctx, work.terms[1:])
+        else:
+            u = mono_div(mono, g.leading_monomial())
+            work = work - ctx.monomial(u, F.div(coeff, g.leading_coeff())) * g
+    return Polynomial(ctx, remainder)
+
+
 def test_spoly_of_gb_pair_reduces_to_zero():
     ctx = PolyContext(QQ, ["x", "y"])
     gb = buchberger([parse_poly("x^2", ctx), parse_poly("x*y + y^2", ctx)])
@@ -231,9 +264,20 @@ def test_normal_form_idempotent_and_member(data):
     assert normal_form(p - nf, gb).is_zero()
 
 
+@given(st.data(), st.sampled_from([GF2, PrimeField(5), QQ]))
+@settings(max_examples=60, deadline=None)
+def test_normal_form_matches_reference_division(data, field):
+    # any divisor list, not only a Groebner basis, with leading coefficients
+    # other than 1 and repeated leading monomials: the first divisor in
+    # list order is the one that reduces a term
+    ctx = PolyContext(field, ["x", "y"])
+    p = data.draw(random_poly(ctx, max_terms=6))
+    gens = data.draw(st.lists(random_poly(ctx), max_size=4))
+    assert normal_form(p, gens) == _reference_normal_form(p, gens)
+
+
 def test_parse_roundtrip_random():
     ctx = CTXQ
-    import random
     rng = random.Random(3)
     for _ in range(50):
         p = ctx.zero()
@@ -280,7 +324,7 @@ def _reference_buchberger(gens):
     while pairs:
         pairs.sort()
         _, s, t = pairs.pop(0)
-        rem = normal_form(s_polynomial(basis[s], basis[t]), basis)
+        rem = _reference_normal_form(s_polynomial(basis[s], basis[t]), basis)
         if rem.is_zero():
             continue
         basis.append(rem.monic())
@@ -296,7 +340,7 @@ def _reference_buchberger(gens):
     while changed:
         changed = False
         for i, g in enumerate(keep):
-            r = normal_form(g, keep[:i] + keep[i + 1:]).monic()
+            r = _reference_normal_form(g, keep[:i] + keep[i + 1:]).monic()
             if r != g:
                 keep[i], changed = r, True
     return sorted(keep, key=lambda g: ctx.key(g.leading_monomial()))
@@ -315,7 +359,7 @@ def _reference_counts(gens):
         reduced = by_degree[d]
         if lower:
             basis = _reference_buchberger(lower)
-            reduced = [normal_form(g, basis) for g in reduced]
+            reduced = [_reference_normal_form(g, basis) for g in reduced]
         monos = sorted({m for g in reduced for m, _ in g.terms})
         field = reduced[0].ctx.field
         rows = [[dict(g.terms).get(m, field.zero) for m in monos] for g in reduced]
@@ -389,3 +433,34 @@ def test_buchberger_matches_reference_and_counts_minimal_generators(gens):
     assert basis == _reference_buchberger(gens)
     assert gb.generator_counts == _reference_counts(gens)
 
+
+def _generic_cubics(n, field, seed=1):
+    """n cubics in n variables, every coefficient drawn from 1-9."""
+    rng = random.Random(seed)
+    ctx = PolyContext(field, "xyzw"[:n])
+    monos = monomials_of_weight(ctx, 3)
+    return [Polynomial(ctx, [(m, field.from_int(rng.randint(1, 9))) for m in monos])
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=["F32003", "Q"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_generic_cubics_match_reference(n, field):
+    gens = _generic_cubics(n, field)
+    gb = buchberger(gens)
+    assert list(gb) == _reference_buchberger(gens)
+    assert gb.generator_counts == _reference_counts(gens) == {3: n}
+
+
+def test_pair_criteria_prune_generic_cubics(monkeypatch):
+    # Without the Gebauer-Moeller criteria (coprime pairs only) 346 S-pairs
+    # of four generic cubics are reduced; with them, about 70.
+    gens = _generic_cubics(4, PrimeField(32003))
+    calls = []
+    reduce = polyring._reduce
+    monkeypatch.setattr(polyring, "_reduce",
+                        lambda *args: calls.append(1) or reduce(*args))
+    gb = buchberger(gens)
+    tails = sum(len(g.terms) > 1 for g in gb)
+    spairs = len(calls) - len(gens) - tails
+    assert 0 < spairs <= 100
