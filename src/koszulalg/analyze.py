@@ -176,24 +176,20 @@ def check_identity_all(K, degrees=None):
 # ---------------------------------------------------------------- filtration
 
 def _strand_power_vectors(K, i, d, a):
-    """Vectors spanning the degree-d strand slice of m^a K_i."""
-    offsets, total = K.strand_offsets(i, d)
-    vecs = []
-    for pos, wS in enumerate(K.subset_weights[i]):
-        block = K.ring.max_ideal_power_vectors(a, d - wS)
-        for v in block:
-            w = [K.field.zero] * total
-            w[offsets[pos]:offsets[pos] + len(v)] = v
-            vecs.append(w)
-    return vecs
+    """{position: scalar} vectors spanning the degree-d strand slice of m^a K_i."""
+    offsets, _ = K.strand_offsets(i, d)
+    return [{offsets[pos] + t: c for t, c in v.items()}
+            for pos, wS in enumerate(K.subset_weights[i])
+            for v in K.ring.max_ideal_power_vectors(a, d - wS)]
 
 
 def _filtration_table(K, i, d, data):
     """Filtration table (levels, forms) of the strand (i, d), levels increasing.
 
     A class of the strand is in F^l iff every form of level < l kills its
-    coordinates.  One rref is taken of the columns: the boundary columns
-    (a basis of B_{i,d}), then m^a K_{i,d} for a from the largest with a
+    coordinates.  One rref is taken of the matrix with these {position:
+    scalar} columns, densified for it: the boundary columns (a basis of
+    B_{i,d}), then m^a K_{i,d} for a from the largest with a
     nonzero slice (a product of a generators has degree >= a * min
     weight) down to 1, then the k representatives.  Each group has a
     level, i + a for m^a and i for the representatives; the boundary
@@ -216,7 +212,7 @@ def _filtration_table(K, i, d, data):
         # F^l is the filtration by internal degree: every level is d
         data.filtration = ([d] * k, Matrix.identity(F, k))
         return data.filtration
-    columns = data.boundary_columns(F, K.strand_dim(i, d))
+    columns = list(data.boundary)
     level_of = [None] * len(columns)
     for a in range((d - min(K.subset_weights[i])) // min(K.weights), 0, -1):
         group = _strand_power_vectors(K, i, d, a)
@@ -224,7 +220,9 @@ def _filtration_table(K, i, d, data):
         level_of += [i + a] * len(group)
     columns += data.rep_vectors
     level_of += [i] * k
-    red, pivots = exactalg.rref(Matrix(F, zip(*columns), len(columns)))
+    red, pivots = exactalg.rref(Matrix.from_triplets(
+        F, K.strand_dim(i, d), len(columns),
+        ((r, c, a) for c, column in enumerate(columns) for r, a in column.items())))
     forms = sorted(((level_of[c], row[-k:]) for row, c in zip(red.rows, pivots)
                     if level_of[c] is not None), key=lambda form: form[0])
     _, picked = exactalg.rref(Matrix(F, zip(*(row for _, row in forms)), len(forms)))
@@ -471,6 +469,15 @@ def _lift_pair_decisions(K, differences):
     M, and off G x G, where the cross terms must vanish, through the pairs
     S whose rows of A (the coordinates of the [w_c ∧ w_c']) span all rows.
     A, L and ι are read off the structure constants.
+
+    The three hold on every ring, so a False names an engine fault.  ι_g,
+    a degree -1 derivation of K that anticommutes with d, induces a
+    derivation ι_g^H of H(K), which kills H_1: the coefficients of a
+    1-cycle lie in m, as the x_j are minimal generators, and m H(K) = 0.
+    So ι_g^H L_[w] = -L_[w] ι_g^H for w in H_1, and M_(g,c) M_(h,c') =
+    L_[w_c ∧ w_c'] ι_h ι_g: the group law, the commutation (swap both
+    anticommuting pairs) and, as ι_g ι_g = 0, M_(g,c) M_(g,c') = 0.  The
+    cross term can be nonzero, as on f2_identity_false ⊗ k[s]/(s^2).
     """
     F, n, c = K.field, K.n, K.ring.codepth
     k, u = _dim(K, 1), _dim(K, 2)
@@ -519,7 +526,8 @@ def run_suite(K):
       phi (None over Q).
     Each is bilinear in the H_1 classes of two lifts (quadratic for
     exponent_p), and a boundary added to w_c changes no M, so the basis
-    pairs decide it for every pair of elementary lifts.
+    pairs decide it for every pair of elementary lifts.  All three hold
+    on every ring (see _lift_pair_decisions): a False names an engine fault.
     duality_propagation, for a Poincare duality algebra H (else None):
     the identity in the top degree c.  Then every H(phi), multiplicative
     and the identity on H_c, preserves the perfect pairing, so

@@ -2,9 +2,11 @@
 
 Scalars are plain Python ints in [0, p) for prime fields and
 fractions.Fraction for the rationals; a Field descriptor supplies the
-arithmetic, so no rounding can ever occur.  Matrices are row-major
-lists of scalars.  The rref, rank and kernel of every Matrix, over every
-field and at every size, come from eliminate: one sparse column
+arithmetic, so no rounding can ever occur.  A sparse vector is a
+{position: nonzero scalar} dict, the form of eliminate's columns and
+kernel vectors and of every strand vector of the Koszul full path.  A
+Matrix is row-major lists of scalars; its rref, rank and kernel, over
+every field and at every size, come from eliminate: one sparse column
 elimination.  The one dense kernel is the core that sparse_rank's peeling
 leaves over F_p (F_2 included): one row echelon form on a numpy int64
 array (_fp_eliminate); with p < 2^31 every product of two scalars stays
@@ -365,11 +367,6 @@ def _add_multiple(target, f, source, p):
     return new
 
 
-def dense_vector(field, n, v):
-    """The sparse vector {position: scalar} as a list of length n."""
-    return [v.get(c, field.zero) for c in range(n)]
-
-
 def triplet_columns(field, ncols, entries):
     """The columns of a triplet array (see as_triplets) as {row: nonzero scalar} dicts.
 
@@ -406,7 +403,7 @@ def rank(M):
 
 def kernel_basis(M):
     """Canonical basis of {v : Mv = 0}: the kernel of eliminate, as lists."""
-    return [dense_vector(M.field, M.ncols, v)
+    return [[v.get(c, M.field.zero) for c in range(M.ncols)]
             for v in _eliminate_matrix(M)[1]]
 
 

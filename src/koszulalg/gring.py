@@ -66,7 +66,7 @@ import operator
 import numpy as np
 
 from koszulalg import exactalg
-from koszulalg.exactalg import Matrix, PrimeField
+from koszulalg.exactalg import PrimeField
 from koszulalg.polyring import (
     GroebnerBasis,
     PolyContext,
@@ -200,10 +200,18 @@ class GradedRing:
         raise NotImplementedError
 
     def element_from_coords(self, d, coords):
+        """The element of R_d with coordinates {index in basis_of_degree(d): nonzero scalar}.
+
+        A position outside R_d raises ValueError.
+        """
         raise NotImplementedError
 
     def max_ideal_power_vectors(self, a, d):
-        """Basis (coordinate vectors in basis_of_degree(d)) of the degree-d slice of m^a."""
+        """A basis of the degree-d slice of m^a: {index in basis_of_degree(d): scalar} dicts.
+
+        A quotient keeps the products x_i v, v in the slice of m^(a-1)
+        in degree d - w_i, at the pivots of exactalg.eliminate.
+        """
         raise NotImplementedError
 
     def parse_element(self, text):
@@ -618,21 +626,19 @@ class ArtinianQuotient(GradedRing):
 
     def element_from_coords(self, d, coords):
         basis = self._monomial_basis(d)
-        if len(coords) != len(basis):
-            raise ValueError("coordinate length mismatch")
-        zero = self.field.zero
-        return RingElement(
-            self, {m: c for m, c in zip(basis, coords) if c != zero})
+        if not all(0 <= t < len(basis) for t in coords):
+            raise ValueError("coordinate position outside R_%d" % d)
+        return RingElement(self, {basis[t]: c for t, c in coords.items()})
 
     def max_ideal_power_vectors(self, a, d):
         if d < 0:
             return []
         if a <= 0:
-            return [exactalg.unit_vector(self.field, self.dim(d), s)
-                    for s in range(self.dim(d))]
+            return [{s: self.field.one} for s in range(self.dim(d))]
         if (a, d) in self._mpower_cache:
             return self._mpower_cache[a, d]
-        vectors = []
+        p = self.field.characteristic
+        products = []
         for i in range(self.ngens):
             w = self.weights[i]
             lower = self.max_ideal_power_vectors(a - 1, d - w)
@@ -640,15 +646,14 @@ class ArtinianQuotient(GradedRing):
                 continue
             trip = self.mult_triplets(i, d - w).tolist()
             for v in lower:
-                img = [self.field.zero] * self.dim(d)
+                img = {}
                 for r, c, coeff in trip:
-                    if v[c] != self.field.zero:
-                        img[r] = self.field.add(img[r], self.field.mul(coeff, v[c]))
-                vectors.append(img)
-        if vectors:
-            red, pivots = exactalg.rref(Matrix(self.field, vectors, self.dim(d)))
-            vectors = red.rows[:len(pivots)]
-        self._mpower_cache[a, d] = vectors
+                    if c in v:
+                        img[r] = img.get(r, 0) + coeff * v[c]
+                img = {r: x % p if p else x for r, x in img.items()}
+                products.append({r: x for r, x in img.items() if x})
+        pivots, _ = exactalg.eliminate(self.field, products)
+        vectors = self._mpower_cache[a, d] = [products[j] for j in pivots]
         return vectors
 
     def minimal_generator_counts(self):
@@ -770,11 +775,9 @@ class SemigroupRing(GradedRing):
         return {e: [(0, c)] for e, c in elem.data.items()}
 
     def element_from_coords(self, d, coords):
-        if len(coords) != self.dim(d):
-            raise ValueError("coordinate length mismatch")
-        if not coords or coords[0] == self.field.zero:
-            return self.zero()
-        return RingElement(self, {d: coords[0]})
+        if not all(0 <= t < self.dim(d) for t in coords):
+            raise ValueError("coordinate position outside R_%d" % d)
+        return RingElement(self, {d: coords[0]} if coords else {})
 
     def _max_generator_count(self, d):
         """L(d): the most generators, repeats allowed, summing to d; -1 if none.
@@ -794,7 +797,7 @@ class SemigroupRing(GradedRing):
         if self.dim(d) == 0:
             return []
         if a <= 0 or self._max_generator_count(d) >= a:
-            return [[self.field.one]]
+            return [{0: self.field.one}]
         return []
 
     def parse_element(self, text):

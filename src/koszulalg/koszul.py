@@ -7,11 +7,13 @@ degree, so every computation happens strand by strand: the strand
 (i, d) has one basis element per pair (subset S of size i, basis
 element of R_{d - w(S)}).
 
-The full path holds a strand of d_i as its columns, {row: scalar} dicts
-read straight off the multiplication tables of the ring (diff_columns);
-the rank-only path holds the strands of d_i in several consecutive
-degrees as one block-diagonal triplet array (exactalg.as_triplets: int64
-over F_p, dtype=object over Q; diff_triplets).  It reads each face of
+The full path holds every vector of a strand as a {position: nonzero
+scalar} dict: the columns of d_i, read straight off the multiplication
+tables of the ring (diff_columns), kernel vectors, class representatives
+and the components class_of receives (strand_vectors).  The rank-only
+path holds the strands of d_i in several consecutive degrees as one
+block-diagonal triplet array (exactalg.as_triplets: int64 over F_p,
+dtype=object over Q; diff_triplets).  It reads each face of
 each subset once for the whole window, as one range of the ring's table
 (ring.mult_range), and places and signs the blocks of every degree in
 whole-array steps.
@@ -24,9 +26,9 @@ and assembles the columns of each d_i once: one sparse elimination
 its columns at the pivots span the boundaries of H_{i-1}.  In the
 coordinates of the free columns of d_i, a second elimination gives the
 classes and the functionals of class_of (see _homology_pass).  Only a
-strand that holds a class keeps a record; class_of checks d_i z = 0
-there against the record's columns, and in a classless strand against
-its columns assembled on the first such query.  Strand layouts are one
+strand that holds a class keeps a record.  class_of checks d_i z = 0
+against one cache of strand columns on the complex, which the pass
+seeds with the recorded strands (see class_of).  Strand layouts are one
 array of block bounds per i, built with the complex from the Hilbert
 function; past SIZE_LIMIT entries it raises MemoryError.
 
@@ -174,39 +176,31 @@ def _merge_sign(S, T):
 class _DegreeData:
     """Reduction data of one homology strand (i, d) that holds a class.
 
-    rep_vectors are the kernel vectors of d_i that are classes (see
-    _homology_pass).  rep_coords checks d_i z = 0 against the columns
-    of d_i and applies the class functionals, kept as {free column:
-    [(class, scalar)]}.  filtration is None until analyze builds its
-    table on the first query.
+    boundary holds the pivot columns of d_{i+1} (see _homology_pass), a
+    basis of B_{i,d}; rep_vectors are the kernel vectors of d_i that are
+    classes.  Both are {position: scalar} dicts.  rep_coords applies the
+    class functionals, kept as {free column: [(class, scalar)]}, to a
+    cycle; class_of checks d_i z = 0 first.  filtration is None until
+    analyze builds its table on the first query.
     """
 
-    __slots__ = ("rep_vectors", "class_indices", "filtration",
-                 "_boundary", "_functionals", "_columns")
+    __slots__ = ("boundary", "rep_vectors", "class_indices", "filtration",
+                 "_functionals")
 
-    def __init__(self, boundary, rep_vectors, class_indices, functionals, columns):
+    def __init__(self, boundary, rep_vectors, class_indices, functionals):
+        self.boundary = boundary
         self.rep_vectors = rep_vectors
         self.class_indices = class_indices
         self.filtration = None
-        self._boundary = boundary
         self._functionals = functionals
-        self._columns = columns
-
-    def boundary_columns(self, field, total):
-        """The boundary columns as vectors: a basis of B_{i,d} (spanning past top)."""
-        return [exactalg.dense_vector(field, total, c) for c in self._boundary]
 
     def rep_coords(self, field, vec):
-        """Coordinates of vec on rep_vectors modulo boundaries; None if vec is no cycle."""
-        if not _is_cycle(field, self._columns, vec):
-            return None
+        """Coordinates of the cycle vec on rep_vectors modulo boundaries."""
         p = field.characteristic
         out = [field.zero] * len(self.rep_vectors)
-        for f, terms in self._functionals.items():
-            b = vec[f]
-            if b:
-                for t, a in terms:
-                    out[t] += a * b
+        for f, b in vec.items():
+            for t, a in self._functionals.get(f, ()):
+                out[t] += a * b
         return [a % p for a in out] if p else out
 
 
@@ -214,10 +208,9 @@ def _is_cycle(field, columns, vec):
     """True iff the matrix with these {row: scalar} columns kills vec."""
     p = field.characteristic
     image = {}
-    for column, b in zip(columns, vec):
-        if b:
-            for r, a in column.items():
-                image[r] = image.get(r, 0) + a * b
+    for c, b in vec.items():
+        for r, a in columns[c].items():
+            image[r] = image.get(r, 0) + a * b
     return not any(a % p if p else a for a in image.values())
 
 
@@ -381,7 +374,7 @@ class KoszulComplex:
             np.cumsum(h[degrees - weights], axis=1, out=bounds[:-1, 1:])
             self._bounds.append(bounds)
         self._homology = None
-        self._cycle_columns = {}  # (i, d): columns of a classless d_i, for class_of
+        self._cycle_columns = {}  # (i, d): columns of d_i, i > 0, for class_of
         self.structure = StructureConstants(self)
         self._no_entries = exactalg.as_triplets(self.field)
 
@@ -498,8 +491,8 @@ class KoszulComplex:
     def strand_vectors(self, i, u):
         """Strand coordinates of the homological-degree-i part of u, per internal degree.
 
-        Returns {d: vector of strand (i, d)} for every d where that part
-        has a nonzero component.
+        Returns {d: {position: nonzero scalar}} for every d where that
+        part has a nonzero component.
         """
         index = self.subset_index[i]
         out = {}
@@ -511,20 +504,21 @@ class KoszulComplex:
             for a, entries in self.ring.coords_by_degree(r).items():
                 d = a + wS
                 if d not in out:
-                    offsets, total = self.strand_offsets(i, d)
-                    out[d] = ([self.field.zero] * total, offsets)
+                    out[d] = ({}, self.strand_offsets(i, d)[0])
                 vec, offsets = out[d]
                 for t, c in entries:
                     vec[offsets[s_pos] + t] = c
         return {d: out[d][0] for d in sorted(out)}
 
     def vector_to_element(self, i, d, vec):
+        """The element of the strand (i, d) with coordinates vec, {position: scalar}."""
         bounds = self._layout(i, d, d + 1)[0].tolist()
-        if len(vec) != bounds[-1]:
-            raise ValueError("strand coordinate length mismatch")
+        if not all(0 <= c < bounds[-1] for c in vec):
+            raise ValueError("position outside the strand (%d, %d)" % (i, d))
         blocks = zip(self.subsets[i], self.subset_weights[i], bounds, bounds[1:])
-        return KoszulElement(self, {S: self.ring.element_from_coords(d - w, vec[start:end])
-                                    for S, w, start, end in blocks if start < end})
+        return KoszulElement(self, {S: self.ring.element_from_coords(
+            d - w, {c - start: a for c, a in vec.items() if start <= c < end})
+            for S, w, start, end in blocks if start < end})
 
     def strand_basis_elements(self, i, d):
         """All basis elements of the strand (i, d) as KoszulElements."""
@@ -637,10 +631,9 @@ def _homology_pass(K, top):
     reversed) is the coordinate of z on the class modulo boundaries.  If
     the boundary columns are independent and as many as the cycles, B =
     Z: nothing is eliminated.  Only a strand with a class keeps a record
-    (_DegreeData: its boundary columns, representatives, functionals and
-    the columns of d_i); the pass keeps nothing of a classless strand.  A
-    strand past SIZE_LIMIT dense entries raises MemoryError before any
-    work; only class representatives are dense.
+    (_DegreeData), and for i > 0 leaves the columns of d_i in the cache
+    of class_of; the pass keeps nothing of a classless strand.  A strand
+    past SIZE_LIMIT dense entries raises MemoryError before any work.
     """
     F = K.field
     dims = np.array([bounds[:, -1] for bounds in K._bounds])  # dims[i, d] = dim K_{i,d}
@@ -669,13 +662,14 @@ def _homology_pass(K, top):
                 positions, functionals = _classes_in_free_columns(
                     F, total, pivots, boundary, i < top)
                 if positions:
-                    reps = [exactalg.dense_vector(F, total, kernel[t]) for t in positions]
+                    reps = [kernel[t] for t in positions]
                     indices = list(range(len(classes[i]), len(classes[i]) + len(reps)))
                     classes[i] += [HomologyClass(idx, d, K.vector_to_element(i, d, v),
                                                  "h%d.%d" % (i, idx + 1))
                                    for idx, v in zip(indices, reps)]
-                    degree_data[i][d] = _DegreeData(
-                        boundary, reps, indices, functionals, columns)
+                    degree_data[i][d] = _DegreeData(boundary, reps, indices, functionals)
+                    if i:
+                        K._cycle_columns[(i, d)] = columns
                     if K.exactness_floor is not None and d >= K.exactness_floor:
                         raise TruncationError(
                             "nonzero H_%d in degree %d inside the vanishing window"
@@ -712,14 +706,14 @@ def class_of(K, i, z):
     """Coordinates of the cycle z in the basis of H_i; verifies d(z) = 0.
 
     d preserves internal degree, so z is a cycle iff each internal
-    component is.  Up to the truncation a component in a strand with
-    classes is checked and mapped by the strand's record.  In a strand
-    without one, a cycle is a boundary and adds nothing: for i > 0 the
-    component is checked against the columns of d_i, assembled on the
-    first such query and kept on K by (i, d).  Past the truncation
-    (semigroup rings only) every block is k t^a and x_j t^a = t^(a+g_j),
-    so the strand has the layout and the d_i of the exactness floor,
-    which holds no classes.
+    component is.  For i > 0 each component is checked against the
+    columns of d_i in one cache on K by (i, d), which _homology_pass
+    seeds with the strands that keep a record; any other strand is
+    assembled on its first such query.  A cycle is mapped by its
+    strand's record; a strand without one holds only boundaries.  Past
+    the truncation (semigroup rings only) every block is k t^a and x_j
+    t^a = t^(a+g_j), so the strand has the layout and the d_i of the
+    exactness floor, which holds no classes.
     """
     deg = z.homological_degree()
     if not z.is_zero() and deg != i:
@@ -734,21 +728,17 @@ def class_of(K, i, z):
                     "cycle component in degree %d exceeds truncation %d"
                     % (d, K.truncation))
             d = K.exactness_floor
+        if i:
+            columns = K._cycle_columns.get((i, d))
+            if columns is None:
+                columns = K._cycle_columns[(i, d)] = K.diff_columns(i, d)
+            if not _is_cycle(F, columns, vec):
+                raise NotACycleError("class_of received a non-cycle")
         data = basis.degree_data.get(d)
-        if data is None:
-            if i:
-                columns = K._cycle_columns.get((i, d))
-                if columns is None:
-                    columns = K._cycle_columns[(i, d)] = K.diff_columns(i, d)
-                if not _is_cycle(F, columns, vec):
-                    raise NotACycleError("class_of received a non-cycle")
-            continue
-        sol = data.rep_coords(F, vec)
-        if sol is None:
-            raise NotACycleError("class_of received a non-cycle")
-        for idx, c in zip(data.class_indices, sol):
-            if c != F.zero:
-                coords[idx] = F.add(coords[idx], c)
+        if data is not None:
+            for idx, c in zip(data.class_indices, data.rep_coords(F, vec)):
+                if c != F.zero:
+                    coords[idx] = F.add(coords[idx], c)
     return coords
 
 

@@ -47,6 +47,16 @@ def subspace_intersect(U, V, field, ambient):
     return R.rows[:len(pivots)]
 
 
+def sparse(vec):
+    """A dense vector as the engine's {position: nonzero scalar} dict."""
+    return {c: a for c, a in enumerate(vec) if a}
+
+
+def dense(field, n, vec):
+    """A {position: scalar} vector as a list of length n."""
+    return [vec.get(c, field.zero) for c in range(n)]
+
+
 def monomials_of_weight(ctx, d):
     """All exponent tuples of weighted degree exactly d (unordered)."""
     out = []

@@ -161,7 +161,8 @@ def _reference_filtration_span(K, i, d, l):
         cycles = [exactalg.unit_vector(K.field, total, s) for s in range(total)]
     else:
         cycles = exactalg.kernel_basis(conftest.diff_matrix(K, i, d))
-    power = analyze._strand_power_vectors(K, i, d, l - i)
+    power = [conftest.dense(K.field, total, v)
+             for v in analyze._strand_power_vectors(K, i, d, l - i)]
     boundary = _boundary_rows(K, i, d)
     inter = conftest.subspace_intersect(cycles, power, K.field, total)
     return inter + boundary, boundary
@@ -186,7 +187,8 @@ def _reference_filtration_level(K, i, coords):
     level = i
     while all(
             exactalg.coords_in_span(
-                vec, _reference_filtration_span(K, i, d, level + 1)[0],
+                conftest.dense(K.field, K.strand_dim(i, d), vec),
+                _reference_filtration_span(K, i, d, level + 1)[0],
                 K.field) is not None
             for d, vec in components.items()):
         level += 1
@@ -773,13 +775,14 @@ _SMALL_FIXTURES = ["f2_ci_x2_y2.json", "f2_golod_m2.json", "f2_products_row1.jso
                    "f2_weighted_2_3.json", "q_x2_xy_y2_z2.json"]
 
 
-def _stand_in_contraction(K):
+def _stand_in_contraction(K, first_only=False):
     """Sends the t-th representative of H_i to the (t + g)-th of H_(i-1) under e_g^*.
 
     On every fixture each cross term L_[w_c ∧ w_c'] ι_h ι_g vanishes,
     though neither ι^H nor ι_h ι_g does: on f2_identity_false both are
     nonzero on H, and so is M_(g,c) = L_[w_c] ι_g^H.  This stand-in for
-    contract makes the cross terms nonzero.
+    contract makes the cross terms nonzero.  With first_only, only e_1^*
+    acts, and it kills H_1.
     """
     reps = {i: [cls.element for cls in homology_basis(K, i).classes]
             for i in range(K.ring.codepth + 1)}
@@ -788,7 +791,9 @@ def _stand_in_contraction(K):
     def stand_in(x, g):
         i, t = index[id(x)]
         low = reps.get(i - 1)
-        return low[(t + g) % len(low)] if low else K.zero_element()
+        if not low or first_only and (g or i == 1):
+            return K.zero_element()
+        return low[(t + g) % len(low)]
     return stand_in
 
 
@@ -817,6 +822,45 @@ def test_pair_decisions_match_their_definition(stand_in, monkeypatch):
                 # every M is zero, so the nonzero cross terms break the group law
                 assert analyze._lift_pair_decisions(K, differences)[0] is False
     assert set(seen) == {"group_law", "abelian", "exponent_p"}
+
+
+def test_cross_terms_off_the_lift_generators_read_every_spanning_row(monkeypatch):
+    # off G x G the cross terms are checked through the pairs S whose rows
+    # of A span all rows.  On k[x,y,z]/(x^2,y^2,z^2) every M is zero, and
+    # under a stand-in contraction by e_1 alone that kills H_1 the one
+    # nonzero cross term, L_[w_c ∧ w_c'] ι_1 ι_1 on H_3, is zero for the
+    # first pair of S and not for a later one
+    K = KoszulComplex(make_artinian_quotient(
+        PolyContext(GF2, ["x", "y", "z"]), ["x^2", "y^2", "z^2"]))
+    differences = check_identity_all(K).differences
+    monkeypatch.setattr(koszul, "contract", _stand_in_contraction(K, first_only=True))
+    monkeypatch.setattr(K, "structure", koszul.StructureConstants(K))
+    decided = analyze._lift_pair_decisions(K, differences)
+    assert decided == _pair_decisions_by_definition(K, differences) == (False, True, True)
+
+
+def _cross_term_ring(field):
+    """f2_identity_false ⊗ k[s]/(s^2): some products M_(g,c) M_(h,c') are nonzero on H."""
+    ctx = PolyContext(field, ["x", "y", "z", "w", "s"])
+    return make_artinian_quotient(
+        ctx, ["x^2", "y^2", "z^2", "w^3", "y*z - x*w", "y*w^2", "s^2"])
+
+
+@pytest.mark.parametrize("field", [GF2, exactalg.PrimeField(3)], ids=["F2", "F3"])
+def test_pair_decisions_hold_with_nonzero_cross_terms(field):
+    # on the fixtures every product of two M vanishes, and with it every
+    # cross term; here 12 products over pairs of lifts and degrees do not,
+    # and the decisions still hold, as they do on every ring
+    K = KoszulComplex(_cross_term_ring(field))
+    verdict = check_identity_all(K)
+    assert verdict.overall is False
+    nonzero = 0
+    for i in range(K.ring.codepth + 1):
+        dim = homology_basis(K, i).dim
+        M = [exactalg.Matrix.from_columns(field, diff[i], dim) for diff in verdict.differences]
+        nonzero += sum(not a.mul(b).is_zero() for a in M for b in M)
+    assert nonzero == 12
+    assert analyze._lift_pair_decisions(K, verdict.differences) == (True, True, True)
 
 
 # ---------------------------------------------------------------- pairings

@@ -419,7 +419,7 @@ def _generic_kernel(m):
 
 
 def _dense(F, n, kernel):
-    return [exactalg.dense_vector(F, n, v) for v in kernel]
+    return [conftest.dense(F, n, v) for v in kernel]
 
 
 def _columns(m):

@@ -78,6 +78,20 @@ def test_parse_element_reduces():
     assert R.parse_element("x^3") == R.parse_element("y^2")
 
 
+@pytest.mark.parametrize("make", [conftest.q_ring, conftest.semigroup_6101415],
+                         ids=["quotient", "semigroup"])
+def test_element_from_coords_rejects_a_position_outside_the_degree(make):
+    R = make()
+    for d in range(12):
+        n = R.dim(d)
+        if n:
+            coords = {t: R.field.one for t in range(n)}
+            assert R.element_from_coords(d, coords) == sum(R.basis_of_degree(d), R.zero())
+        for t in (-1, n):
+            with pytest.raises(ValueError, match="outside R_%d" % d):
+                R.element_from_coords(d, {t: R.field.one})
+
+
 def test_element_arithmetic():
     R = conftest.q_ring()
     x = R.generator(0)
@@ -577,7 +591,7 @@ def assert_mpower_matches_oracle(S, a_max=6):
     levels = _mpower_oracle(S.generators, a_max, bound)
     for a, degrees in enumerate(levels):
         for d in range(bound + 1):
-            expect = [[S.field.one]] if d in degrees else []
+            expect = [{0: S.field.one}] if d in degrees else []
             assert S.max_ideal_power_vectors(a, d) == expect, (a, d)
 
 

@@ -54,7 +54,7 @@ def _random_element(K, i, rnd):
         if total == 0:
             continue
         vec = [K.field.from_int(rnd.draw(st.integers(-3, 3))) for _ in range(total)]
-        u = K.vector_to_element(i, d, vec)
+        u = K.vector_to_element(i, d, conftest.sparse(vec))
         for key, val in u.data.items():
             data[key] = data.get(key, K.ring.zero()) + val
     return K.element(data)
@@ -499,9 +499,20 @@ def test_element_vector_round_trip(K_weighted):
             _, total = K_weighted.strand_offsets(i, d)
             if total == 0:
                 continue
-            vec = [K_weighted.field.from_int((k * 7 + 3) % 2) for k in range(total)]
+            vec = conftest.sparse(
+                [K_weighted.field.from_int((k * 7 + 3) % 2) for k in range(total)])
             u = K_weighted.vector_to_element(i, d, vec)
             assert K_weighted.strand_vectors(i, u) == {d: vec}
+
+
+@pytest.mark.parametrize("position", [-1, "end"])
+def test_vector_to_element_rejects_a_position_outside_the_strand(K_weighted, position):
+    K, one = K_weighted, K_weighted.field.one
+    for i in range(K.n + 1):
+        for d in range(K.truncation + 1):
+            c = K.strand_dim(i, d) if position == "end" else position
+            with pytest.raises(ValueError, match="outside the strand"):
+                K.vector_to_element(i, d, {0: one, c: one})
 
 
 def test_semigroup_vanishing_window_clean(K_aci):
@@ -549,12 +560,20 @@ def _assert_boundaries_match_rref(K):
                 continue
             assert data.rep_vectors
             # the kept columns of d_{i+1} are a basis of B_{i,d}
-            columns = data.boundary_columns(F, K.strand_dim(i, d))
+            columns = [conftest.dense(F, K.strand_dim(i, d), c) for c in data.boundary]
             assert len(columns) == len(expected)
             if columns:
                 red, pivots = exactalg.rref(
                     exactalg.Matrix(F, columns, K.strand_dim(i, d)))
                 assert red.rows[:len(pivots)] == expected
+
+
+def _dense(K, i, d, vec):
+    return conftest.dense(K.field, K.strand_dim(i, d), vec)
+
+
+def _dense_reps(K, i, d, data):
+    return [_dense(K, i, d, v) for v in data.rep_vectors]
 
 
 def _reference_class_of(K, i, z):
@@ -569,7 +588,7 @@ def _reference_class_of(K, i, z):
             continue
         boundary = _boundary_rows(K, i, d)
         sol = exactalg.coords_in_span(
-            vec, boundary + data.rep_vectors, K.field)
+            _dense(K, i, d, vec), boundary + _dense_reps(K, i, d, data), K.field)
         for t, idx in enumerate(data.class_indices):
             coords[idx] = K.field.add(coords[idx], sol[len(boundary) + t])
     return coords
@@ -616,7 +635,8 @@ def _forward_class_of(K, i, z, searches):
     for d, vec in K.strand_vectors(i, z).items():
         d = min(d, K.truncation)  # past it only semigroup rings, at the floor
         boundary = _boundary_rows(K, i, d)
-        sol = exactalg.coords_in_span(vec, boundary + (searches[(i, d)] or []), F)
+        sol = exactalg.coords_in_span(
+            _dense(K, i, d, vec), boundary + (searches[(i, d)] or []), F)
         if sol is None:
             raise NotACycleError("class_of received a non-cycle")
         for t, c in enumerate(sol[len(boundary):]):
@@ -630,7 +650,7 @@ def _assert_matches_forward_search(K, rnd):
                 for i in range(K.n + 1) for d in range(K.truncation + 1)}
     F = K.field
     for i in range(K.n + 1):
-        forward = [(d, K.vector_to_element(i, d, v))
+        forward = [(d, K.vector_to_element(i, d, conftest.sparse(v)))
                    for d in range(K.truncation + 1) if searches[(i, d)]
                    for v in searches[(i, d)]]
         basis = homology_basis(K, i)
@@ -645,7 +665,7 @@ def _assert_matches_forward_search(K, rnd):
             span = boundary + searches[(i, d)]
             coeffs = [_scalar(F, rnd) for _ in span]
             vec = _combination(F, coeffs, span, K.strand_dim(i, d))
-            cycle = cycle + K.vector_to_element(i, d, vec)
+            cycle = cycle + K.vector_to_element(i, d, conftest.sparse(vec))
         chains = [cycle]
         if i > 0:
             chains.append(cycle + _random_chain(K, i, rnd))
@@ -792,20 +812,24 @@ def test_strand_solver_matches_coords_in_span(ring, rnd):
         cycle = K.zero_element()
         for d, data in sorted(basis.degree_data.items()):
             boundary = _boundary_rows(K, i, d)
-            span = boundary + data.rep_vectors
+            span = boundary + _dense_reps(K, i, d, data)
             total = len(span[0])
             nb = len(boundary)
             # a random cycle: boundaries plus representatives
             coeffs = [_scalar(F, rnd) for _ in span]
             vec = _combination(F, coeffs, span, total)
             assert exactalg.coords_in_span(vec, span, F) == coeffs
-            assert data.rep_coords(F, vec) == coeffs[nb:]
-            # a random strand vector, inside the cycle space or not
+            assert data.rep_coords(F, conftest.sparse(vec)) == coeffs[nb:]
+            # a random strand vector, inside the cycle space or not; the
+            # cycle check is class_of's
             other = [_scalar(F, rnd) for _ in range(total)]
             sol = exactalg.coords_in_span(other, span, F)
-            assert data.rep_coords(F, other) == (
-                None if sol is None else sol[nb:])
-            cycle = cycle + K.vector_to_element(i, d, vec)
+            if sol is None:
+                with pytest.raises(NotACycleError):
+                    class_of(K, i, K.vector_to_element(i, d, conftest.sparse(other)))
+            else:
+                assert data.rep_coords(F, conftest.sparse(other)) == sol[nb:]
+            cycle = cycle + K.vector_to_element(i, d, conftest.sparse(vec))
         assert class_of(K, i, cycle) == _reference_class_of(K, i, cycle)
         if i > 0 and rnd.random() < 0.5:
             u = _random_chain(K, i, rnd)
@@ -909,7 +933,7 @@ def _random_chain(K, i, rnd):
     degrees = [d for d in range(K.truncation + 1) if K.strand_dim(i, d)]
     d = rnd.choice(degrees)
     vec = [_scalar(K.field, rnd) for _ in range(K.strand_dim(i, d))]
-    return K.vector_to_element(i, d, vec)
+    return K.vector_to_element(i, d, conftest.sparse(vec))
 
 
 def test_class_of_rejects_non_cycle_in_recorded_degree(K_q):
@@ -927,6 +951,31 @@ def test_class_of_rejects_component_where_no_cycles_exist(K_q):
     assert all(cls.degree != 1 for cls in homology_basis(K_q, 1).classes)
     with pytest.raises(NotACycleError, match="class_of received a non-cycle"):
         class_of(K_q, 1, K_q.generator_element(0))
+
+
+@pytest.mark.parametrize("name", ["q_x2_xy_y2_z2.json", "f2_semigroup_6_10_14_15.json"])
+def test_class_of_checks_every_strand_against_one_cache(name, monkeypatch):
+    # recorded or not, a strand's cycle check reads the one cache of strand
+    # columns on the complex: the pass seeds it with the recorded strands,
+    # and class_of assembles any other strand once; a non-cycle is refused
+    # either way
+    K = KoszulComplex(load_ring_spec(conftest.fixture_path(name)))
+    _, on_demand = conftest.count_assemblies(monkeypatch)
+    recorded = {(i, d) for i in range(1, K.n + 1) for d in homology_basis(K, i).degree_data}
+    assert recorded and recorded <= set(K._cycle_columns)
+    refused = set()
+    for i in range(1, K.n + 1):
+        for d in range(K.truncation + 1):
+            for c in range(K.strand_dim(i, d)):
+                u = K.vector_to_element(i, d, {c: K.field.one})
+                if differential(u).is_zero():
+                    continue
+                with pytest.raises(NotACycleError, match="class_of received a non-cycle"):
+                    class_of(K, i, u)
+                refused.add((i, d) in recorded)
+    assert refused == {True, False}
+    assert not recorded & set(on_demand)
+    conftest.assert_on_demand_only_where_classless(K, on_demand)
 
 
 def test_class_of_checks_components_past_truncation(K_aci):
@@ -982,7 +1031,7 @@ def _assert_rep_coords_match_reference(K, rnd):
         for d, data in sorted(basis.degree_data.items()):
             total = K.strand_dim(i, d)
             boundary = _boundary_rows(K, i, d)
-            span = boundary + data.rep_vectors
+            span = boundary + _dense_reps(K, i, d, data)
             cycle = _combination(F, [_scalar(F, rnd) for _ in span], span, total)
             bound = _combination(F, [_scalar(F, rnd) for _ in boundary], boundary, total)
             samples = [cycle, bound]
@@ -992,17 +1041,18 @@ def _assert_rep_coords_match_reference(K, rnd):
                     other = [_scalar(F, rnd) for _ in range(total)]
                 samples.append(other)
             for vec in samples:
-                expected = _outcome(_reference_class_of, K, i, K.vector_to_element(i, d, vec))
-                sol = data.rep_coords(F, vec)
-                if sol is None:
+                u = K.vector_to_element(i, d, conftest.sparse(vec))
+                expected = _outcome(_reference_class_of, K, i, u)
+                if _outcome(class_of, K, i, u) is NotACycleError:
                     assert expected is NotACycleError
                     continue
+                sol = data.rep_coords(F, conftest.sparse(vec))
                 assert _exact_scalars(sol)
                 coords = [F.zero] * basis.dim
                 for idx, c in zip(data.class_indices, sol):
                     coords[idx] = c
                 assert coords == expected
-            assert not any(data.rep_coords(F, bound))
+            assert not any(data.rep_coords(F, conftest.sparse(bound)))
 
 
 @pytest.mark.parametrize("name", _every_fixture_but_x98())
@@ -1031,13 +1081,14 @@ def _assert_classless_strands_check_cycles(K, rnd):
             boundary = _boundary_rows(K, i, d)
             assert len(boundary) == _cycle_dim(K, i, d)
             vec = _combination(F, [_scalar(F, rnd) for _ in boundary], boundary, total)
-            assert class_of(K, i, K.vector_to_element(i, d, vec)) == [F.zero] * basis.dim
+            assert class_of(K, i, K.vector_to_element(i, d, conftest.sparse(vec))) == (
+                [F.zero] * basis.dim)
             if len(boundary) < total:
                 vec = [_scalar(F, rnd) for _ in range(total)]
                 while exactalg.coords_in_span(vec, boundary, F) is not None:
                     vec = [_scalar(F, rnd) for _ in range(total)]
                 with pytest.raises(NotACycleError):
-                    class_of(K, i, K.vector_to_element(i, d, vec))
+                    class_of(K, i, K.vector_to_element(i, d, conftest.sparse(vec)))
 
 
 @pytest.mark.parametrize("name", _every_fixture_but_x98())
@@ -1170,7 +1221,7 @@ def test_no_numpy_scalar_leaks(make):
     for i in range(K.n + 1):
         basis = homology_basis(K, i)
         for data in basis.degree_data.values():
-            assert _exact_scalars(a for v in data.rep_vectors for a in v), i
+            assert _exact_scalars(a for v in data.rep_vectors for a in (*v, *v.values())), i
         for cls in basis.classes:
             coords = class_of(K, i, cls.element)
             assert _exact_scalars(coords), i
