@@ -38,10 +38,9 @@ cycle lies in (Z ∩ F^l) + B exactly when it lies in F^l + B.  So each
 strand (i, d) with k classes has one filtration table, built on its
 first query: k independent linear forms on the class coordinates, each
 with a level, such that a class is in F^l H_i iff every form of level
-< l kills it.  One rref of the boundary columns, the slices of m^a K
-and the representatives gives the forms, each at the level read off
-the column group of its row's pivot; a second rref, the forms as
-columns, selects the first k independent ones (see _filtration_table).
+< l kills it.  One eliminate of the boundary columns, the slices of m^a
+K and the representatives gives the forms, read off its pivots and
+kernel vectors, and a second the first k independent ones.
 The level of a class is the least level of a form that does not kill
 it, dim F^l counts the forms of level >= l, the dual basis of the forms
 is adapted to the filtration, and ord(R) is the least form level on H_1.
@@ -55,7 +54,6 @@ import math
 import numpy as np
 
 from koszulalg import exactalg
-from koszulalg.exactalg import Matrix
 from koszulalg.gring import ArtinianQuotient
 from koszulalg.koszul import (
     _homology_through,
@@ -186,23 +184,21 @@ def _strand_power_vectors(K, i, d, a):
 def _filtration_table(K, i, d, data):
     """Filtration table (levels, forms) of the strand (i, d), levels increasing.
 
-    A class of the strand is in F^l iff every form of level < l kills its
-    coordinates.  One rref is taken of the matrix with these {position:
-    scalar} columns, densified for it: the boundary columns (a basis of
-    B_{i,d}), then m^a K_{i,d} for a from the largest with a
-    nonzero slice (a product of a generators has degree >= a * min
-    weight) down to 1, then the k representatives.  Each group has a
-    level, i + a for m^a and i for the representatives; the boundary
-    columns have none.  A row of the rref is zero left of its pivot, so
-    the rows with pivots after the group of m^a span the functionals
-    y . [columns] with y killing B + m^a K, and a class is in F^(i+a)
-    exactly when their last k entries vanish on it.  Every row with its
-    pivot in a group with a level gives one form (its last k entries) at
-    that level.  Of those forms, taken by increasing level, the table
-    keeps the k independent ones that come first (the pivots of a second
-    rref, the forms as columns): they cut out every F^l, and no nonzero
-    class is in all of them.  Built on the first query and kept on the
-    strand data.
+    A class of the strand is in F^l iff every form (k scalars) of level
+    < l kills its coordinates.  One eliminate is taken of these {position:
+    scalar} columns: the boundary columns (a basis of B_{i,d}), then
+    m^a K_{i,d} for a from the largest with a nonzero slice (a product of
+    a generators has degree >= a * min weight) down to 1, then the k
+    representatives.  Each group has a level, i + a for m^a and i for the
+    representatives; the boundary columns have none.  The rref row of a
+    pivot p is zero left of p, so the rows of pivots after the group of
+    m^a span the functionals y . [columns] with y killing B + m^a K, and
+    a class is in F^(i+a) exactly when they vanish on it at the
+    representatives.  A pivot p with a level gives its row there as a
+    form: 1 at p, 0 at another pivot, -v_c[p] at a free c with kernel
+    vector v_c.  Of those forms, by increasing level, the table keeps the
+    first k independent ones (the pivots of a second eliminate): they cut
+    out every F^l, and no nonzero class is in all of them.
     """
     if data.filtration is not None:
         return data.filtration
@@ -210,7 +206,7 @@ def _filtration_table(K, i, d, data):
     k = len(data.rep_vectors)
     if _is_standard_graded(K) or not k:
         # F^l is the filtration by internal degree: every level is d
-        data.filtration = ([d] * k, Matrix.identity(F, k))
+        data.filtration = ([d] * k, [exactalg.unit_vector(F, k, t) for t in range(k)])
         return data.filtration
     columns = list(data.boundary)
     level_of = [None] * len(columns)
@@ -220,14 +216,16 @@ def _filtration_table(K, i, d, data):
         level_of += [i + a] * len(group)
     columns += data.rep_vectors
     level_of += [i] * k
-    red, pivots = exactalg.rref(Matrix.from_triplets(
-        F, K.strand_dim(i, d), len(columns),
-        ((r, c, a) for c, column in enumerate(columns) for r, a in column.items())))
-    forms = sorted(((level_of[c], row[-k:]) for row, c in zip(red.rows, pivots)
-                    if level_of[c] is not None), key=lambda form: form[0])
-    _, picked = exactalg.rref(Matrix(F, zip(*(row for _, row in forms)), len(forms)))
+    pivots, kernel = exactalg.eliminate(F, columns)
+    # -e_c stands in for a representative c that is a pivot, as in exactalg.rref
+    owned, reps = set(pivots), range(len(columns) - k, len(columns))
+    free = iter(kernel[len(kernel) - sum(c not in owned for c in reps):])
+    vectors = [{c: F.neg(F.one)} if c in owned else next(free) for c in reps]
+    forms = sorted(((level_of[p], {t: F.neg(v[p]) for t, v in enumerate(vectors) if p in v})
+                    for p in pivots if level_of[p] is not None), key=lambda form: form[0])
+    picked, _ = exactalg.eliminate(F, [form for _, form in forms])
     data.filtration = ([forms[c][0] for c in picked],
-                       Matrix(F, [forms[c][1] for c in picked], k))
+                       [[forms[c][1].get(t, F.zero) for t in range(k)] for c in picked])
     return data.filtration
 
 
@@ -257,7 +255,7 @@ def filtration_level(K, i, coords):
         levels, forms = _filtration_table(K, i, d, data)
         nonzero = [(t, coords[idx]) for t, idx in enumerate(data.class_indices)
                    if coords[idx] != F.zero]
-        for lev, form in zip(levels, forms.rows):
+        for lev, form in zip(levels, forms):
             value = sum(form[t] * a for t, a in nonzero)
             if (value % p if p else value) != 0:
                 level = min(level, lev)
@@ -277,7 +275,7 @@ def class_levels(K, i):
         for d, data in basis.degree_data.items():
             table_levels, forms = _filtration_table(K, i, d, data)
             for t, idx in enumerate(data.class_indices):
-                levels[idx] = next(lev for lev, form in zip(table_levels, forms.rows)
+                levels[idx] = next(lev for lev, form in zip(table_levels, forms)
                                    if form[t] != K.field.zero)
         basis.levels = levels
     return basis.levels
@@ -321,7 +319,7 @@ class GrAlgebra:
             for d in hb.degrees():
                 data = hb.degree_data[d]
                 levels, forms = _filtration_table(K, i, d, data)
-                for level, dual in zip(levels, _inverse_columns(forms)):
+                for level, dual in zip(levels, _inverse_columns(F, forms)):
                     full = [F.zero] * hb.dim
                     for idx, a in zip(data.class_indices, dual):
                         full[idx] = a
@@ -372,12 +370,13 @@ class GrAlgebra:
         }
 
 
-def _inverse_columns(M):
-    """The columns of M^-1 for an invertible square M, read off rref([M | I])."""
-    F, k = M.field, M.nrows
-    red, _ = exactalg.rref(Matrix(F, [
-        row + exactalg.unit_vector(F, k, t) for t, row in enumerate(M.rows)], 2 * k))
-    return [[row[k + b] for row in red.rows] for b in range(k)]
+def _inverse_columns(F, rows):
+    """The columns of M^-1, M invertible with these rows: -v_b[:k], for v_b
+    the kernel vector of the identity column b of [M | I]."""
+    k = len(rows)
+    _, kernel = exactalg.eliminate(F, [{r: row[j] for r, row in enumerate(rows) if row[j] != F.zero}
+                                       for j in range(k)] + [{t: F.one} for t in range(k)])
+    return [[F.neg(v.get(r, F.zero)) for r in range(k)] for v in kernel]
 
 
 def gr_homology(K):
@@ -425,9 +424,9 @@ def poincare_pairing(K, i):
             for a in range(hi.dim)]
     if hi.dim == 0 or hj.dim == 0:
         perfect = hi.dim == hj.dim
-        return {"matrix": Matrix(K.field, [], 0) if not rows else None,
+        return {"matrix": exactalg.Matrix(K.field, [], 0) if not rows else None,
                 "is_perfect": perfect, "dim_top": 1}
-    m = Matrix(K.field, rows, hj.dim)
+    m = exactalg.Matrix(K.field, rows, hj.dim)
     perfect = hi.dim == hj.dim and exactalg.rank(m) == hi.dim
     return {"matrix": m, "is_perfect": perfect, "dim_top": 1}
 
@@ -482,7 +481,7 @@ def _lift_pair_decisions(K, differences):
     F, n, c = K.field, K.n, K.ring.codepth
     k, u = _dim(K, 1), _dim(K, 2)
     A = _left(K, 1, 2).swapaxes(1, 2).reshape(k * k, u)
-    S = exactalg.rref(Matrix(F, A.T.tolist(), k * k))[1]
+    S = exactalg.eliminate(F, [{j: a for j, a in enumerate(row) if a} for row in A.tolist()])[0]
     contractions = {i: _iota(K, i) for i in range(-1, c + 1)}
     group_law = abelian = exponent_p = True
     for i in range(c + 1):

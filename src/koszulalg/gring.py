@@ -639,17 +639,18 @@ class ArtinianQuotient(GradedRing):
             return self._mpower_cache[a, d]
         p = self.field.characteristic
         products = []
-        for i in range(self.ngens):
-            w = self.weights[i]
+        for i, w in enumerate(self.weights):
             lower = self.max_ideal_power_vectors(a - 1, d - w)
             if not lower:
                 continue
-            trip = self.mult_triplets(i, d - w).tolist()
+            by_column = {}
+            for r, c, coeff in self.mult_triplets(i, d - w).tolist():
+                by_column.setdefault(c, []).append((r, coeff))
             for v in lower:
                 img = {}
-                for r, c, coeff in trip:
-                    if c in v:
-                        img[r] = img.get(r, 0) + coeff * v[c]
+                for c, x in v.items():
+                    for r, coeff in by_column.get(c, ()):
+                        img[r] = img.get(r, 0) + coeff * x
                 img = {r: x % p if p else x for r, x in img.items()}
                 products.append({r: x for r, x in img.items() if x})
         pivots, _ = exactalg.eliminate(self.field, products)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,6 +338,76 @@ def test_class_levels_match_filtration_level_of_unit_vectors(name):
         assert class_levels(K, i) == [
             filtration_level(K, i, exactalg.unit_vector(K.field, dim, idx))
             for idx in range(dim)], i
+
+
+def _reference_filtration_table(K, i, d, data):
+    """(levels, forms) of the strand (i, d) from two rrefs of dense Matrix objects.
+
+    The columns are stacked as in analyze._filtration_table and densified
+    into one Matrix.  Each rref row whose pivot lies in a group with a
+    level gives a form, its last k entries; a second rref, the forms as
+    columns by increasing level, picks the first k independent ones.
+    """
+    F, k = K.field, len(data.rep_vectors)
+    columns = list(data.boundary)
+    level_of = [None] * len(columns)
+    for a in range((d - min(K.subset_weights[i])) // min(K.weights), 0, -1):
+        group = analyze._strand_power_vectors(K, i, d, a)
+        columns += group
+        level_of += [i + a] * len(group)
+    columns += data.rep_vectors
+    level_of += [i] * k
+    red, pivots = exactalg.rref(exactalg.Matrix.from_triplets(
+        F, K.strand_dim(i, d), len(columns),
+        ((r, c, a) for c, column in enumerate(columns) for r, a in column.items())))
+    forms = sorted(((level_of[c], row[-k:]) for row, c in zip(red.rows, pivots)
+                    if level_of[c] is not None), key=lambda form: form[0])
+    _, picked = exactalg.rref(exactalg.Matrix(F, zip(*(row for _, row in forms)), len(forms)))
+    return [forms[c][0] for c in picked], [forms[c][1] for c in picked]
+
+
+def _assert_filtration_tables_match_reference(K):
+    # every strand takes the general table; the standard-graded shortcut
+    # is pinned to it by test_standard_graded_branch_matches_general_table
+    F = K.field
+    with mock.patch.object(analyze, "_is_standard_graded", lambda K: False):
+        for i in range(K.n + 1):
+            for d, data in homology_basis(K, i).degree_data.items():
+                k = len(data.rep_vectors)
+                if not k:
+                    continue
+                levels, forms = analyze._filtration_table(K, i, d, data)
+                assert (levels, forms) == _reference_filtration_table(K, i, d, data), (i, d)
+                assert [type(a) for form in forms for a in form] == [type(F.zero)] * (k * k)
+                inverse = exactalg.Matrix.from_columns(F, analyze._inverse_columns(F, forms), k)
+                assert exactalg.Matrix(F, forms, k).mul(inverse) == exactalg.Matrix.identity(F, k)
+
+
+def _weighted_family(field, a):
+    """x^a, y^(a+1), z^(a+2), (x^h+y^h)z^(h+1), h = a/2, with weights (1, 1, 2)."""
+    h = a // 2
+    ctx = PolyContext(field, ["x", "y", "z"], [1, 1, 2])
+    return make_artinian_quotient(ctx, [
+        "x^%d" % a, "y^%d" % (a + 1), "z^%d" % (a + 2),
+        "x^%d*z^%d + y^%d*z^%d" % (h, h + 1, h, h + 1)])
+
+
+@pytest.mark.parametrize("name", _weighted_and_semigroup_fixtures() + sorted(_MIXED_LEVEL_RINGS))
+def test_filtration_tables_match_dense_reference(name):
+    make = _MIXED_LEVEL_RINGS.get(name)
+    _assert_filtration_tables_match_reference(
+        KoszulComplex(make() if make else load_ring_spec(conftest.fixture_path(name))))
+
+
+@pytest.mark.parametrize("field", [GF2, exactalg.PrimeField(3), QQ], ids=str)
+def test_filtration_tables_match_dense_reference_on_weighted_family(field):
+    _assert_filtration_tables_match_reference(KoszulComplex(_weighted_family(field, 6)))
+
+
+@given(small_rings())
+@settings(max_examples=30, deadline=None)
+def test_filtration_tables_match_dense_reference_on_random_rings(ring):
+    _assert_filtration_tables_match_reference(KoszulComplex(ring))
 
 
 def test_level_of_zero_class(K_ci):
