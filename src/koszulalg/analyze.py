@@ -141,14 +141,18 @@ def check_identity_all(K, degrees=None):
         degrees = list(range(K.ring.codepth + 1))
     h1 = homology_basis(K, 1)
     k = h1.dim
-    columns = {}
+    columns, first = {}, {}
     for i in degrees:
         d = _dim(K, i)
         if k and d and _dim(K, i - 1):
-            M = exactalg.matmul(F, _left(K, 1, i)[None], _iota(K, i)[:, None])
+            M = exactalg.matmul(F, _left(K, 1, i)[None], _iota(K, i)[:, None]).swapaxes(2, 3)
+            nonzero = (M != 0).any(axis=3)
+            # first[i][g][c]: the first nonzero column of M_(g,c), or -1
+            first[i] = np.where(nonzero.any(axis=2), nonzero.argmax(axis=2), -1).tolist()
         else:
             M = np.full((n, k, d, d), F.zero, dtype=exactalg.triplet_dtype(F))
-        columns[i] = M.swapaxes(2, 3).tolist()  # columns[i][g][c]: the columns of M_(g,c)
+            first[i] = np.full((n, k), -1).tolist()
+        columns[i] = M.tolist()  # columns[i][g][c]: the columns of M_(g,c)
     per_degree = {i: True for i in degrees}
     witnesses = []
     all_differences = []
@@ -157,16 +161,15 @@ def check_identity_all(K, degrees=None):
             differences = {i: columns[i][gen][c] for i in degrees}
             all_differences.append(differences)
             for i in degrees:
-                for diff in differences[i]:
-                    if any(a != F.zero for a in diff):
-                        per_degree[i] = False
-                        witnesses.append({
-                            "generator": gen,
-                            "class_label": cls.label,
-                            "degree": i,
-                            "difference": diff,
-                        })
-                        break
+                col = first[i][gen][c]
+                if col >= 0:
+                    per_degree[i] = False
+                    witnesses.append({
+                        "generator": gen,
+                        "class_label": cls.label,
+                        "degree": i,
+                        "difference": differences[i][col],
+                    })
     overall = all(per_degree.values())
     return IdentityVerdict(overall, per_degree, witnesses, all_differences)
 

@@ -21,6 +21,13 @@ triplet_columns reads the columns of the core that peeling leaves for
 eliminate.  Everything else eliminate reduces arrives as {row: scalar}
 columns.
 
+Stacked products of the structure-constant matrices (matmul) run numpy's
+@ on arrays of triplet_dtype: over F_p on int64 split into 16-bit
+halves, over Q on Python-int numerators, each factor scaled once by the
+lcm of its denominators.  Python ints do not overflow, so those sums are
+exact, and a Fraction is built, with one gcd, only for a nonzero entry
+of the product.
+
 Every operation here is pure: it returns new values and leaves its
 arguments unchanged.  Only the private _fp_eliminate works in place, on
 an array its caller has just allocated.
@@ -29,6 +36,7 @@ an array its caller has just allocated.
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -469,11 +477,30 @@ def matmul(field, a, b):
     Over F_p, b is split into 16-bit halves: an entry times a half stays
     below 2^31 * 2^16, so a dot product of fewer than 2^15 terms stays
     below 2^63.
+
+    Over Q (entries Fractions or ints), each factor is scaled once by the
+    lcm of its denominators, D_a and D_b, to an object array of Python
+    ints, and @ runs on those: arbitrary-precision int products and sums
+    are exact, and no term pays for a Fraction's gcd.  An entry c of the
+    integer product is c / (D_a D_b); it becomes a Fraction only where c
+    is nonzero, and every zero is field.zero.
     """
-    if not isinstance(field, PrimeField):
-        return a @ b
-    p = field.p
-    return ((a @ (b >> 16) % p << 16) + a @ (b & 0xFFFF)) % p
+    if isinstance(field, PrimeField):
+        p = field.p
+        return ((a @ (b >> 16) % p << 16) + a @ (b & 0xFFFF)) % p
+    (a, da), (b, db) = _numerators(a), _numerators(b)
+    c = a @ b
+    d, zero = da * db, field.zero
+    return np.array([Fraction(x, d) if x else zero for x in c.ravel().tolist()],
+                    dtype=object).reshape(c.shape)
+
+
+def _numerators(values):
+    """(values * D as an object array of Python ints, D): D the lcm of the denominators."""
+    flat = values.ravel().tolist()
+    d = math.lcm(*{x.denominator for x in flat})
+    return np.array([x.numerator * (d // x.denominator) for x in flat],
+                    dtype=object).reshape(values.shape), d
 
 
 def sparse_rank(field, nrows, ncols, entries, blocks=None):

@@ -64,6 +64,7 @@ floor's strand, which every degree from the floor on shares.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 import numpy as np
@@ -515,10 +516,14 @@ class KoszulComplex:
         bounds = self._layout(i, d, d + 1)[0].tolist()
         if not all(0 <= c < bounds[-1] for c in vec):
             raise ValueError("position outside the strand (%d, %d)" % (i, d))
-        blocks = zip(self.subsets[i], self.subset_weights[i], bounds, bounds[1:])
-        return KoszulElement(self, {S: self.ring.element_from_coords(
-            d - w, {c - start: a for c, a in vec.items() if start <= c < end})
-            for S, w, start, end in blocks if start < end})
+        per_block = {}
+        for c, a in vec.items():
+            b = bisect.bisect_right(bounds, c) - 1  # the block [bounds[b], bounds[b + 1]) holding c
+            per_block.setdefault(b, {})[c - bounds[b]] = a
+        return KoszulElement(self, {
+            self.subsets[i][b]: self.ring.element_from_coords(
+                d - self.subset_weights[i][b], per_block[b])
+            for b in sorted(per_block)})
 
     def strand_basis_elements(self, i, d):
         """All basis elements of the strand (i, d) as KoszulElements."""

@@ -1,5 +1,6 @@
 """Exact linear algebra over F_p and Q."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -541,6 +542,38 @@ def test_matmul_matches_python_integers(p):
     assert out[:, 0].tolist() == [
         [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in m]
         for m in a]
+
+
+@st.composite
+def _q_factors(draw):
+    """Two object arrays of ints and Fractions whose stacks broadcast, any axis possibly empty."""
+    stack = draw(st.lists(st.integers(0, 3), max_size=2))
+    m, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def factor(rows, cols):
+        # each stack axis kept, or 1 to broadcast; leading axes may be dropped
+        axes = [draw(st.sampled_from([s, 1])) for s in stack][draw(st.integers(0, len(stack))):]
+        shape = tuple(axes) + (rows, cols)
+        # st.just(0) as a third choice: the stacks matmul serves are mostly zero
+        scalar = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.fractions(
+            -10 ** 6, 10 ** 6, max_denominator=10 ** 6), st.just(0))
+        values = draw(st.lists(scalar, min_size=math.prod(shape), max_size=math.prod(shape)))
+        out = np.empty(shape, dtype=object)
+        out.ravel()[:] = values
+        return out
+
+    return factor(m, k), factor(k, n)
+
+
+@given(_q_factors())
+@settings(max_examples=150, deadline=None)
+def test_matmul_over_q_matches_fraction_reference(factors):
+    a, b = factors
+    out = exactalg.matmul(QQ, a, b)
+    ref = np.vectorize(Fraction, otypes=[object])(a) @ np.vectorize(Fraction, otypes=[object])(b)
+    assert out.shape == ref.shape
+    assert out.tolist() == ref.tolist()
+    assert all(type(x) is Fraction for x in out.ravel().tolist())
 
 
 def test_matmul_over_q_keeps_fractions():

@@ -505,6 +505,26 @@ def test_element_vector_round_trip(K_weighted):
             assert K_weighted.strand_vectors(i, u) == {d: vec}
 
 
+def test_element_vector_round_trip_across_an_empty_block(K_aci):
+    # on k[t^6, t^10, t^14, t^15] R_(d - w(S)) is zero for many S, so a
+    # strand can have an empty block between two nonempty ones; every
+    # position must land in its own block past it
+    K, one = K_aci, K_aci.field.one
+    strands = []
+    for i in range(K.n + 1):
+        for d in range(K.truncation + 1):
+            offsets, total = K.strand_offsets(i, d)
+            sizes = [b - a for a, b in zip(offsets, offsets[1:] + [total])]
+            if any(sizes[j] == 0 and any(sizes[:j]) and any(sizes[j + 1:])
+                   for j in range(len(sizes))):
+                strands.append((i, d, total))
+    assert strands
+    for i, d, total in strands:
+        for vec in ({c: one for c in range(total)}, {total - 1: one, 0: one}):
+            u = K.vector_to_element(i, d, vec)
+            assert K.strand_vectors(i, u) == {d: vec}
+
+
 @pytest.mark.parametrize("position", [-1, "end"])
 def test_vector_to_element_rejects_a_position_outside_the_strand(K_weighted, position):
     K, one = K_weighted, K_weighted.field.one
